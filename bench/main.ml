@@ -220,11 +220,12 @@ let scale44k_bench () =
     ndests secs dests_per_sec jobs;
   (* CSR vs boxed oracle: same destination, every node's RIB equal. *)
   let d0 = dests.(Array.length dests / 2) in
-  let rt_csr = Routing.compute ~rep:Routing.Csr g d0 in
-  let rt_box = Routing.compute ~rep:Routing.Boxed g d0 in
+  let rt_csr = Routing.compute g d0 in
+  let rt_box = Mifo_oracle.Boxed_routing.compute g d0 in
   let rep_identical = ref true in
   for v = 0 to n - 1 do
-    if Routing.rib rt_csr v <> Routing.rib rt_box v then rep_identical := false
+    if Routing.rib rt_csr v <> Mifo_oracle.Boxed_routing.rib rt_box v then
+      rep_identical := false
   done;
   if not !rep_identical then begin
     Printf.printf "   <-- CSR / boxed RIB MISMATCH (dest %d)\n%!" d0;

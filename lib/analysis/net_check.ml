@@ -47,13 +47,10 @@ let audit_fibs sim ~routing =
                 match dest_of_prefix prefix with
                 | None -> ()
                 | Some (d, rt) ->
-                  if
-                    as_id <> d
-                    && not
-                         (List.exists
-                            (fun (e : Routing.rib_entry) -> e.Routing.via = neighbor_as)
-                            (Routing.rib rt as_id))
-                  then
+                  let rec backed i =
+                    i >= 0 && (Routing.rib_via rt as_id i = neighbor_as || backed (i - 1))
+                  in
+                  if as_id <> d && not (backed (Routing.rib_size rt as_id - 1)) then
                     dangling port
                       (Printf.sprintf "%s eBGP port not backed by a RIB route via AS %d"
                          role neighbor_as))

@@ -36,9 +36,9 @@ let mifo_counts g rt ~capable =
             total := !total +. count nb (next_phase hop)
         in
         if capable v then
-          Array.iter
-            (fun (e : Routing.rib_entry) -> consider e.via e.rel)
-            (Routing.rib_array rt v)
+          for i = 0 to Routing.rib_size rt v - 1 do
+            consider (Routing.rib_via rt v i) (Routing.rib_rel_at rt v i)
+          done
         else begin
           match Routing.next_hop rt v with
           | Some nb -> consider nb (As_graph.rel_exn g v nb)
@@ -78,9 +78,9 @@ let enumerate_mifo_paths g rt ~capable ~src ~limit =
         if hop_allowed phase hop then walk nb (next_phase hop) (v :: acc)
       in
       if capable v then
-        Array.iter
-          (fun (e : Routing.rib_entry) -> consider e.via e.rel)
-          (Routing.rib_array rt v)
+        for i = 0 to Routing.rib_size rt v - 1 do
+          consider (Routing.rib_via rt v i) (Routing.rib_rel_at rt v i)
+        done
       else
         match Routing.next_hop rt v with
         | Some nb -> consider nb (As_graph.rel_exn g v nb)

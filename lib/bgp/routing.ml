@@ -7,10 +7,6 @@ module Obs = Mifo_util.Obs
    this gauge is the bench's peak-memory signal. *)
 let g_peak_words = Obs.gauge "routing.peak_words"
 
-type rep = Csr | Boxed
-
-let rep_name = function Csr -> "csr" | Boxed -> "boxed"
-
 type route_class = Customer_route | Peer_route | Provider_route
 
 let class_rank = function Customer_route -> 0 | Peer_route -> 1 | Provider_route -> 2
@@ -25,92 +21,79 @@ type rib_entry = { via : int; rel : Relationship.t; len : int }
 type t = {
   graph : As_graph.t;
   dest : int;
-  dist_cust : int array;  (* best customer-route length; -1 = none *)
-  peer_len : int array;  (* best peer-route length; -1 = none *)
-  prov_len : int array;  (* best provider-route length; -1 = none *)
-  export_len : int array;  (* best route length (selected); -1 = unreachable *)
-  best_class : int array;  (* 0/1/2 per class_rank; -1 at dest or unreachable *)
-  next : int array;  (* default next hop; -1 at dest or unreachable *)
-  tree_times : int array * int array;
-      (* DFS entry/exit times of the selected-route tree (parent =
-         default next hop, root = dest), built at construction: [x] lies
-         on [n]'s selected path iff [x] is an ancestor of [n], an O(1)
-         interval test.  Powers the BGP loop filter in [rib].  Eager so
-         a [t] shared across domains carries no lazily-written state. *)
-  rib_arrays : rib_entry array option array;
-      (* per-node sorted RIB, memoized on first demand.  Idempotent
-         fill: a racing fill writes a structurally identical array, so
-         concurrent readers of a shared [t] are safe (OCaml's memory
-         model guarantees a racy read sees one of the written values). *)
-  rib_lists : rib_entry list option array;
-      (* list view of [rib_arrays.(v)], memoized for the list-returning
-         public API so steady-state [rib] calls allocate nothing *)
   csr_off : int array;
-      (* CSR representation of every node's sorted RIB, built eagerly at
-         [compute] under [rep = Csr] (both arrays empty under [Boxed]):
-         node [v]'s entries are [csr_cells.(csr_off.(v)) ..
-         csr_cells.(csr_off.(v+1) - 1)], each cell a packed
-         [(preference_rank lsl 60) lor (len lsl 32) lor via] int so
-         ascending int order IS [entry_order].  One flat arena for all
-         44K nodes instead of 44K boxed arrays — and being immutable
-         after construction, it shares across domains for free. *)
+      (* Every node's sorted RIB in one flat arena: node [v]'s entries
+         are [csr_cells.(csr_off.(v)) .. csr_cells.(csr_off.(v+1) - 1)],
+         each cell a packed [(preference_rank lsl 60) lor (len lsl 32)
+         lor via] int, so ascending int order IS the RIB order.  Cell 0
+         of a segment is the selected route, from which every per-node
+         accessor derives; the destination and unreachable nodes have
+         empty segments. *)
   csr_cells : int array;
+  tree : int array;
+      (* DFS entry/exit times of the selected-route tree (parent =
+         default next hop, root = dest), packed [(tin lsl 32) lor tout];
+         [-1] off the tree.  [x] lies on [n]'s selected path iff [x] is
+         an ancestor of [n], an O(1) interval test. *)
 }
 
 let dest t = t.dest
 
 (* Pick the neighbor minimizing (advertised length, id) among candidates
-   that actually have a route. *)
+   that actually have a route ([route_len nb < 0] = none). *)
 let best_via candidates route_len =
   let best = ref (-1) and best_len = ref max_int in
   Array.iter
     (fun nb ->
-      match route_len nb with
-      | None -> ()
-      | Some l ->
-        if l < !best_len || (l = !best_len && nb < !best) then begin
-          best := nb;
-          best_len := l
-        end)
+      let l = route_len nb in
+      if l >= 0 && (l < !best_len || (l = !best_len && nb < !best)) then begin
+        best := nb;
+        best_len := l
+      end)
     candidates;
-  if !best < 0 then None else Some (!best, 1 + !best_len)
+  !best
 
-(* DFS entry/exit times over the selected-route tree rooted at [d]
-   (parent = default next hop). *)
-let build_tree_times n next d =
+(* Packed DFS times over the selected-route tree rooted at [d]. *)
+let build_tree n next d =
   let children = Array.make n [] in
   for v = 0 to n - 1 do
     let p = next.(v) in
     if p >= 0 then children.(p) <- v :: children.(p)
   done;
-  let tin = Array.make n (-1) and tout = Array.make n (-1) in
+  let tree = Array.make n (-1) in
   let clock = ref 0 in
-  (* iterative DFS: (node, Enter | Exit) *)
+  (* iterative DFS: (node, Enter | Exit); the exit stamp completes the
+     entry stamp already written in the high half *)
   let stack = Stack.create () in
   Stack.push (d, true) stack;
   while not (Stack.is_empty stack) do
     let v, entering = Stack.pop stack in
     if entering then begin
-      tin.(v) <- !clock;
+      tree.(v) <- !clock lsl 32;
       incr clock;
       Stack.push (v, false) stack;
       List.iter (fun c -> Stack.push (c, true) stack) children.(v)
     end
     else begin
-      tout.(v) <- !clock;
+      tree.(v) <- tree.(v) lor !clock;
       incr clock
     end
   done;
-  (tin, tout)
+  tree
 
-let compute ?(rep = Csr) g d =
+let[@inline] tree_ancestor tree ~node x =
+  let a = tree.(node) and b = tree.(x) in
+  a >= 0 && b >= 0 && b lsr 32 <= a lsr 32 && a land 0xFFFFFFFF <= b land 0xFFFFFFFF
+
+let compute g d =
   let n = As_graph.n g in
   if d < 0 || d >= n then invalid_arg "Routing.compute: destination out of range";
+  (* Phase arrays: temporaries, not retained — the CSR arena built from
+     them encodes every route they describe. *)
   let dist_cust = Array.make n (-1) in
   let peer_len = Array.make n (-1) in
   let prov_len = Array.make n (-1) in
   let export_len = Array.make n (-1) in
-  let best_class = Array.make n (-1) in
   let next = Array.make n (-1) in
   (* Phase 1 — customer routes: BFS from the destination along
      customer->provider edges; an AS has a customer route iff some chain of
@@ -130,190 +113,159 @@ let compute ?(rep = Csr) g d =
   done;
   (* Phase 2 — peer routes: usable iff the peer's best route is a customer
      route (export policy), i.e. iff the peer has a customer route. *)
+  let via_customer nb = dist_cust.(nb) in
   for v = 0 to n - 1 do
     if v <> d then begin
-      let via_peer nb = if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None in
-      match best_via (As_graph.peers g v) via_peer with
-      | Some (_, l) -> peer_len.(v) <- l
-      | None -> ()
+      let nb = best_via (As_graph.peers g v) via_customer in
+      if nb >= 0 then peer_len.(v) <- 1 + dist_cust.(nb)
     end
   done;
   (* Phase 3 — provider routes, in provider-before-customer order: a
      provider advertises its selected best route to customers, whatever its
      class, so export_len must be fixed top-down. *)
-  let order = As_graph.topological_order g in
-  let selected v =
-    (* (class, length) of v's best route given phases so far *)
-    if v = d then Some (-1, 0)
-    else if dist_cust.(v) >= 0 then Some (0, dist_cust.(v))
-    else if peer_len.(v) >= 0 then Some (1, peer_len.(v))
-    else if prov_len.(v) >= 0 then Some (2, prov_len.(v))
-    else None
-  in
+  let via_provider nb = export_len.(nb) in
   Array.iter
     (fun v ->
       if v <> d then begin
-        let via_provider nb =
-          if export_len.(nb) >= 0 then Some export_len.(nb) else None
-        in
-        (match best_via (As_graph.providers g v) via_provider with
-         | Some (_, l) -> prov_len.(v) <- l
-         | None -> ());
-        match selected v with
-        | Some (_, l) -> export_len.(v) <- l
-        | None -> ()
+        let nb = best_via (As_graph.providers g v) via_provider in
+        if nb >= 0 then prov_len.(v) <- 1 + export_len.(nb);
+        export_len.(v) <-
+          (if dist_cust.(v) >= 0 then dist_cust.(v)
+           else if peer_len.(v) >= 0 then peer_len.(v)
+           else prov_len.(v))
       end
       else export_len.(v) <- 0)
-    order;
-  (* Default next hops from the final class decision. *)
+    (As_graph.topological_order g);
+  (* Default next hops from the final class decision: the best neighbor
+     of the best class (a customer exports to its provider, and a peer
+     to its peer, only customer routes). *)
+  for v = 0 to n - 1 do
+    if v <> d then
+      next.(v) <-
+        (if dist_cust.(v) >= 0 then best_via (As_graph.customers g v) via_customer
+         else if peer_len.(v) >= 0 then best_via (As_graph.peers g v) via_customer
+         else if prov_len.(v) >= 0 then best_via (As_graph.providers g v) via_provider
+         else -1)
+  done;
+  let tree = build_tree n next d in
+  (* Admissibility: a customer or peer neighbor advertises its best
+     customer route, a provider its selected route, and the BGP loop
+     filter drops routes whose AS path runs through us (an ancestor query
+     on the route tree). *)
+  let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     if v <> d then begin
-      let pick candidates route_len = best_via candidates route_len in
-      let via_customer nb =
-        (* a customer exports to its provider only its customer routes *)
-        if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None
+      let c = ref 0 in
+      let count_class nbrs advertised =
+        Array.iter
+          (fun nb -> if advertised.(nb) >= 0 && not (tree_ancestor tree ~node:nb v) then incr c)
+          nbrs
       in
-      let via_peer nb = if dist_cust.(nb) >= 0 then Some dist_cust.(nb) else None in
-      let via_provider nb = if export_len.(nb) >= 0 then Some export_len.(nb) else None in
-      if dist_cust.(v) >= 0 then begin
-        best_class.(v) <- 0;
-        match pick (As_graph.customers g v) via_customer with
-        | Some (nb, l) ->
-          assert (l = dist_cust.(v));
-          next.(v) <- nb
-        | None ->
-          (* the only customer route with no customer next hop is via a
-             directly-connected destination customer — impossible here
-             since d itself is covered by via_customer *)
-          assert false
-      end
-      else if peer_len.(v) >= 0 then begin
-        best_class.(v) <- 1;
-        match pick (As_graph.peers g v) via_peer with
-        | Some (nb, l) ->
-          assert (l = peer_len.(v));
-          next.(v) <- nb
-        | None -> assert false
-      end
-      else if prov_len.(v) >= 0 then begin
-        best_class.(v) <- 2;
-        match pick (As_graph.providers g v) via_provider with
-        | Some (nb, l) ->
-          assert (l = prov_len.(v));
-          next.(v) <- nb
-        | None -> assert false
+      count_class (As_graph.customers g v) dist_cust;
+      count_class (As_graph.peers g v) dist_cust;
+      count_class (As_graph.providers g v) export_len;
+      off.(v + 1) <- !c
+    end
+  done;
+  let max_deg = ref 0 in
+  for v = 0 to n - 1 do
+    max_deg := Stdlib.max !max_deg off.(v + 1);
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let cells = Array.make off.(n) 0 in
+  let scratch = Array.make !max_deg 0 in
+  for v = 0 to n - 1 do
+    if v <> d then begin
+      let p = ref off.(v) in
+      let push_class rank nbrs advertised =
+        Array.iter
+          (fun nb ->
+            let adv = advertised.(nb) in
+            if adv >= 0 && not (tree_ancestor tree ~node:nb v) then begin
+              cells.(!p) <- (rank lsl 60) lor ((1 + adv) lsl 32) lor nb;
+              incr p
+            end)
+          nbrs
+      in
+      push_class 0 (As_graph.customers g v) dist_cust;
+      push_class 1 (As_graph.peers g v) dist_cust;
+      push_class 2 (As_graph.providers g v) export_len;
+      (* Sort the segment: ascending packed ints = RIB order.  The
+         classes were pushed in rank order, so only (len, via) within
+         each class is out of order; the heapsort is O(k log k) even
+         on tier-1 hubs with thousands of entries. *)
+      let k = !p - off.(v) in
+      if k > 1 then begin
+        Array.blit cells off.(v) scratch 0 k;
+        Mifo_util.Sort.sort_prefix ~cmp:Int.compare scratch k;
+        Array.blit scratch 0 cells off.(v) k
       end
     end
   done;
-  let tree_times = build_tree_times n next d in
-  let csr_off, csr_cells =
-    match rep with
-    | Boxed -> ([||], [||])
-    | Csr ->
-      (* Admissibility repeats [compute_rib]'s export filter: a customer
-         or peer neighbor advertises its best customer route, a provider
-         its selected route, and the BGP loop filter drops routes whose
-         AS path runs through us (an ancestor query on the route tree). *)
-      let tin, tout = tree_times in
-      let on_path ~node x =
-        tin.(node) >= 0 && tin.(x) >= 0 && tin.(x) <= tin.(node) && tout.(node) <= tout.(x)
-      in
-      let off = Array.make (n + 1) 0 in
-      for v = 0 to n - 1 do
-        if v <> d then begin
-          let c = ref 0 in
-          let count_class nbrs advertised =
-            Array.iter
-              (fun nb -> if advertised nb >= 0 && not (on_path ~node:nb v) then incr c)
-              nbrs
-          in
-          count_class (As_graph.customers g v) (fun nb -> dist_cust.(nb));
-          count_class (As_graph.peers g v) (fun nb -> dist_cust.(nb));
-          count_class (As_graph.providers g v) (fun nb -> export_len.(nb));
-          off.(v + 1) <- !c
-        end
-      done;
-      for v = 0 to n - 1 do
-        off.(v + 1) <- off.(v + 1) + off.(v)
-      done;
-      let cells = Array.make off.(n) 0 in
-      let max_deg = ref 0 in
-      for v = 0 to n - 1 do
-        max_deg := Stdlib.max !max_deg (off.(v + 1) - off.(v))
-      done;
-      let scratch = Array.make !max_deg 0 in
-      for v = 0 to n - 1 do
-        if v <> d then begin
-          let p = ref off.(v) in
-          let push_class rank nbrs advertised =
-            Array.iter
-              (fun nb ->
-                let adv = advertised nb in
-                if adv >= 0 && not (on_path ~node:nb v) then begin
-                  cells.(!p) <- (rank lsl 60) lor ((1 + adv) lsl 32) lor nb;
-                  incr p
-                end)
-              nbrs
-          in
-          push_class 0 (As_graph.customers g v) (fun nb -> dist_cust.(nb));
-          push_class 1 (As_graph.peers g v) (fun nb -> dist_cust.(nb));
-          push_class 2 (As_graph.providers g v) (fun nb -> export_len.(nb));
-          (* Sort the segment: ascending packed ints = entry_order.  The
-             classes were pushed in rank order, so only (len, via) within
-             each class is out of order; the heapsort is O(k log k) even
-             on tier-1 hubs with thousands of entries. *)
-          let k = !p - off.(v) in
-          if k > 1 then begin
-            Array.blit cells off.(v) scratch 0 k;
-            Mifo_util.Sort.sort_prefix ~cmp:Int.compare scratch k;
-            Array.blit scratch 0 cells off.(v) k
-          end
-        end
-      done;
-      (off, cells)
-  in
-  let t =
-    {
-      graph = g;
-      dest = d;
-      dist_cust;
-      peer_len;
-      prov_len;
-      export_len;
-      best_class;
-      next;
-      tree_times;
-      rib_arrays = Array.make n None;
-      rib_lists = Array.make n None;
-      csr_off;
-      csr_cells;
-    }
-  in
+  let t = { graph = g; dest = d; csr_off = off; csr_cells = cells; tree } in
   Obs.max_gauge g_peak_words (float_of_int (Gc.quick_stat ()).Gc.heap_words);
   t
 
-let reachable t v = v = t.dest || t.export_len.(v) >= 0
+(* Packed-cell decode. *)
+let[@inline] cell_via c = c land 0xFFFFFFFF
+let[@inline] cell_len c = (c lsr 32) land 0xFFFFFFF
+
+let cell_rel c =
+  match c lsr 60 with
+  | 0 -> Relationship.Customer
+  | 1 -> Relationship.Peer
+  | _ -> Relationship.Provider
+
+let[@inline] rib_size t v = t.csr_off.(v + 1) - t.csr_off.(v)
+
+(* Allocation-free per-entry accessors (index 0 is the default route,
+   matching [rib]'s head). *)
+let[@inline] rib_via t v i = cell_via t.csr_cells.(t.csr_off.(v) + i)
+let[@inline] rib_len_at t v i = cell_len t.csr_cells.(t.csr_off.(v) + i)
+let[@inline] rib_rel_at t v i = cell_rel t.csr_cells.(t.csr_off.(v) + i)
+
+(* The selected route of a node other than the destination: its cell 0,
+   or [-1] when the segment is empty (unreachable). *)
+let[@inline] head t v = if rib_size t v = 0 then -1 else t.csr_cells.(t.csr_off.(v))
+
+let reachable t v = v = t.dest || rib_size t v > 0
 
 let best_class t v =
   if v = t.dest then None
   else
-    match t.best_class.(v) with
-    | 0 -> Some Customer_route
-    | 1 -> Some Peer_route
-    | 2 -> Some Provider_route
-    | _ -> None
+    let c = head t v in
+    if c < 0 then None
+    else
+      match c lsr 60 with
+      | 0 -> Some Customer_route
+      | 1 -> Some Peer_route
+      | _ -> Some Provider_route
 
 let best_len t v =
   if v = t.dest then 0
-  else if t.export_len.(v) < 0 then invalid_arg "Routing.best_len: unreachable"
-  else t.export_len.(v)
+  else
+    let c = head t v in
+    if c < 0 then invalid_arg "Routing.best_len: unreachable" else cell_len c
 
-let next_hop t v = if t.next.(v) < 0 then None else Some t.next.(v)
+let next_hop t v =
+  if v = t.dest then None
+  else
+    let c = head t v in
+    if c < 0 then None else Some (cell_via c)
 
+(* Customer routes are preferred, so an AS has one iff its selected
+   route is one. *)
 let customer_route_len t v =
-  if t.dist_cust.(v) < 0 then None else Some t.dist_cust.(v)
+  if v = t.dest then Some 0
+  else
+    let c = head t v in
+    if c >= 0 && c lsr 60 = 0 then Some (cell_len c) else None
 
-let export_len t v = if t.export_len.(v) < 0 then None else Some t.export_len.(v)
+let export_len t v =
+  if v = t.dest then Some 0
+  else
+    let c = head t v in
+    if c < 0 then None else Some (cell_len c)
 
 let default_path t s =
   let n = As_graph.n t.graph in
@@ -327,108 +279,20 @@ let default_path t s =
   in
   follow s [] 0
 
-let on_selected_path t ~node x =
-  (* is [x] on [node]'s selected default path (including its endpoints)? *)
-  let tin, tout = t.tree_times in
-  tin.(node) >= 0 && tin.(x) >= 0 && tin.(x) <= tin.(node) && tout.(node) <= tout.(x)
+let on_selected_path t ~node x = tree_ancestor t.tree ~node x
 
-let entry_order a b =
-  let ka = (Relationship.preference_rank a.rel, a.len, a.via) in
-  let kb = (Relationship.preference_rank b.rel, b.len, b.via) in
-  compare ka kb
+let rib_entry_at t v i =
+  let c = t.csr_cells.(t.csr_off.(v) + i) in
+  { via = cell_via c; rel = cell_rel c; len = cell_len c }
 
-let compute_rib t v =
-  let g = t.graph in
-  let entries = ref [] in
-  let nbrs = As_graph.neighbors g v in
-  Array.iter
-    (fun nb ->
-      let rel = As_graph.rel_exn g v nb in
-      let advertised =
-        match rel with
-        | Relationship.Customer | Relationship.Peer ->
-          (* they export to us (their provider / peer) only customer routes *)
-          if t.dist_cust.(nb) >= 0 then Some t.dist_cust.(nb) else None
-        | Relationship.Provider ->
-          if t.export_len.(nb) >= 0 then Some t.export_len.(nb) else None
-      in
-      match advertised with
-      | Some l ->
-        (* BGP loop filter: reject a route whose AS path contains us.
-           The neighbor's exported path is its selected default path,
-           so the check is an ancestor query on the route tree. *)
-        if not (on_selected_path t ~node:nb v) then
-          entries := { via = nb; rel; len = 1 + l } :: !entries
-      | None -> ())
-    nbrs;
-  let arr = Array.of_list !entries in
-  Array.sort entry_order arr;
-  arr
+let rib_array t v = Array.init (rib_size t v) (rib_entry_at t v)
 
-let rep t = if Array.length t.csr_off = 0 then Boxed else Csr
+let rib_from t v first =
+  let rec build i acc = if i < first then acc else build (i - 1) (rib_entry_at t v i :: acc) in
+  build (rib_size t v - 1) []
 
-(* Packed-cell decode. *)
-let[@inline] cell_via c = c land 0xFFFFFFFF
-let[@inline] cell_len c = (c lsr 32) land 0xFFFFFFF
-
-let cell_rel c =
-  match c lsr 60 with
-  | 0 -> Relationship.Customer
-  | 1 -> Relationship.Peer
-  | _ -> Relationship.Provider
-
-let decode_csr t v =
-  let lo = t.csr_off.(v) in
-  Array.init
-    (t.csr_off.(v + 1) - lo)
-    (fun i ->
-      let c = t.csr_cells.(lo + i) in
-      { via = cell_via c; rel = cell_rel c; len = cell_len c })
-
-let rib_array t v =
-  if v = t.dest then [||]
-  else
-    match t.rib_arrays.(v) with
-    | Some arr -> arr
-    | None ->
-      let arr =
-        match rep t with Csr -> decode_csr t v | Boxed -> compute_rib t v
-      in
-      t.rib_arrays.(v) <- Some arr;
-      arr
-
-let rib t v =
-  if v = t.dest then []
-  else
-    match t.rib_lists.(v) with
-    | Some entries -> entries
-    | None ->
-      let entries = Array.to_list (rib_array t v) in
-      t.rib_lists.(v) <- Some entries;
-      entries
-
-let alternatives t v =
-  match rib t v with [] -> [] | _default :: rest -> rest
-
-let rib_size t v =
-  if Array.length t.csr_off > 0 then t.csr_off.(v + 1) - t.csr_off.(v)
-  else Array.length (rib_array t v)
-
-(* Allocation-free per-entry accessors for hot loops (index 0 is the
-   default route, matching [rib]'s head).  Under [Boxed] they read the
-   memoized boxed RIB instead of packed cells. *)
-
-let[@inline] rib_via t v i =
-  if Array.length t.csr_off > 0 then cell_via t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).via
-
-let[@inline] rib_len_at t v i =
-  if Array.length t.csr_off > 0 then cell_len t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).len
-
-let[@inline] rib_rel_at t v i =
-  if Array.length t.csr_off > 0 then cell_rel t.csr_cells.(t.csr_off.(v) + i)
-  else (rib_array t v).(i).rel
+let rib t v = rib_from t v 0
+let alternatives t v = rib_from t v 1
 
 (* The concrete AS path behind a RIB entry.  A neighbor advertises, to a
    provider or peer, its best customer route; to a customer, its selected
@@ -440,11 +304,10 @@ let rib_path t v (e : rib_entry) =
   (match e.rel with
    | Relationship.Customer | Relationship.Peer ->
      (* exported-to-us customer route: exists iff the neighbor has one *)
-     if t.dist_cust.(e.via) < 0 && e.via <> t.dest then
+     if customer_route_len t e.via = None then
        invalid_arg "Routing.rib_path: neighbor exported no customer route"
    | Relationship.Provider ->
-     if t.export_len.(e.via) < 0 && e.via <> t.dest then
-       invalid_arg "Routing.rib_path: neighbor exported no route");
+     if export_len t e.via = None then invalid_arg "Routing.rib_path: neighbor exported no route");
   v :: default_path t e.via
 
 let rib_paths t v =

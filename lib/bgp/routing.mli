@@ -17,42 +17,28 @@
     peer routes in one step, provider routes down the hierarchy in
     topological order) and runs in O(V + E) per destination.
 
-    {b Thread safety.}  A [t] is immutable except for the per-node RIB
-    memo, whose fill is idempotent: concurrent accessors on a shared [t]
-    from several domains are safe (a racy refill produces a structurally
-    identical value; at worst a node's RIB is computed twice).  The
-    selected-route tree used by {!on_selected_path} is built eagerly at
-    construction, so {!compute} results can be cached and shared across
-    domains freely — which is exactly what
-    {!Routing_table.precompute} does. *)
+    {b Representation and thread safety.}  A [t] is one flat arena of
+    packed RIB cells plus an offset array and a packed DFS labelling of
+    the selected-route tree — about [2V] words plus one word per RIB
+    entry.  Every per-node accessor ({!next_hop}, {!best_class},
+    {!best_len}, {!export_len}, {!customer_route_len}, {!reachable})
+    derives from the node's selected route, the first cell of its
+    segment.  A [t] is immutable once {!compute} returns, so
+    {!compute} results can be cached and shared across domains freely
+    — which is exactly what {!Routing_table.precompute} does. *)
 
 type route_class = Customer_route | Peer_route | Provider_route
 
 val class_rank : route_class -> int
 val class_to_string : route_class -> string
 
-type rep = Csr | Boxed
-(** RIB representation.  {!Csr} (the default) packs every node's sorted
-    RIB into one shared arena of [(rank, len, via)]-packed ints plus an
-    offset array, built eagerly at {!compute} — at 44K ASes this is a
-    pair of flat arrays instead of 44K boxed per-node structures, and
-    {!rib_size}/{!rib_via}/{!rib_len_at}/{!rib_rel_at} never allocate.
-    {!Boxed} is the original on-demand per-node representation, kept as
-    the oracle; QCheck gates in [test_bgp] assert the two produce
-    identical RIBs.  The boxed {!rib}/{!rib_array} views exist under
-    both (thin memoized adapters over the cells under {!Csr}). *)
-
-val rep_name : rep -> string
-
 type t
 (** Routing state toward one destination. *)
 
 val dest : t -> int
 
-val compute : ?rep:rep -> Mifo_topology.As_graph.t -> int -> t
+val compute : Mifo_topology.As_graph.t -> int -> t
 (** [compute g d].  @raise Invalid_argument if [d] is out of range. *)
-
-val rep : t -> rep
 
 val reachable : t -> int -> bool
 (** Every AS is reachable in a connected topology (provider routes reach
@@ -93,36 +79,38 @@ val rib : t -> int -> rib_entry list
 (** All routes in the local RIB of an AS toward [dest t], one per
     exporting neighbor, sorted best-first (class, then length, then
     next-hop id).  The head is the default route.  Empty at the
-    destination.  Memoized per node: the first call scans the
-    neighborhood and sorts, every later call returns the same list
-    without allocating — callers in per-epoch loops ({!Mifo_core}'s
-    selectors, the simulators, {!Path_count}) hit the cached value. *)
+    destination.  Decoded from the arena on every call, so it
+    allocates; per-epoch and per-FIB-entry loops use {!rib_size} and
+    the entry accessors below instead. *)
 
 val rib_array : t -> int -> rib_entry array
-(** The same RIB as an array (shared, memoized — do {b not} mutate).
-    The allocation-free form for hot loops that only iterate. *)
+(** The same RIB as a fresh array. *)
 
 val alternatives : t -> int -> rib_entry list
 (** [rib] minus the default entry — exactly the paths MIFO can deflect
-    to. *)
+    to.  Allocates, like {!rib}. *)
 
 val rib_size : t -> int -> int
-(** Number of RIB entries at an AS — O(1) and allocation-free under
-    {!Csr} (an offset subtraction). *)
+(** Number of RIB entries at an AS — O(1) and allocation-free (an
+    offset subtraction). *)
 
 (** {2 Allocation-free entry accessors}
 
     [rib_via t v i] / [rib_len_at t v i] / [rib_rel_at t v i] read field
     by field what [(rib_array t v).(i)] holds, without materialising the
     boxed view — index [0] is the default route, [1 ..] the
-    alternatives, exactly {!rib}'s order.  Under {!Csr} these are plain
-    reads of the packed cell arena; the static verifier's product-DFS
-    iterates RIBs this way at 44K without touching the memo.  Indices
-    must be [< rib_size t v]. *)
+    alternatives, exactly {!rib}'s order.  They are plain reads of the
+    packed cell arena; the static verifier's product-DFS, the
+    alternative selectors and MIRO's candidate scan iterate RIBs this
+    way.  Indices must be [< rib_size t v]. *)
 
 val rib_via : t -> int -> int -> int
 val rib_len_at : t -> int -> int -> int
 val rib_rel_at : t -> int -> int -> Mifo_topology.Relationship.t
+
+val rib_entry_at : t -> int -> int -> rib_entry
+(** [rib_entry_at t v i] builds [(rib_array t v).(i)] alone: one small
+    record, for a scan that keeps only a few of the entries it reads. *)
 
 val rib_path : t -> int -> rib_entry -> int list
 (** [rib_path t v e] is the concrete AS path [v; e.via; ...; dest t]

@@ -1,10 +1,19 @@
 module Routing = Mifo_bgp.Routing
 
-let permitted rt ~src_as ~upstream =
-  let allowed (e : Routing.rib_entry) =
-    Policy.deflection_allowed ~upstream ~downstream:e.rel
+(* Entries [1 .. last] of [v]'s RIB (index 0 is the default route) that
+   [keep i] admits, in RIB order.  The scan reads the allocation-free
+   accessors and builds a [rib_entry] only for a kept index. *)
+let collect rt v ~last keep =
+  let rec go i acc =
+    if i < 1 then acc else go (i - 1) (if keep i then Routing.rib_entry_at rt v i :: acc else acc)
   in
-  List.filter allowed (Routing.alternatives rt src_as)
+  go last []
+
+let allowed rt v ~upstream i =
+  Policy.deflection_allowed ~upstream ~downstream:(Routing.rib_rel_at rt v i)
+
+let permitted rt ~src_as ~upstream =
+  collect rt src_as ~last:(Routing.rib_size rt src_as - 1) (allowed rt src_as ~upstream)
 
 let best_by rt ~src_as ~upstream ~score =
   let candidates = permitted rt ~src_as ~upstream in
@@ -24,23 +33,17 @@ let best_by rt ~src_as ~upstream ~score =
 let best_alternative rt ~src_as ~upstream ~spare =
   best_by rt ~src_as ~upstream ~score:(fun e -> spare e.via)
 
-let rec take n = function
-  | [] -> []
-  | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
 let ranked_alternatives rt ~src_as ~upstream ~spare ~k =
   (* Pool-cap FIRST, in RIB preference order: the k-limited static
      verifier admits deflections onto the first k RIB alternatives, so
      the runtime chooser must draw from exactly that pool for the check
      to be sound.  Every pool entry is next-hop-disjoint from the
-     default route (the RIB holds one entry per neighbor and
-     [alternatives] excludes the head). *)
-  let pool = take (Stdlib.min k Fib.max_alts) (Routing.alternatives rt src_as) in
+     default route (the RIB holds one entry per neighbor and the pool
+     starts after the head). *)
+  let last = Stdlib.min (Stdlib.min k Fib.max_alts) (Routing.rib_size rt src_as - 1) in
   let pool =
-    List.filter
-      (fun (e : Routing.rib_entry) ->
-        Policy.deflection_allowed ~upstream ~downstream:e.rel && spare e.via > 0.)
-      pool
+    collect rt src_as ~last (fun i ->
+        allowed rt src_as ~upstream i && spare (Routing.rib_via rt src_as i) > 0.)
   in
   List.stable_sort
     (fun (a : Routing.rib_entry) (b : Routing.rib_entry) ->

@@ -7,17 +7,23 @@ type config = { cap : int }
 let default_config = { cap = 5 }
 
 let candidates ?(config = default_config) rt ~deployment ~src =
-  if src = Routing.dest rt || not (Deployment.capable deployment src) then []
-  else
-    match Routing.rib rt src with
-    | [] -> []
-    | default :: rest ->
-      let same_class (e : Routing.rib_entry) =
-        Relationship.preference_rank e.rel
-        = Relationship.preference_rank default.rel
-        && Deployment.capable deployment e.via
-      in
-      List.filteri (fun i _ -> i < config.cap) (List.filter same_class rest)
+  let size = Routing.rib_size rt src in
+  if size = 0 || not (Deployment.capable deployment src) then []
+  else begin
+    (* The first [cap] alternatives in RIB order that share the default
+       route's class and end at a capable neighbor, read through the
+       allocation-free accessors; only the picked entries are built. *)
+    let default_rank = Relationship.preference_rank (Routing.rib_rel_at rt src 0) in
+    let rec pick i taken =
+      if i >= size || taken >= config.cap then []
+      else if
+        Relationship.preference_rank (Routing.rib_rel_at rt src i) = default_rank
+        && Deployment.capable deployment (Routing.rib_via rt src i)
+      then Routing.rib_entry_at rt src i :: pick (i + 1) (taken + 1)
+      else pick (i + 1) taken
+    in
+    pick 1 0
+  end
 
 let available_path_count ?config rt ~deployment ~src =
   if src = Routing.dest rt then 1

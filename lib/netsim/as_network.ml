@@ -83,11 +83,10 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
             let out_port = Hashtbl.find port_of (v, nh) in
             if Deployment.capable deployment v then begin
               let alts =
-                (* memoized RIB: the scan+sort ran at most once per
-                   (destination, AS) pair, not once per call *)
-                Routing.alternatives rt v
-                |> List.map (fun (e : Routing.rib_entry) ->
-                       (e.via, Hashtbl.find port_of (v, e.via)))
+                (* RIB alternatives are cells 1 .. of the arena segment *)
+                List.init (Routing.rib_size rt v - 1) (fun j ->
+                    let via = Routing.rib_via rt v (j + 1) in
+                    (via, Hashtbl.find port_of (v, via)))
               in
               Hashtbl.replace alt_candidates (v, prefix.Prefix.network) alts;
               match alts with

@@ -400,6 +400,30 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     | Mifo deployment -> adapt_mifo deployment
     | Miro { deployment; cap } -> adapt_miro deployment cap
   in
+  (* [may_act f] holds for every flow whose [adapt] can change something
+     this epoch (a superset is fine, a miss is not).  It reads [congested]
+     (the previous solve's allocation, never [planned]) and the flow's own
+     path, which only its own [adapt] rewrites, so the answer does not
+     depend on which flows adapted before it. *)
+  let may_act =
+    match protocol with
+    | Bgp -> fun _ -> false
+    | Mifo deployment ->
+      fun f ->
+        (not f.on_default)
+        ||
+        let rec congested_capable_hop i =
+          i < Array.length f.links
+          && ((congested f.links.(i) && Deployment.capable deployment f.path.(i))
+             || congested_capable_hop (i + 1))
+        in
+        congested_capable_hop 0
+    | Miro { deployment; _ } ->
+      fun f ->
+        !miro_may_act
+        && Deployment.capable deployment f.spec.src
+        && ((not f.on_default) || Array.exists congested f.links)
+  in
   let epochs = ref 0 in
   let completed = ref 0 in
   let last_sample = ref neg_infinity in
@@ -446,15 +470,23 @@ let run ?(params = default_params) ?(failures = []) table protocol flow_specs =
     if !epochs > 1 && nactive > 0 then begin
       ensure_scratch order_scratch nactive (Mifo_util.Vec.get active 0);
       let order = !order_scratch in
+      (* Only the flows that can act are sorted and adapted; (rate, idx)
+         is a total order, so they keep the relative order they had in
+         the sort of every active flow. *)
+      let m = ref 0 in
       for i = 0 to nactive - 1 do
-        order.(i) <- Mifo_util.Vec.get active i
+        let f = Mifo_util.Vec.get active i in
+        if may_act f then begin
+          order.(!m) <- f;
+          incr m
+        end
       done;
       Mifo_util.Sort.sort_prefix
         ~cmp:(fun a b ->
           let c = Float.compare a.rate b.rate in
           if c <> 0 then c else Int.compare a.idx b.idx)
-        order nactive;
-      for i = 0 to nactive - 1 do
+        order !m;
+      for i = 0 to !m - 1 do
         adapt order.(i)
       done
     end;

@@ -4,6 +4,46 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* A provider cycle in a graph [As_graph.create] rejected as cyclic, as
+   dense ids, each a provider of the next and the last of the first.
+   Kahn's peel, providers first, removes every node whose provider
+   chains never reach a cycle; each node left has a provider that is
+   left too, so climbing providers from any of them must revisit a
+   node. *)
+let provider_cycle n edges =
+  let providers = Array.make n [] and customers = Array.make n [] in
+  List.iter
+    (fun (u, v, kind) ->
+      if kind = As_graph.Provider_customer then begin
+        providers.(v) <- u :: providers.(v);
+        customers.(u) <- v :: customers.(u)
+      end)
+    edges;
+  let left = Array.map List.length providers in
+  let queue = Queue.create () in
+  Array.iteri (fun v k -> if k = 0 then Queue.add v queue) left;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun c ->
+        left.(c) <- left.(c) - 1;
+        if left.(c) = 0 then Queue.add c queue)
+      customers.(Queue.pop queue)
+  done;
+  let on_walk = Array.make n false in
+  let rec climb v walk =
+    if on_walk.(v) then
+      (* [walk] is most recent first; the cycle is its prefix up to [v],
+         already in provider-to-customer order *)
+      let rec upto = function [] -> [] | x :: tl -> if x = v then [ x ] else x :: upto tl in
+      upto walk
+    else begin
+      on_walk.(v) <- true;
+      climb (List.find (fun p -> left.(p) > 0) providers.(v)) (v :: walk)
+    end
+  in
+  let rec first_left v = if left.(v) > 0 then v else first_left (v + 1) in
+  climb (first_left 0) []
+
 let parse_string text =
   let ids = Hashtbl.create 1024 in
   let numbers = Mifo_util.Vec.create () in
@@ -17,6 +57,7 @@ let parse_string text =
       id
   in
   let edges = ref [] in
+  let first_seen = Hashtbl.create 1024 in
   let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i line ->
@@ -37,6 +78,14 @@ let parse_string text =
             | 0 -> As_graph.Peer_peer
             | other -> fail lineno (Printf.sprintf "unknown relationship %d" other)
           in
+          if a = b then fail lineno (Printf.sprintf "self-loop at AS%d" a);
+          let key = (Stdlib.min a b, Stdlib.max a b) in
+          (match Hashtbl.find_opt first_seen key with
+           | Some first ->
+             fail lineno
+               (Printf.sprintf "duplicate link between AS%d and AS%d (first on line %d)" a b
+                  first)
+           | None -> Hashtbl.add first_seen key lineno);
           (* explicit lets: OCaml evaluates tuple components right to
              left, and we want ids assigned in reading order *)
           let ia = intern a in
@@ -50,8 +99,12 @@ let parse_string text =
   if n = 0 then fail 0 "no links in input";
   let graph =
     try As_graph.create ~n ~edges:!edges with
-    | As_graph.Duplicate_edge (u, v) ->
-      fail 0 (Printf.sprintf "duplicate link between AS%d and AS%d" as_number.(u) as_number.(v))
+    | As_graph.Cyclic_provider_graph ->
+      let cycle = provider_cycle n !edges in
+      let names =
+        List.map (fun v -> Printf.sprintf "AS%d" as_number.(v)) (cycle @ [ List.hd cycle ])
+      in
+      fail 0 ("provider cycle: " ^ String.concat " -> " names)
   in
   { graph; as_number }
 

@@ -15,7 +15,11 @@ type loaded = {
 }
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message.  Every malformed input raises
+    it: a bad field, an unknown relationship, a self-loop or a repeated
+    link (at the offending line), and a provider cycle or an input
+    without links (line 0; a cycle's message names its ASes, each a
+    provider of the next). *)
 
 val parse_string : string -> loaded
 val load : string -> loaded

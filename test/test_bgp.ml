@@ -223,24 +223,26 @@ let prop_rib_entries_consistent =
             | None -> false))
         (Routing.rib rt s))
 
-(* The CSR arena representation (the default) must produce exactly the
-   RIBs of the boxed oracle, and the packed per-entry accessors must
-   read field-for-field what the boxed view holds. *)
+module Oracle = Mifo_oracle.Boxed_routing
+
+(* The CSR arena must produce exactly the RIBs of the boxed oracle, and
+   the packed per-entry accessors must read field-for-field what the
+   boxed view holds. *)
 let prop_csr_matches_boxed =
   QCheck2.Test.make ~name:"routing: CSR and boxed reps produce identical RIBs"
     ~count:12 (QCheck2.Gen.int_bound 1_999)
     (fun d ->
       let g = graph () in
-      let csr = Routing.compute ~rep:Routing.Csr g d in
-      let boxed = Routing.compute ~rep:Routing.Boxed g d in
-      (match (Routing.rep csr, Routing.rep boxed) with
-       | Routing.Csr, Routing.Boxed -> ()
-       | _ -> QCheck2.Test.fail_report "rep accessor lies");
+      let csr = Routing.compute g d in
+      let boxed = Oracle.compute g d in
       for v = 0 to As_graph.n g - 1 do
-        let rc = Routing.rib csr v and rb = Routing.rib boxed v in
-        if rc <> rb then QCheck2.Test.fail_report "rib lists diverged";
-        let k = Routing.rib_size csr v in
-        if k <> List.length rb || k <> Routing.rib_size boxed v then
+        let rb = Oracle.rib boxed v in
+        if Routing.rib csr v <> rb then QCheck2.Test.fail_report "rib lists diverged";
+        if Routing.rib_array csr v <> Oracle.rib_array boxed v then
+          QCheck2.Test.fail_report "rib arrays diverged";
+        if Routing.alternatives csr v <> (match rb with [] -> [] | _ :: tl -> tl) then
+          QCheck2.Test.fail_report "alternatives diverged";
+        if Routing.rib_size csr v <> List.length rb then
           QCheck2.Test.fail_report "rib_size diverged";
         List.iteri
           (fun i (e : Routing.rib_entry) ->
@@ -248,13 +250,102 @@ let prop_csr_matches_boxed =
               Routing.rib_via csr v i <> e.via
               || Routing.rib_len_at csr v i <> e.len
               || Routing.rib_rel_at csr v i <> e.rel
-              || Routing.rib_via boxed v i <> e.via
-              || Routing.rib_len_at boxed v i <> e.len
-              || Routing.rib_rel_at boxed v i <> e.rel
+              || Routing.rib_entry_at csr v i <> e
             then QCheck2.Test.fail_report "packed accessors diverged")
           rb
       done;
       true)
+
+(* Every per-node accessor derived from the arena's cell 0, and the
+   packed tree predicate, agree with the oracle's arrays at every node
+   (and every node pair); [Error] names the first mismatch. *)
+let derived_match_oracle g d =
+  let rt = Routing.compute g d and o = Oracle.compute g d in
+  let n = As_graph.n g in
+  let len_or_raise f v = match f v with l -> Some l | exception Invalid_argument _ -> None in
+  let mismatch = ref None in
+  let check what v ok =
+    if (not ok) && !mismatch = None then
+      mismatch := Some (Printf.sprintf "%s at node %d (dest %d)" what v d)
+  in
+  for v = 0 to n - 1 do
+    check "reachable" v (Routing.reachable rt v = Oracle.reachable o v);
+    check "best_class" v (Routing.best_class rt v = Oracle.best_class o v);
+    check "best_len" v
+      (len_or_raise (Routing.best_len rt) v = len_or_raise (Oracle.best_len o) v);
+    check "next_hop" v (Routing.next_hop rt v = Oracle.next_hop o v);
+    check "customer_route_len" v
+      (Routing.customer_route_len rt v = Oracle.customer_route_len o v);
+    check "export_len" v (Routing.export_len rt v = Oracle.export_len o v);
+    check "rib" v (Routing.rib rt v = Oracle.rib o v);
+    for x = 0 to n - 1 do
+      check "on_selected_path" v
+        (Routing.on_selected_path rt ~node:v x = Oracle.on_selected_path o ~node:v x)
+    done
+  done;
+  match !mismatch with None -> Ok () | Some m -> Error m
+
+let prop_derived_match_oracle =
+  QCheck2.Test.make ~name:"routing: derived accessors match the boxed oracle" ~count:8
+    QCheck2.Gen.(pair (int_bound 10_000) (int_bound 149))
+    (fun (seed, d) ->
+      let params =
+        { Generator.default_params with Generator.ases = 150; tier1 = 4;
+          content_providers = 2; content_peer_span = (2, 5) }
+      in
+      let g = (Generator.generate ~params ~seed ()).Generator.graph in
+      match derived_match_oracle g d with
+      | Ok () -> true
+      | Error m -> QCheck2.Test.fail_report m)
+
+(* Disconnected corner cases the generator never produces: AS 5 is
+   isolated, and AS 4's only link is a peer that has no customer route
+   toward most destinations, so both are unreachable with empty RIB
+   segments. *)
+let test_derived_unreachable () =
+  let g =
+    As_graph.create ~n:6
+      ~edges:
+        [
+          (1, 0, As_graph.Provider_customer);
+          (1, 2, As_graph.Provider_customer);
+          (3, 1, As_graph.Provider_customer);
+          (0, 2, As_graph.Peer_peer);
+          (2, 4, As_graph.Peer_peer);
+        ]
+  in
+  for d = 0 to As_graph.n g - 1 do
+    match derived_match_oracle g d with Ok () -> () | Error m -> Alcotest.fail m
+  done;
+  let rt = Routing.compute g 0 in
+  Alcotest.(check bool) "isolated AS unreachable" false (Routing.reachable rt 5);
+  Alcotest.(check int) "isolated AS has an empty segment" 0 (Routing.rib_size rt 5);
+  Alcotest.(check (option int)) "no next hop" None (Routing.next_hop rt 5);
+  Alcotest.(check bool) "peer without a customer route unreachable" false
+    (Routing.reachable rt 4);
+  Alcotest.check_raises "best_len of an unreachable AS"
+    (Invalid_argument "Routing.best_len: unreachable") (fun () ->
+      ignore (Routing.best_len rt 5))
+
+(* The arena, its offsets and the packed tree are all a [t] holds
+   beyond the shared graph: two words per node plus one per RIB entry,
+   and a few headers.  A per-node shadow array coming back fails this. *)
+let test_memory_layout () =
+  let g = graph () in
+  let n = As_graph.n g in
+  Alcotest.(check int) "n" 2_000 n;
+  List.iter
+    (fun d ->
+      let rt = Routing.compute g d in
+      let cells = ref 0 in
+      for v = 0 to n - 1 do
+        cells := !cells + Routing.rib_size rt v
+      done;
+      let own = Obj.reachable_words (Obj.repr rt) - Obj.reachable_words (Obj.repr g) in
+      let bound = (2 * n) + !cells + 16 in
+      if own > bound then
+        Alcotest.failf "dest %d: %d words beyond the graph, bound %d" d own bound)
+    [ 0; 17; 1_999 ]
 
 (* The CSR build records its heap high-water mark. *)
 let test_peak_words_gauge () =
@@ -437,6 +528,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_rib_entries_consistent;
           QCheck_alcotest.to_alcotest prop_everything_reachable;
           QCheck_alcotest.to_alcotest prop_csr_matches_boxed;
+          QCheck_alcotest.to_alcotest prop_derived_match_oracle;
+          Alcotest.test_case "derived accessors when unreachable" `Quick
+            test_derived_unreachable;
+          Alcotest.test_case "memory layout pinned" `Quick test_memory_layout;
           Alcotest.test_case "peak-words gauge exposed" `Quick test_peak_words_gauge;
         ] );
       ( "path_count",

@@ -271,6 +271,38 @@ let test_as_rel_bad_input () =
   Alcotest.(check bool) "bad format" true (raises_parse_error "1,2,0\n");
   Alcotest.(check bool) "empty" true (raises_parse_error "# nothing\n")
 
+(* Graph-level rejections surface as [Parse_error], never as
+   [As_graph]'s own exceptions. *)
+let parse_error text =
+  match As_rel_io.parse_string text with
+  | exception As_rel_io.Parse_error (line, msg) -> Some (line, msg)
+  | _ -> None
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_as_rel_self_loop () =
+  match parse_error "1|2|-1\n7|7|-1\n" with
+  | Some (line, msg) ->
+    Alcotest.(check int) "offending line" 2 line;
+    Alcotest.(check bool) ("names the self-loop: " ^ msg) true (contains ~sub:"self-loop" msg)
+  | None -> Alcotest.fail "self-loop accepted"
+
+let test_as_rel_provider_cycle () =
+  match parse_error "1|2|-1\n2|3|-1\n3|1|-1\n" with
+  | Some (_, msg) ->
+    Alcotest.(check string) "names the cycle" "provider cycle: AS2 -> AS3 -> AS1 -> AS2" msg
+  | None -> Alcotest.fail "provider cycle accepted"
+
+let test_as_rel_duplicate () =
+  match parse_error "# header\n1|2|-1\n2|3|0\n2|1|0\n" with
+  | Some (line, msg) ->
+    Alcotest.(check int) "offending line" 4 line;
+    Alcotest.(check bool) ("names the first line: " ^ msg) true (contains ~sub:"line 2" msg)
+  | None -> Alcotest.fail "duplicate link accepted"
+
 let test_degree_distribution () =
   let t = Lazy.force generated in
   let g = t.Generator.graph in
@@ -413,6 +445,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_as_rel_roundtrip;
           Alcotest.test_case "parse" `Quick test_as_rel_parse;
           Alcotest.test_case "bad input" `Quick test_as_rel_bad_input;
+          Alcotest.test_case "self-loop is a parse error" `Quick test_as_rel_self_loop;
+          Alcotest.test_case "provider cycle is a parse error" `Quick test_as_rel_provider_cycle;
+          Alcotest.test_case "duplicate link is a parse error" `Quick test_as_rel_duplicate;
         ] );
       ( "topo_stats",
         [
