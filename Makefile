@@ -1,10 +1,13 @@
-.PHONY: all build test fmt-check metrics-smoke lint static-check bench-smoke ci bench clean
+.PHONY: all build test fmt-check metrics-smoke lint static-check ci clean
 
 all: build
 
 build:
 	dune build @all
 
+# The whole dune test suite, including the perfbench smoke rule (every
+# benchmark workload at a tiny size, its correctness gate and a
+# self-compare).
 test:
 	dune runtest
 
@@ -32,7 +35,7 @@ metrics-smoke:
 		echo "metrics-smoke: python3 not installed, skipping JSON parse check"; \
 	fi
 
-# Determinism / domain-safety lint over the sources (bench/ is exempt).
+# Determinism / domain-safety lint over the sources.
 lint:
 	dune exec bin/mifo_lint.exe
 
@@ -101,82 +104,11 @@ static-check:
 	*) echo "static-check: k=2 ablation failed without a loop counterexample"; exit 1;; \
 	esac
 
-# Smoke-test the sim benchmark suite at tiny sizes: the incremental
-# solver must still be exercised end-to-end (reference vs incremental,
-# packetsim event loop), both eventq engines must report bit-identical
-# event counts and completions (the bench exits 1 on any divergence,
-# and the JSON is re-checked here), and BENCH_sim.json must be
-# well-formed JSON.  The sharded legs run each workload at domains=1
-# and domains=2/4 and must be bit-identical to the serial oracle; the
-# JSON must record the jobs actually used and must not quote a shard
-# speedup on a 1-core box.  A second leg runs the routing track on a
-# downsized 44K-shaped topology and asserts the CSR/boxed RIBs and the
-# incremental/full verifier verdicts agree, that jobs/peak-memory are
-# recorded, and that no speedup is quoted on a 1-core box.  Perf numbers
-# at these sizes are meaningless; the full run is `make bench`.
-bench-smoke:
-	MIFO_SIM_ASES=60 MIFO_SIM_FLOWS=60 MIFO_SIM_TIME=5 \
-	MIFO_PKT_ASES=4 MIFO_PKT_FLOWS=4 MIFO_PKT_KB=50 \
-	MIFO_PKT2_ASES=8 MIFO_PKT2_FLOWS=6 MIFO_PKT2_KB=50 \
-	MIFO_SHARD_ASES=6 MIFO_SHARD_FLOWS=8 MIFO_SHARD_KB=100 \
-	MIFO_SHARD2_ROUTERS=24 MIFO_SHARD2_FLOWS=8 MIFO_SHARD2_KB=100 \
-	MIFO_BENCH_SIM_OUT=_build/BENCH_sim-smoke.json \
-		dune exec bench/main.exe -- sim
-	@if command -v python3 >/dev/null 2>&1; then \
-		python3 -m json.tool _build/BENCH_sim-smoke.json >/dev/null && \
-		echo "bench-smoke: BENCH_sim-smoke.json parses"; \
-		python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); \
-rows=(d.get("packetsim") or [])+d["flowsim"]; \
-assert rows, "no bench rows"; \
-bad=[r["label"] for r in rows if not r["bit_identical"]]; \
-assert not bad, "engines diverged: %s" % bad; \
-sh=d.get("shard") or []; \
-assert sh, "no shard rows"; \
-bad=[r["label"] for r in sh if not r["bit_identical"]]; \
-assert not bad, "sharded runs diverged from the serial oracle: %s" % bad; \
-assert all("jobs" in r and r["runs"] for r in sh), "shard jobs/runs not recorded"; \
-assert d["machine"]["cores"] > 1 or all("speedup" not in r for r in sh), \
-	"shard speedup quoted on a 1-core box"' \
-			_build/BENCH_sim-smoke.json && \
-		echo "bench-smoke: heap/wheel engines and sharded runs bit-identical"; \
-	else \
-		echo "bench-smoke: python3 not installed, skipping JSON parse check"; \
-	fi
-	MIFO_ASES=300 MIFO_44K_ASES=2000 MIFO_44K_DESTS=8 MIFO_44K_DELTAS=6 \
-	MIFO_44K_CHECK_DESTS=4 MIFO_44K_FAILS=16 \
-	MIFO_BENCH_ROUTING_OUT=_build/BENCH_routing-smoke.json \
-	MIFO_BENCH_SIM_OUT=_build/BENCH_sim-smoke.json \
-		dune exec bench/main.exe -- routing
-	@if command -v python3 >/dev/null 2>&1; then \
-		python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); \
-sc=d["scale44k"]; chk=sc["check"]; \
-assert sc["rep_identical"], "CSR and boxed RIBs diverged"; \
-assert chk["verdicts_identical"], "incremental and full verdicts diverged"; \
-assert sc["dests_per_sec"] > 0 and sc["peak_words"] > 0, "missing measurements"; \
-assert "jobs" in sc and "jobs" in d["precompute"]["parallel"], "jobs not recorded"; \
-assert d["machine"]["cores"] > 1 or "speedup" not in d["precompute"], \
-	"speedup quoted on a 1-core box"; \
-ck=d["check44k"]; \
-assert ck["parallel_identical"], "parallel and serial property reports diverged"; \
-assert ck["clean"], "property suite found violations on the healthy topology"; \
-assert all(ck[p]["states_per_sec"] > 0 for p in ("loops","delivery","stretch","resilience")), \
-	"missing per-property throughput"; \
-assert ck["resilience_speedup"] > 0 and ck["peak_words"] > 0, \
-	"missing resilience sweep / peak memory measurements"' \
-			_build/BENCH_routing-smoke.json && \
-		echo "bench-smoke: scale44k + check44k identities and measurements hold"; \
-	else \
-		echo "bench-smoke: python3 not installed, skipping JSON parse check"; \
-	fi
-
-# Tier-1 gate: everything compiles, the whole suite passes, formatting is
-# clean (when ocamlformat is available), the metrics surface works, the
-# sources pass the determinism lint, the static verifier gate holds and
-# the sim bench suite runs end-to-end at smoke sizes.
-ci: build test fmt-check metrics-smoke lint static-check bench-smoke
-
-bench:
-	dune exec bench/main.exe
+# Tier-1 gate: everything compiles, the whole suite passes (perfbench
+# smoke included), formatting is clean (when ocamlformat is available),
+# the metrics surface works, the sources pass the determinism lint and
+# the static verifier gate holds.
+ci: build test fmt-check metrics-smoke lint static-check
 
 clean:
 	dune clean

@@ -1,8 +1,7 @@
 (* mifo-lint: determinism and domain-safety gate, stdlib only.
 
    Three rule families, enforced over every .ml file under the given
-   directories (default: lib bin test examples — bench/ is exempt, its
-   wall-clock timing is the point):
+   directories (default: lib bin test examples):
 
    - Determinism: the simulators must be bit-reproducible from their
      seeds, so wall-clock reads ([Unix.gettimeofday]) and the global
@@ -45,9 +44,10 @@ let domain_shared = [ "routing.ml"; "routing_table.ml"; "obs.ml" ]
 (* Data-plane hot paths (lib/bgp, lib/core): new bare [Hashtbl] use is
    banned — the CSR RIB arena and the open-addressed flat FIB are the
    representations there, and a boxed hash table on those paths undoes
-   the 44K-scale memory/locality work.  Oracle representations and
-   mutex-guarded control-plane caches carry explicit [lint:allow]
-   waivers; pure control-plane parsers are exempt wholesale. *)
+   the 44K-scale memory/locality work.  Mutex-guarded control-plane
+   caches and cold analysis paths carry explicit [lint:allow] waivers;
+   pure control-plane parsers are exempt wholesale.  Boxed reference
+   representations live in test/oracle/, outside these directories. *)
 let no_hashtbl_dirs = [ "bgp"; "core"; "analysis" ]
 let no_hashtbl_exempt = [ "bgp_proto.ml"; "prefix_table.ml" ]
 
@@ -138,7 +138,7 @@ let lint_file path =
         if no_hashtbl && contains ~sub:"Hashtbl." line then
           report path (i + 1) line
             "bare Hashtbl on a data-plane hot path; use the flat CSR/open-addressed \
-             representations (or waive an oracle with lint:allow)";
+             representations (or waive a cold path with lint:allow)";
         if in_lib then
           List.iter
             (fun (sub, msg) ->
@@ -158,7 +158,7 @@ let rec walk path =
   if Sys.is_directory path then
     Array.iter
       (fun entry ->
-        if entry <> "_build" && entry <> "bench" then walk (Filename.concat path entry))
+        if entry <> "_build" then walk (Filename.concat path entry))
       (Sys.readdir path)
   else if
     Filename.check_suffix path ".ml" && Filename.basename path <> "mifo_lint.ml"

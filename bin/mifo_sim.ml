@@ -33,12 +33,22 @@ let jobs_t =
            computation, experiment fan-outs, sharded simulation windows).  \
            Default: all cores.")
 
+(* A flag value the command cannot run with is a usage error: name the
+   flag and exit 2, before any work starts. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "mifo-sim: %s\n" msg;
+      exit 2)
+    fmt
+
 let apply_jobs = function
   | None -> ()
   | Some n when n >= 1 -> Mifo_util.Parallel.set_default_jobs n
-  | Some n ->
-    Printf.eprintf "mifo-sim: --jobs must be >= 1 (got %d)\n" n;
-    exit 2
+  | Some n -> usage_error "--jobs must be >= 1 (got %d)" n
+
+let check_domains n =
+  if n < 1 then usage_error "--domains (or MIFO_SIM_DOMAINS) must be >= 1 (got %d)" n
 
 let domains_t =
   Arg.(
@@ -84,6 +94,14 @@ let dests_t =
     & opt int Context.default_scale.Context.dest_samples
     & info [ "dests" ] ~docv:"N" ~doc:"Destinations sampled for Fig. 7 path counts.")
 
+(* The generator rejects sizes it cannot realize with the default
+   parameters; from the command line that is a bad --ases. *)
+let generate_topology ~seed ases =
+  let params = { Generator.default_params with Generator.ases } in
+  match Generator.generate ~params ~seed () with
+  | topo -> topo
+  | exception Invalid_argument msg -> usage_error "--ases %d: %s" ases msg
+
 let make_context seed ases topo_file flows rate dests =
   let scale =
     {
@@ -106,9 +124,7 @@ let make_context seed ases topo_file flows rate dests =
       }
     in
     Context.of_graph ~scale ~seed topo
-  | None ->
-    let params = { Generator.default_params with Generator.ases } in
-    Context.create ~params ~scale ~seed ()
+  | None -> Context.of_graph ~scale ~seed (generate_topology ~seed ases)
 
 let context_t = Term.(const make_context $ seed_t $ ases_t $ topo_file_t $ flows_t $ rate_t $ dests_t)
 
@@ -237,6 +253,7 @@ let fig12_cmd =
   in
   let run jobs obs mb fps domains csv =
     apply_jobs jobs;
+    check_domains domains;
     let t0 = Mifo_testbed.Testbed.default_config in
     with_obs obs @@ fun () ->
     let config =
@@ -269,37 +286,26 @@ let ablations_cmd =
         ])
 
 let validate_cmd =
-  let run jobs obs seed ases flows eventq domains =
+  let run jobs obs seed ases flows domains =
     apply_jobs jobs;
+    check_domains domains;
+    if ases < Mifo_exp.Validation.min_ases then
+      usage_error "--ases must be >= %d for validate (got %d)" Mifo_exp.Validation.min_ases
+        ases;
+    if flows < 1 then usage_error "--flows must be >= 1 (got %d)" flows;
     with_obs obs @@ fun () ->
-    let v = Mifo_exp.Validation.run ~ases ~flows ~eventq ~domains ~seed () in
+    let v = Mifo_exp.Validation.run ~ases ~flows ~domains ~seed () in
     print_string (Mifo_exp.Validation.render v);
     if List.exists (fun (_, ok) -> not ok) v.Mifo_exp.Validation.invariants then exit 1
   in
   let v_ases = Arg.(value & opt int 150 & info [ "ases" ] ~docv:"N" ~doc:"Topology size.") in
   let v_flows = Arg.(value & opt int 24 & info [ "flows" ] ~docv:"N" ~doc:"Flows.") in
-  let v_eventq =
-    let module Eventq = Mifo_netsim.Eventq in
-    let engine_conv =
-      Arg.enum
-        (List.map (fun e -> (Eventq.engine_name e, e)) [ Eventq.Heap; Eventq.Wheel ])
-    in
-    Arg.(
-      value
-      & opt engine_conv Mifo_netsim.Packetsim.default_config.Mifo_netsim.Packetsim.eventq_engine
-      & info [ "eventq" ] ~docv:"ENGINE"
-          ~doc:
-            "Event-queue engine for the packet-level simulator: $(b,heap) (the \
-             oracle) or $(b,wheel) (the default timing wheel).  Both are \
-             bit-identical; running validate under each is a cheap way to audit \
-             that.")
-  in
   Cmd.v
     (Cmd.info "validate"
        ~doc:
          "Cross-validate the flow-level and packet-level simulators on one scenario. \
           Exits non-zero if a forwarding invariant is violated.")
-    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows $ v_eventq $ domains_t)
+    Term.(const run $ jobs_t $ obs_t $ seed_t $ v_ases $ v_flows $ domains_t)
 
 let check_cmd =
   let gadget_t =
@@ -447,11 +453,15 @@ let check_cmd =
       else
         match topo_file with
         | Some path -> (Mifo_topology.As_rel_io.load path).Mifo_topology.As_rel_io.graph
-        | None ->
-          let params = { Generator.default_params with Generator.ases } in
-          (Generator.generate ~params ~seed ()).Generator.graph
+        | None -> (generate_topology ~seed ases).Generator.graph
     in
     let n = Mifo_topology.As_graph.n g in
+    (match fail_link with
+    | Some (u, v) when u >= n || v >= n ->
+      usage_error "--fail-link %d:%d names an AS outside 0..%d" u v (n - 1)
+    | Some (u, v) when Mifo_topology.As_graph.rel g u v = None ->
+      usage_error "--fail-link %d:%d is not an AS link" u v
+    | _ -> ());
     let table = Mifo_bgp.Routing_table.create g in
     let rng = Mifo_util.Prng.create ~seed:(seed + 17) () in
     let sample k =
@@ -541,8 +551,7 @@ let topo_cmd =
     Arg.(required & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc:"Output path.")
   in
   let run seed ases out =
-    let params = { Generator.default_params with Generator.ases } in
-    let topo = Generator.generate ~params ~seed () in
+    let topo = generate_topology ~seed ases in
     Mifo_topology.As_rel_io.save out topo.Generator.graph;
     Printf.printf "wrote %s: %s\n" out
       (Format.asprintf "%a" Mifo_topology.Topo_stats.pp
@@ -653,8 +662,14 @@ let paths_cmd =
              environment knob, else 4).")
   in
   let run obs ctx src dst limit max_paths early_stop k =
-    with_obs obs @@ fun () ->
     let g = Context.graph ctx in
+    let n = Mifo_topology.As_graph.n g in
+    let check_as flag v =
+      if v < 0 || v >= n then usage_error "%s must be an AS in 0..%d (got %d)" flag (n - 1) v
+    in
+    check_as "--dst" dst;
+    Option.iter (check_as "--src") src;
+    with_obs obs @@ fun () ->
     let rt = Mifo_bgp.Routing_table.get ctx.Context.table dst in
     let show path = String.concat " -> " (List.map string_of_int path) in
     match src with

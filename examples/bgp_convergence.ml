@@ -61,4 +61,4 @@ let () =
     "\nMIFO's view of the same event: the failed egress looks fully congested,\n\
      so the border router deflects onto a RIB alternative at the very next\n\
      forwarding decision - zero messages, zero black-holing (see the\n\
-     failure-recovery ablation: `dune exec bench/main.exe -- ablations`).\n"
+     failure-recovery ablation: `dune exec bin/mifo_sim.exe -- ablations`).\n"

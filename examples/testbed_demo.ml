@@ -5,7 +5,7 @@
    its iBGP peer Ra, which exits through AS6.
 
    Run with: dune exec examples/testbed_demo.exe
-   (use bench/main.exe fig12 or bin/mifo_sim.exe fig12 for the full-size run) *)
+   (use bin/mifo_sim.exe fig12 for the full-size run) *)
 
 module Testbed = Mifo_testbed.Testbed
 module Table = Mifo_util.Table

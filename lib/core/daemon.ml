@@ -100,9 +100,3 @@ let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts 
           end
         end
       end)
-
-let epoch ?config ~fib ~port_utilization ~choose_alt () =
-  epoch_ranked ?config ~fib ~port_utilization
-    ~choose_alts:(fun prefix entry ->
-      match choose_alt prefix entry with None -> [] | Some a -> [ a ])
-    ()

@@ -57,18 +57,6 @@ val epoch_ranked :
     [prefix] (best first, truncated at {!Fib.max_alts}), typically via
     {!Alt_select.ranked_alternatives} plus the router's port map. *)
 
-val epoch :
-  ?config:config ->
-  fib:Fib.t ->
-  port_utilization:(int -> float) ->
-  choose_alt:(Mifo_bgp.Prefix.t -> Fib.entry -> int option) ->
-  unit ->
-  unit
-(** The k=1 compatibility shim: {!epoch_ranked} with the chooser's
-    option wrapped as a singleton ranked set.  Behavior (FIB state and
-    Obs accounting) is identical to the historical single-alternative
-    daemon. *)
-
 val is_congested : ?config:config -> float -> bool
 (** The congestion predicate on a utilization sample, shared with the
     engine's [is_congested] callback. *)

@@ -162,9 +162,8 @@ let forward_from ~tag_check ~ibgp_encap env ~ingress packet =
           else (
             if deflected_to_me then Obs.incr c_deflect_sender;
             (* ECMP spread over the ranked set: this bucket's slot is
-               [bucket mod count].  With one alternative that is always
-               slot 0, so the k=1 data plane is bit-identical to the
-               historical single-alt engine. *)
+               [bucket mod count] — always slot 0 with one alternative,
+               which is the k=1 data plane. *)
             let alt =
               match Fib.alt_count entry with
               | 1 -> alt0

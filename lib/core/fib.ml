@@ -5,10 +5,6 @@ module Obs = Mifo_util.Obs
    keep it current so `--metrics` can watch data-plane memory grow. *)
 let g_entries = Obs.gauge "fib.entries"
 
-type rep = Flat | Hashed
-
-let rep_name = function Flat -> "flat" | Hashed -> "hashed"
-
 let max_alts = 4
 
 (* The MIFO_K_ALT knob: how many ranked alternative slots the daemon and
@@ -24,10 +20,6 @@ let default_k =
     | None -> max_alts
   in
   fun () -> v
-
-(* Hashed-oracle entry: the original boxed record, one per prefix, with
-   the single alt field widened to the ranked slot array. *)
-type boxed = { mutable b_out : int; b_alt : int array; mutable b_defl : int }
 
 (* Flat store for one prefix length: an open-addressed index (linear
    probing, power-of-two capacity, backward-shift deletion) over a
@@ -51,12 +43,8 @@ type flat = {
   mutable freed : int list;
 }
 
-type store =
-  | Flat_store of flat array
-  | Hash_store of (int, boxed) Hashtbl.t array (* lint:allow oracle representation *)
-
 type t = {
-  store : store;
+  store : flat array;  (* indexed by prefix length *)
   mutable len_mask : int;
   mutable count : int;
   mutable alt_entries : int;
@@ -67,7 +55,9 @@ type t = {
          bit. *)
 }
 
-type entry = F of t * flat * int | H of t * boxed
+(* A view of arena cell [id] in length table [fl], carrying its owning
+   table so the alternative writers can keep [alt_entries] exact. *)
+type entry = { owner : t; fl : flat; id : int }
 
 let buckets = 64
 
@@ -87,17 +77,9 @@ let flat_create () =
     freed = [];
   }
 
-let create ?(rep = Flat) () =
-  let store =
-    match rep with
-    | Flat -> Flat_store (Array.init 33 (fun _ -> flat_create ()))
-    | Hashed ->
-      Hash_store
-        (Array.init 33 (fun _ -> Hashtbl.create 16 (* lint:allow oracle representation *)))
-  in
-  { store; len_mask = 0; count = 0; alt_entries = 0 }
+let create () =
+  { store = Array.init 33 (fun _ -> flat_create ()); len_mask = 0; count = 0; alt_entries = 0 }
 
-let rep t = match t.store with Flat_store _ -> Flat | Hash_store _ -> Hashed
 let may_deflect t = t.alt_entries > 0
 let size t = t.count
 
@@ -197,8 +179,8 @@ let arena_alloc fl key ~out_port ~alt =
    alt-entry count without re-probing. *)
 type insert_effect = { created : bool; had_alt : bool; has_alt : bool }
 
-(* Refresh/replace semantics shared by both representations, applied to
-   one entry whose current primary alternative is [cur0]:
+(* Refresh/replace semantics, applied to one entry whose current
+   primary alternative is [cur0]:
    - same [out_port]: the call's [alt] hint is authoritative for the
      single-alt API.  [-1] (no alternative) clears the whole ranked set
      and resets the deflection level; a hint equal to the current
@@ -278,41 +260,11 @@ let flat_remove fl key =
     done;
     had_alt
 
-let length_live t len =
-  match t.store with
-  | Flat_store fs -> fs.(len).f_live
-  | Hash_store hs -> Hashtbl.length hs.(len) (* lint:allow oracle representation *)
-
 let insert t prefix ~out_port ?alt_port () =
   let len = prefix.Prefix.length in
   let key = ikey_of_addr prefix.Prefix.network in
   let alt = match alt_port with None -> -1 | Some p -> p in
-  let eff =
-    match t.store with
-    | Flat_store fs -> flat_insert fs.(len) key ~out_port ~alt
-    | Hash_store hs ->
-      let table = hs.(len) in
-      (match Hashtbl.find_opt table key (* lint:allow oracle representation *) with
-      | Some e ->
-        let had_alt = e.b_alt.(0) >= 0 in
-        (match refresh_action ~same_out:(e.b_out = out_port) ~cur0:e.b_alt.(0) ~alt with
-        | `Keep -> ()
-        | `Clear ->
-          Array.fill e.b_alt 0 max_alts (-1);
-          e.b_defl <- 0
-        | `Replace ->
-          e.b_out <- out_port;
-          Array.fill e.b_alt 0 max_alts (-1);
-          e.b_alt.(0) <- alt;
-          e.b_defl <- 0);
-        { created = false; had_alt; has_alt = e.b_alt.(0) >= 0 }
-      | None ->
-        let b_alt = Array.make max_alts (-1) in
-        b_alt.(0) <- alt;
-        Hashtbl.replace table key (* lint:allow oracle representation *)
-          { b_out = out_port; b_alt; b_defl = 0 };
-        { created = true; had_alt = false; has_alt = alt >= 0 })
-  in
+  let eff = flat_insert t.store.(len) key ~out_port ~alt in
   if eff.created then begin
     t.count <- t.count + 1;
     Obs.add_gauge g_entries 1.
@@ -326,23 +278,12 @@ let insert t prefix ~out_port ?alt_port () =
 let remove t prefix =
   let len = prefix.Prefix.length in
   let key = ikey_of_addr prefix.Prefix.network in
-  let removed_alt =
-    match t.store with
-    | Flat_store fs -> flat_remove fs.(len) key
-    | Hash_store hs ->
-      let table = hs.(len) in
-      (match Hashtbl.find_opt table key (* lint:allow oracle representation *) with
-      | Some e ->
-        let had_alt = if e.b_alt.(0) >= 0 then 1 else 0 in
-        Hashtbl.remove table key (* lint:allow oracle representation *);
-        had_alt
-      | None -> -1)
-  in
+  let removed_alt = flat_remove t.store.(len) key in
   if removed_alt >= 0 then begin
     t.count <- t.count - 1;
     Obs.add_gauge g_entries (-1.);
     if removed_alt = 1 then t.alt_entries <- t.alt_entries - 1;
-    if length_live t len = 0 then t.len_mask <- t.len_mask land lnot (1 lsl len);
+    if t.store.(len).f_live = 0 then t.len_mask <- t.len_mask land lnot (1 lsl len);
     true
   end
   else false
@@ -375,15 +316,9 @@ let msb m =
   end
 
 let find_key t len key =
-  match t.store with
-  | Flat_store fs ->
-    let fl = fs.(len) in
-    let i = find_index fl key in
-    if i < 0 then None else Some (F (t, fl, fl.idx_id.(i)))
-  | Hash_store hs -> (
-    match Hashtbl.find_opt hs.(len) key (* lint:allow oracle representation *) with
-    | Some b -> Some (H (t, b))
-    | None -> None)
+  let fl = t.store.(len) in
+  let i = find_index fl key in
+  if i < 0 then None else Some { owner = t; fl; id = fl.idx_id.(i) }
 
 let lookup t addr =
   let a = ikey_of_addr addr in
@@ -402,49 +337,32 @@ let find t prefix =
   find_key t prefix.Prefix.length (ikey_of_addr prefix.Prefix.network)
 
 (* Entry accessors: handles are views into the owning store, so reads
-   and writes land directly on the unboxed arena fields (flat) or the
-   boxed record (hashed).  Handles also carry the owning table, so the
-   alternative writers below can keep its alt-entry count exact. *)
+   and writes land directly on the unboxed arena fields.  Handles also
+   carry the owning table, so the alternative writers below can keep
+   its alt-entry count exact. *)
 
-let[@inline] out_port = function F (_, fl, id) -> fl.a_out.(id) | H (_, b) -> b.b_out
-
-let[@inline] alt_port_id = function
-  | F (_, fl, id) -> fl.a_alt.(id * max_alts)
-  | H (_, b) -> b.b_alt.(0)
+let[@inline] out_port e = e.fl.a_out.(e.id)
+let[@inline] alt_port_id e = e.fl.a_alt.(e.id * max_alts)
 
 let alt_port e =
   let a = alt_port_id e in
   if a < 0 then None else Some a
 
+let primary_alts e = match alt_port_id e with -1 -> [] | a -> [ a ]
+
 let[@inline] alt_at e slot =
-  if slot < 0 || slot >= max_alts then -1
-  else
-    match e with
-    | F (_, fl, id) -> fl.a_alt.((id * max_alts) + slot)
-    | H (_, b) -> b.b_alt.(slot)
+  if slot < 0 || slot >= max_alts then -1 else e.fl.a_alt.((e.id * max_alts) + slot)
 
 (* Slots are compacted, so the count is the first empty index. *)
 let alt_count e =
-  match e with
-  | F (_, fl, id) ->
-    let base = id * max_alts in
-    if fl.a_alt.(base) < 0 then 0
-    else if fl.a_alt.(base + 1) < 0 then 1
-    else if fl.a_alt.(base + 2) < 0 then 2
-    else if fl.a_alt.(base + 3) < 0 then 3
-    else 4
-  | H (_, b) ->
-    if b.b_alt.(0) < 0 then 0
-    else if b.b_alt.(1) < 0 then 1
-    else if b.b_alt.(2) < 0 then 2
-    else if b.b_alt.(3) < 0 then 3
-    else 4
+  let a = e.fl.a_alt and base = e.id * max_alts in
+  if a.(base) < 0 then 0
+  else if a.(base + 1) < 0 then 1
+  else if a.(base + 2) < 0 then 2
+  else if a.(base + 3) < 0 then 3
+  else 4
 
-let[@inline] deflect_buckets = function
-  | F (_, fl, id) -> fl.a_defl.(id)
-  | H (_, b) -> b.b_defl
-
-let owner = function F (t, _, _) -> t | H (t, _) -> t
+let[@inline] deflect_buckets e = e.fl.a_defl.(e.id)
 
 let[@inline] note_alt_transition t ~had ~has =
   if had && not has then t.alt_entries <- t.alt_entries - 1
@@ -454,69 +372,35 @@ let[@inline] note_alt_transition t ~had ~has =
    slots: negatives are skipped, the rest kept in order, truncated at
    [max_alts], compacted, higher slots cleared. *)
 let set_alt_array e ports n =
-  let write =
-    match e with
-    | F (_, fl, id) ->
-      let base = id * max_alts in
-      fun j p -> fl.a_alt.(base + j) <- p
-    | H (_, b) -> fun j p -> b.b_alt.(j) <- p
-  in
+  let alts = e.fl.a_alt and base = e.id * max_alts in
   let had = alt_port_id e >= 0 in
   let filled = ref 0 in
   for i = 0 to n - 1 do
     let p = ports.(i) in
     if p >= 0 && !filled < max_alts then begin
-      write !filled p;
+      alts.(base + !filled) <- p;
       incr filled
     end
   done;
   for j = !filled to max_alts - 1 do
-    write j (-1)
+    alts.(base + j) <- -1
   done;
-  note_alt_transition (owner e) ~had ~has:(!filled > 0)
+  note_alt_transition e.owner ~had ~has:(!filled > 0)
 
 let set_alts e ports =
   let arr = Array.of_list ports in
   set_alt_array e arr (Array.length arr)
 
-let set_alt_port e alt =
-  let a = match alt with None -> -1 | Some p -> p in
-  let had = alt_port_id e >= 0 in
-  (match e with
-  | F (_, fl, id) ->
-    let base = id * max_alts in
-    clear_alt_slots fl.a_alt base;
-    fl.a_alt.(base) <- a
-  | H (_, b) ->
-    Array.fill b.b_alt 0 max_alts (-1);
-    b.b_alt.(0) <- a);
-  note_alt_transition (owner e) ~had ~has:(a >= 0)
-
-let set_deflect_buckets e n =
-  match e with F (_, fl, id) -> fl.a_defl.(id) <- n | H (_, b) -> b.b_defl <- n
-
-let set_alt t prefix alt =
-  match find t prefix with
-  | Some e -> set_alt_port e alt
-  | None -> raise Not_found
+let set_deflect_buckets e n = e.fl.a_defl.(e.id) <- n
 
 let iter t f =
-  match t.store with
-  | Flat_store fs ->
-    for len = 0 to 32 do
-      let fl = fs.(len) in
-      for id = 0 to fl.a_len - 1 do
-        let k = fl.a_key.(id) in
-        if k >= 0 then f (Prefix.make (Int32.of_int k) len) (F (t, fl, id))
-      done
+  for len = 0 to 32 do
+    let fl = t.store.(len) in
+    for id = 0 to fl.a_len - 1 do
+      let k = fl.a_key.(id) in
+      if k >= 0 then f (Prefix.make (Int32.of_int k) len) { owner = t; fl; id }
     done
-  | Hash_store hs ->
-    Array.iteri
-      (fun len table ->
-        Hashtbl.iter (* lint:allow oracle representation *)
-          (fun net b -> f (Prefix.make (Int32.of_int net) len) (H (t, b)))
-          table)
-      hs
+  done
 
 (* SplitMix64-style mix so bucket spread does not depend on flow-id
    assignment patterns. *)

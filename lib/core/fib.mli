@@ -7,10 +7,9 @@
     match.
 
     Each entry holds a {e ranked set} of up to {!max_alts} alternative
-    port ids (slot 0 = most preferred).  The historical single-alt API
-    ({!alt_port}, {!set_alt_port}, the [?alt_port] insert argument) is
-    the k=1 compatibility shim: it reads/writes slot 0 and clears the
-    higher slots.
+    port ids (slot 0 = most preferred).  {!alt_port} reads slot 0, and
+    the [?alt_port] insert argument installs a singleton set; the
+    daemon writes whole sets through {!set_alts}.
 
     Deflection granularity: flows hash into [buckets] (64) buckets and an
     entry deflects the first [deflect_buckets] of them, so path choice is
@@ -22,19 +21,14 @@
     a deterministic slice of the flow space and a single-alternative
     entry behaves exactly like the k=1 data plane.
 
-    {b Representations.}  The default {!Flat} store keeps each prefix
-    length's entries in an open-addressed int-keyed index over a
-    slot-stable arena of unboxed [out_port]/[alt]/[deflect_buckets]
-    int arrays (the alt array strided {!max_alts} cells per entry) — no
-    per-entry boxes, which is what lets a full-Internet-scale FIB fit in
-    flat memory.  The original one-[Hashtbl]-per-length layout survives
-    as the {!Hashed} oracle behind the same API; QCheck gates in
-    [test_core] assert the two are observationally identical under
-    random insert/remove/set-alts churn. *)
-
-type rep = Flat | Hashed
-
-val rep_name : rep -> string
+    {b Representation.}  Each prefix length's entries live in an
+    open-addressed int-keyed index over a slot-stable arena of unboxed
+    [out_port]/[alt]/[deflect_buckets] int arrays (the alt array strided
+    {!max_alts} cells per entry) — no per-entry boxes, which is what
+    lets a full-Internet-scale FIB fit in flat memory.  A QCheck gate in
+    [test_core] holds it observationally identical to a boxed
+    one-[Hashtbl]-per-length reference model under random
+    insert/remove/set-alts churn. *)
 
 type t
 
@@ -56,17 +50,14 @@ val default_k : unit -> int
     {!max_alts} when unset or unparsable.  The FIB itself always has
     {!max_alts} slots — this only caps how many get used. *)
 
-val create : ?rep:rep -> unit -> t
-(** Default representation is {!Flat}; {!Hashed} is the oracle. *)
-
-val rep : t -> rep
+val create : unit -> t
 
 val insert : t -> Mifo_bgp.Prefix.t -> out_port:int -> ?alt_port:int -> unit -> unit
 (** Installs or refreshes the entry for a prefix.
 
     On a re-insert whose [out_port] matches the existing entry (a route
-    refresh), the call's [alt_port] is authoritative for the single-alt
-    shim: omitted ([None]) means {e no alternative} and clears the whole
+    refresh), the call's [alt_port] is authoritative for the primary
+    alternative: omitted ([None]) means {e no alternative} and clears the whole
     ranked set and the deflection level; a hint equal to the entry's
     current slot-0 alternative preserves the live daemon-owned state
     (ranked set and [deflect_buckets]) untouched; any other hint
@@ -84,12 +75,9 @@ val lookup : t -> Mifo_bgp.Prefix.addr -> entry option
 val find : t -> Mifo_bgp.Prefix.t -> entry option
 (** Exact-prefix lookup (the daemon's view). *)
 
-val set_alt : t -> Mifo_bgp.Prefix.t -> int option -> unit
-(** @raise Not_found if no entry exists for the prefix. *)
-
 val iter : t -> (Mifo_bgp.Prefix.t -> entry -> unit) -> unit
-(** Iteration order is unspecified and differs between representations;
-    callers needing a canonical order must sort. *)
+(** Iteration order is unspecified; callers needing a canonical order
+    must sort. *)
 
 val size : t -> int
 (** Number of live entries — a cached O(1) count (it sits on the
@@ -98,8 +86,7 @@ val size : t -> int
 val may_deflect : t -> bool
 (** Whether any live entry currently has a nonempty ranked alternative
     set — an exact count, {e not} a sticky historical flag: it is
-    maintained by {!insert}/{!remove} and by the entry-handle writers
-    ({!set_alt_port}, {!set_alts}), so withdrawing the last alternative
+    maintained by {!insert}/{!remove} and by {!set_alts}, so withdrawing the last alternative
     turns it back off and re-enables callers' no-deflection fast paths
     (e.g. the {!Mifo_netsim.Packetsim} daemon tick skips chooser-less
     routers whose table cannot deflect). *)
@@ -121,6 +108,10 @@ val alt_port_id : entry -> int
     The packet-forwarding hot path uses this to avoid a [Some] box per
     packet. *)
 
+val primary_alts : entry -> int list
+(** Slot 0 as a singleton ranked set ([[]] when it is empty): the
+    refresh a router's daemon makes when no chooser has a better set. *)
+
 val alt_count : entry -> int
 (** Number of live ranked alternatives, in \[0, {!max_alts}\]. *)
 
@@ -130,11 +121,6 @@ val alt_at : entry -> int -> int
 
 val deflect_buckets : entry -> int
 (** [0] = all flows on the default path. *)
-
-val set_alt_port : entry -> int option -> unit
-(** k=1 shim: [Some p] makes the ranked set the singleton [{p}]
-    (clearing higher slots); [None] clears the whole set.  Does not
-    touch [deflect_buckets]. *)
 
 val set_alts : entry -> int list -> unit
 (** Install a ranked alternative set: negatives are dropped, order kept,

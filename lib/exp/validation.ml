@@ -27,9 +27,12 @@ let makespan results =
       match r.finish with Some f -> Float.max acc f | None -> acc)
     0. results
 
-let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
-    ?(eventq = Packetsim.default_config.Packetsim.eventq_engine) ?(domains = 1)
-    ~seed () =
+(* Endpoints come from a pool of this many distinct ASes: 8 sources
+   and 16 sinks. *)
+let min_ases = 24
+
+let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000) ?(domains = 1) ~seed () =
+  if ases < min_ases then invalid_arg "Validation.run: need at least 24 ASes";
   let params =
     {
       Generator.default_params with
@@ -45,7 +48,7 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
   let rng = Mifo_util.Prng.create ~seed:(seed + 1) () in
   (* endpoints from a limited pool so the packet network stays small and
      flows actually contend *)
-  let pool = Mifo_util.Prng.sample_without_replacement rng 24 ases in
+  let pool = Mifo_util.Prng.sample_without_replacement rng min_ases ases in
   let specs =
     Array.init flows (fun i ->
         let src = pool.(Mifo_util.Prng.int rng 8) in
@@ -73,9 +76,7 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000)
   let fl_mifo = flow_run (Deployment.full ~n:ases) in
   (* --- packet level --- *)
   let packet_run deployment =
-    let config =
-      { Packetsim.default_config with Packetsim.eventq_engine = eventq; domains }
-    in
+    let config = { Packetsim.default_config with Packetsim.domains } in
     let net = As_network.build ~config table ~deployment ~host_rate:20e9 ~hosts () in
     Array.iter
       (fun (s : Flowsim.flow_spec) ->

@@ -11,8 +11,8 @@
     + the MIFO-over-BGP makespan speedup seen by each simulator (the
       adaptive behaviours should improve both by a similar factor).
 
-    The benchmark harness prints this as the [validate] target, and the
-    test suite asserts the correlation stays high. *)
+    [mifo_sim validate] prints this, and the test suite asserts the
+    correlation stays high. *)
 
 type t = {
   flows : int;
@@ -37,22 +37,22 @@ type t = {
           prints the violations otherwise. *)
 }
 
+val min_ases : int
+(** Smallest topology {!run} accepts (24): the flows' endpoints are
+    drawn from that many distinct ASes. *)
+
 val run :
   ?ases:int ->
   ?flows:int ->
   ?flow_bytes:int ->
-  ?eventq:Mifo_netsim.Eventq.engine ->
   ?domains:int ->
   seed:int ->
   unit ->
   t
 (** Defaults: 150 ASes, 24 flows of 10 MB.  Deterministic in [seed].
-    [eventq] selects the packet-level simulator's event-queue engine
-    (default: the {!Mifo_netsim.Packetsim.default_config} engine, i.e.
-    the timing wheel); both engines are bit-identical, so the result
-    must not depend on the choice — handy for auditing exactly that.
     [domains] (default 1) shards the packet-level simulator across that
     many event loops; sharded runs are bit-identical to serial, so
-    validate doubles as an end-to-end audit of the sharded engine. *)
+    validate doubles as an end-to-end audit of the sharded engine.
+    @raise Invalid_argument below {!min_ases} ASes. *)
 
 val render : t -> string

@@ -103,9 +103,9 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
   for v = 0 to n - 1 do
     if Deployment.capable deployment v then begin
       let node = router_of_as.(v) in
-      Packetsim.set_alt_chooser sim node (fun prefix entry ->
+      Packetsim.set_ranked_chooser sim node (fun prefix entry ->
           match Hashtbl.find_opt alt_candidates (v, prefix.Prefix.network) with
-          | None | Some [] -> Fib.alt_port entry
+          | None | Some [] -> Fib.primary_alts entry
           | Some candidates ->
             let best = ref None in
             List.iter
@@ -116,8 +116,8 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
                 | _ -> best := Some (nb, port, s))
               candidates;
             (match !best with
-             | Some (_, port, s) when s > 0. -> Some port
-             | _ -> None))
+             | Some (_, port, s) when s > 0. -> [ port ]
+             | _ -> []))
     end
   done;
   { sim; router_of_as; host_of_as }

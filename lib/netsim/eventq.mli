@@ -2,32 +2,16 @@
 
     Keyed by simulated time with a monotonic sequence number, so
     simultaneous events pop in insertion order (determinism matters:
-    every run must be reproducible).  Two interchangeable engines back
-    the queue:
-
-    - {!Heap}: the original {!Mifo_util.Heap} binary heap — O(log n)
-      per operation, kept as the bit-identical oracle.
-    - {!Wheel}: a {!Mifo_util.Wheel} hierarchical timing wheel —
-      near-O(1) for the near-present events that dominate packet
-      simulation, with far-future timers cascading down on demand.
-
-    Both engines pop the exact same [(time, seq)]-lexicographic
-    sequence; see the determinism contract in {!Mifo_util.Wheel}. *)
-
-type engine = Heap | Wheel
-
-val engine_name : engine -> string
-(** ["heap"] / ["wheel"], as used by CLI flags and bench JSON. *)
-
-val engine_of_string : string -> engine option
+    every run must be reproducible).  Backed by a {!Mifo_util.Wheel}
+    hierarchical timing wheel — near-O(1) for the near-present events
+    that dominate packet simulation, with far-future timers cascading
+    down on demand.  Pops follow the exact [(time, seq)]-lexicographic
+    order; see the determinism contract in {!Mifo_util.Wheel}.  The test
+    suite pins that order against a binary-heap reference queue. *)
 
 type 'a t
 
-val create : ?engine:engine -> unit -> 'a t
-(** Default engine is {!Heap} (the oracle); hot paths opt into
-    {!Wheel}. *)
-
-val engine : 'a t -> engine
+val create : unit -> 'a t
 
 val schedule : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument on NaN or negative time. *)
@@ -85,5 +69,5 @@ val peek_key : 'a t -> (float * int) option
 val peak_length : 'a t -> int
 (** High-water mark of {!length} since creation or {!clear}. *)
 
-val wheel_stats : 'a t -> Mifo_util.Wheel.stats option
-(** Occupancy/cascade statistics; [None] under the {!Heap} engine. *)
+val wheel_stats : 'a t -> Mifo_util.Wheel.stats
+(** Occupancy/cascade statistics of the backing wheel. *)

@@ -21,6 +21,10 @@
       MIRO-capable neighbors, at most [miro_cap] of them), choosing the
       candidate with the largest bottleneck spare.
 
+    Rates come from the incremental {!Maxmin.Solver}.  An epoch in which
+    no arrival, completion, path switch or link failure touched the
+    solver skips the solve: re-solving would reproduce the same bits.
+
     Everything is deterministic: epochs, greedy orders and tie-breaks are
     fixed, so a (topology, traffic, protocol) triple always reproduces
     the same figure. *)
@@ -36,16 +40,6 @@ type alt_selection =
       (** ablation only: true end-to-end bottleneck spare of each
           candidate — information a real border router cannot have *)
 
-type engine =
-  | Incremental
-      (** {!Mifo_netsim.Maxmin.Solver}: persistent scratch state, zero
-          steady-state allocation, and bit-identical rates to
-          [Reference] by construction *)
-  | Reference
-      (** per-epoch {!Mifo_netsim.Maxmin.allocate} — the original
-          implementation, kept as the correctness oracle and the
-          benchmark baseline *)
-
 type params = {
   link_capacity : float;  (** bits/s on every inter-AS link (paper: 1 Gbps) *)
   dt : float;  (** epoch length, seconds *)
@@ -60,13 +54,6 @@ type params = {
   max_time : float;  (** simulation horizon, seconds *)
   series_interval : float;  (** aggregate-throughput sampling period *)
   alt_selection : alt_selection;
-  engine : engine;  (** which max-min implementation allocates rates *)
-  skip_clean_epochs : bool;
-      (** [Incremental] only: skip the solve on epochs where no arrival,
-          completion, path switch, or link failure touched the solver
-          since the last solve.  The skipped solve would be bit-identical
-          by construction, so results do not depend on this flag — there
-          is a test pinning that. *)
 }
 
 val default_params : params

@@ -18,7 +18,6 @@ type config = {
   series_interval : float;
   tag_check : bool;
   ibgp_encap : bool;
-  eventq_engine : Eventq.engine;
   packet_trains : bool;
   domains : int;
 }
@@ -34,7 +33,6 @@ let default_config =
     series_interval = 0.1;
     tag_check = true;
     ibgp_encap = true;
-    eventq_engine = Eventq.Wheel;
     packet_trains = true;
     domains = 1;
   }
@@ -124,10 +122,9 @@ type router = {
          its closures capture only stable state (the sim and this
          record), so rebuilding it per packet — as [handle_router] used
          to — was four closure allocations per hop for nothing *)
-  mutable chooser : (Prefix.t -> Fib.entry -> int option) option;
-  mutable chooser_k : (Prefix.t -> Fib.entry -> int list) option;
-      (* ranked-set chooser; when present it wins over [chooser] and the
-         daemon tick runs [Daemon.epoch_ranked] *)
+  mutable chooser : (Prefix.t -> Fib.entry -> int list) option;
+      (* ranked-set chooser the daemon tick refreshes the FIB with;
+         without one the tick keeps each entry's slot-0 alternative *)
   last_egress : int Vec.t;  (* flow -> last egress port; -1 = none yet *)
   switches : int Vec.t;  (* flow -> egress change count *)
   ibgp_peers : (int, int) Hashtbl.t;
@@ -242,8 +239,8 @@ type t = {
   mutable tracer : (float -> int -> Packet.t -> Engine.action -> unit) option;
 }
 
-let make_exec ~engine eshard =
-  let xq = Eventq.create ~engine () in
+let make_exec eshard =
+  let xq = Eventq.create () in
   {
     eshard;
     xq;
@@ -279,7 +276,7 @@ let create ?(config = default_config) () =
     cfg = config;
     nodes = Vec.create ();
     flows = Vec.create ();
-    execs = [| make_exec ~engine:config.eventq_engine 0 |];
+    execs = [| make_exec 0 |];
     sharded = false;
     shard_of = [||];
     lookahead = infinity;
@@ -355,7 +352,6 @@ let add_router t ~as_id =
       r_fib = Fib.create ();
       r_env = None;
       chooser = None;
-      chooser_k = None;
       last_egress = Vec.create ();
       switches = Vec.create ();
       ibgp_peers = Hashtbl.create 8;
@@ -430,8 +426,7 @@ let connect t ~a ~b ~kind_ab ~kind_ba ~rate ?(delay = 50e-6) ?queue_bits () =
   (pa, pb)
 
 let fib t id = (router_exn t id).r_fib
-let set_alt_chooser t id chooser = (router_exn t id).chooser <- Some chooser
-let set_ranked_chooser t id chooser = (router_exn t id).chooser_k <- Some chooser
+let set_ranked_chooser t id chooser = (router_exn t id).chooser <- Some chooser
 
 let port t id p = Vec.get (node t id).ports p
 
@@ -485,26 +480,18 @@ let sample_queue_health t =
   (* queue gauges: the high-water over all shards, occupancy summed *)
   let peak = ref 0 and cascades = ref 0 and ready = ref 0 in
   let occupancy = Array.make Mifo_util.Wheel.levels 0 in
-  let have_wheel = ref false in
   Array.iter
     (fun ex ->
       peak := Stdlib.max !peak (Eventq.peak_length ex.xq);
-      match Eventq.wheel_stats ex.xq with
-      | None -> ()
-      | Some st ->
-        have_wheel := true;
-        cascades := !cascades + st.Mifo_util.Wheel.cascades;
-        ready := !ready + st.Mifo_util.Wheel.ready;
-        Array.iteri
-          (fun l n -> occupancy.(l) <- occupancy.(l) + n)
-          st.Mifo_util.Wheel.occupancy)
+      let st = Eventq.wheel_stats ex.xq in
+      cascades := !cascades + st.Mifo_util.Wheel.cascades;
+      ready := !ready + st.Mifo_util.Wheel.ready;
+      Array.iteri (fun l n -> occupancy.(l) <- occupancy.(l) + n) st.Mifo_util.Wheel.occupancy)
     t.execs;
   Obs.set_gauge g_peak_len (float_of_int !peak);
-  if !have_wheel then begin
-    Obs.set_gauge g_cascades (float_of_int !cascades);
-    Obs.set_gauge g_ready (float_of_int !ready);
-    Array.iteri (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n)) occupancy
-  end
+  Obs.set_gauge g_cascades (float_of_int !cascades);
+  Obs.set_gauge g_ready (float_of_int !ready);
+  Array.iteri (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n)) occupancy
 
 (* Transmit a packet out of a node's port: tail-drop FIFO queue, then
    store-and-forward serialization and propagation.
@@ -845,8 +832,7 @@ let daemon_tick t ~now =
   for id = 0 to Vec.length t.nodes - 1 do
     match (node t id).kind with
     | Host _ -> ()
-    | Router r
-      when r.chooser = None && r.chooser_k = None && not (Fib.may_deflect r.r_fib) ->
+    | Router r when r.chooser = None && not (Fib.may_deflect r.r_fib) ->
       (* No chooser and no live alternative in the table: the epoch walk
          over this FIB would visit every entry only to write back the
          state it already has.  On a benign mesh this skip turns the
@@ -859,18 +845,12 @@ let daemon_tick t ~now =
         let used = (link.bits_carried -. link.carried_at_epoch) /. elapsed in
         Float.min 1. (used /. link.rate)
       in
-      match r.chooser_k with
-      | Some choose_alts ->
-        Daemon.epoch_ranked ~config:t.cfg.daemon_config ~fib:r.r_fib
-          ~port_utilization ~choose_alts ()
-      | None ->
-        let choose_alt prefix entry =
-          match r.chooser with
-          | Some f -> f prefix entry
-          | None -> Fib.alt_port entry
-        in
-        Daemon.epoch ~config:t.cfg.daemon_config ~fib:r.r_fib ~port_utilization
-          ~choose_alt ())
+      let choose_alts =
+        (* chooser-less: keep slot 0 as a singleton, drop higher slots *)
+        match r.chooser with Some f -> f | None -> fun _ entry -> Fib.primary_alts entry
+      in
+      Daemon.epoch_ranked ~config:t.cfg.daemon_config ~fib:r.r_fib ~port_utilization
+        ~choose_alts ())
   done;
   (* snapshot link counters for the next epoch's utilization window *)
   for id = 0 to Vec.length t.nodes - 1 do
@@ -1147,7 +1127,7 @@ let activate_shards t =
   let ns = 1 + Array.fold_left Stdlib.max 0 t.shard_of in
   if ns > 1 then begin
     let old = t.execs.(0) in
-    let execs = Array.init ns (make_exec ~engine:t.cfg.eventq_engine) in
+    let execs = Array.init ns make_exec in
     let continue = ref true in
     while !continue do
       match Eventq.pop_before old.xq ~until:infinity with

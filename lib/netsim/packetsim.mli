@@ -28,10 +28,6 @@ type config = {
   series_interval : float;  (** aggregate-throughput bucket width *)
   tag_check : bool;  (** disable only for the loop ablation *)
   ibgp_encap : bool;  (** disable only for the iBGP-cycling ablation *)
-  eventq_engine : Eventq.engine;
-      (** {!Eventq.Wheel} (default) or {!Eventq.Heap}; both produce
-          bit-identical runs — the heap is the oracle, the wheel is
-          faster on packet-dominated event mixes *)
   packet_trains : bool;
       (** batch back-to-back departures on one link into a single
           queue entry (default [true]); behavior-neutral, see
@@ -72,18 +68,14 @@ val fib : t -> node_id -> Mifo_core.Fib.t
 (** The router's FIB, to be populated by the caller.
     @raise Invalid_argument on a host node. *)
 
-val set_alt_chooser :
-  t -> node_id -> (Mifo_bgp.Prefix.t -> Mifo_core.Fib.entry -> int option) -> unit
-(** Installed per router; called by the daemon every epoch to refresh
-    [alt_port].  Without a chooser the daemon keeps the configured
-    alternative. *)
-
 val set_ranked_chooser :
   t -> node_id -> (Mifo_bgp.Prefix.t -> Mifo_core.Fib.entry -> int list) -> unit
-(** Ranked-set variant (best first, truncated at {!Mifo_core.Fib.max_alts}):
-    when installed it wins over {!set_alt_chooser} and the daemon tick
-    runs {!Mifo_core.Daemon.epoch_ranked} for this router, spreading the
-    deflected buckets across the returned slots. *)
+(** Installed per router; called by the daemon every epoch
+    ({!Mifo_core.Daemon.epoch_ranked}) to refresh each entry's ranked
+    alternative set (best first, truncated at {!Mifo_core.Fib.max_alts}),
+    across which the deflected buckets are spread.  A k=1 chooser returns
+    [[]] or [[p]].  Without a chooser the daemon keeps the configured
+    slot-0 alternative as a singleton set. *)
 
 val spare_capacity : t -> node_id -> int -> float
 (** Smoothed spare capacity (bits/s) of the link behind a port since the

@@ -154,9 +154,9 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~expansion ~deployment ~ho
      the measurement border routers exchange over their iBGP sessions. *)
   Array.iter
     (fun node ->
-      Packetsim.set_alt_chooser sim node (fun prefix entry ->
+      Packetsim.set_ranked_chooser sim node (fun prefix entry ->
           match Hashtbl.find_opt alt_candidates (node, prefix.Prefix.network) with
-          | None | Some [] -> Fib.alt_port entry
+          | None | Some [] -> Fib.primary_alts entry
           | Some candidates ->
             let best = ref None in
             List.iter
@@ -167,8 +167,8 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~expansion ~deployment ~ho
                 | _ -> best := Some (local_port, s))
               candidates;
             (match !best with
-             | Some (port, s) when s > 0. -> Some port
-             | _ -> None)))
+             | Some (port, s) when s > 0. -> [ port ]
+             | _ -> [])))
     node_of_router;
   { sim; expansion; node_of_router; host_of_as }
 

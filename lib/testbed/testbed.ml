@@ -150,7 +150,7 @@ let build (config : config) protocol =
      capacity — the measurement Ra shares over the iBGP session. *)
   (match protocol with
    | Mifo_routing ->
-     Packetsim.set_alt_chooser sim rd (fun prefix entry ->
+     Packetsim.set_ranked_chooser sim rd (fun prefix entry ->
          if Prefix.equal prefix p5 then
            (* greedy link monitoring: the alternative is withdrawn only
               when Ra's exit link is fully busy AND nothing is currently
@@ -158,11 +158,11 @@ let build (config : config) protocol =
            if
              Fib.deflect_buckets entry = 0
              && Packetsim.spare_capacity sim ra ra_r6 < 0.02 *. rate
-           then None
-           else Some rd_ra
-         else Fib.alt_port entry);
-     Packetsim.set_alt_chooser sim ra (fun prefix entry ->
-         if Prefix.equal prefix p5 then Some ra_r6 else Fib.alt_port entry)
+           then []
+           else [ rd_ra ]
+         else Fib.primary_alts entry);
+     Packetsim.set_ranked_chooser sim ra (fun prefix entry ->
+         if Prefix.equal prefix p5 then [ ra_r6 ] else Fib.primary_alts entry)
    | Bgp_routing -> ());
   ignore r5a_r5b;
   { sim; s1; s2; d1; d2; rd; ra; rd_ebgp = rd_r4a; ra_ebgp = ra_r6 }

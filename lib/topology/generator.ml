@@ -50,7 +50,9 @@ let validate p =
     invalid_arg "Generator: peering_ratio out of range";
   if p.content_providers < 0 then invalid_arg "Generator: content_providers < 0";
   let lo, hi = p.content_peer_span in
-  if lo < 1 || hi < lo then invalid_arg "Generator: bad content_peer_span"
+  if lo < 1 || hi < lo then invalid_arg "Generator: bad content_peer_span";
+  if p.content_providers > 0 && lo >= p.ases then
+    invalid_arg "Generator: content_peer_span needs more ASes"
 
 (* Edge accumulator that rejects duplicates silently (callers retry). *)
 module Edge_set = struct

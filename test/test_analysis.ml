@@ -356,7 +356,7 @@ let test_network_dangling_alt_port () =
      that does not exist *)
   let net, routing = gadget_network () in
   let r1 = net.As_network.router_of_as.(1) in
-  Fib.set_alt (Packetsim.fib net.As_network.sim r1) (Prefix.of_as 0) (Some 999);
+  Fib.set_alts (Option.get (Fib.find (Packetsim.fib net.As_network.sim r1) (Prefix.of_as 0))) [ 999 ];
   let violations, _ = Net_check.audit_fibs net.As_network.sim ~routing in
   match
     List.find_opt

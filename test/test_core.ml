@@ -118,12 +118,12 @@ let test_fib_set_alt () =
   let fib = Fib.create () in
   let p = Prefix.of_string "10.1.2.0/24" in
   Fib.insert fib p ~out_port:1 ();
-  Fib.set_alt fib p (Some 5);
+  Fib.set_alts (Option.get (Fib.find fib p)) [ 5 ];
   (match Fib.find fib p with
    | Some e -> Alcotest.(check (option int)) "alt set" (Some 5) (Fib.alt_port e)
    | None -> Alcotest.fail "entry missing");
-  Alcotest.check_raises "unknown prefix" Not_found (fun () ->
-      Fib.set_alt fib (Prefix.of_string "11.0.0.0/8") None)
+  Alcotest.(check bool) "unknown prefix has no entry" true
+    (Fib.find fib (Prefix.of_string "11.0.0.0/8") = None)
 
 let test_fib_buckets () =
   for flow = 0 to 10_000 do
@@ -193,21 +193,22 @@ let test_fib_may_deflect_clears () =
   Alcotest.(check bool) "empty fib" false (Fib.may_deflect fib);
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
   Alcotest.(check bool) "alt inserted" true (Fib.may_deflect fib);
-  (* withdraw via set_alt_port on the handle *)
-  Fib.set_alt_port (Option.get (Fib.find fib p)) None;
-  Alcotest.(check bool) "cleared by set_alt_port" false (Fib.may_deflect fib);
-  (* ... via set_alts [] *)
-  Fib.set_alts (Option.get (Fib.find fib p)) [ 1; 3 ];
-  Alcotest.(check bool) "ranked set installed" true (Fib.may_deflect fib);
-  Fib.set_alts (Option.get (Fib.find fib p)) [];
+  let set_alts p alts = Fib.set_alts (Option.get (Fib.find fib p)) alts in
+  (* withdraw via set_alts [] on the handle *)
+  set_alts p [];
   Alcotest.(check bool) "cleared by empty set_alts" false (Fib.may_deflect fib);
+  (* ... after a ranked set *)
+  set_alts p [ 1; 3 ];
+  Alcotest.(check bool) "ranked set installed" true (Fib.may_deflect fib);
+  set_alts p [ -1 ];
+  Alcotest.(check bool) "cleared by an all-negative set" false (Fib.may_deflect fib);
   (* ... via a refresh without a hint *)
-  Fib.set_alt fib p (Some 7);
+  set_alts p [ 7 ];
   Fib.insert fib p ~out_port:0 ();
   Alcotest.(check bool) "cleared by refresh" false (Fib.may_deflect fib);
   (* ... via remove of the only alt-bearing entry *)
   Fib.insert fib q ~out_port:2 ~alt_port:5 ();
-  Fib.set_alt fib p (Some 7);
+  set_alts p [ 7 ];
   ignore (Fib.remove fib q);
   Alcotest.(check bool) "other alt entry still live" true (Fib.may_deflect fib);
   ignore (Fib.remove fib p);
@@ -226,10 +227,10 @@ let test_fib_ranked_slots () =
   Alcotest.(check (list int)) "slots in rank order" [ 4; 7; 2; 9 ]
     (List.init Fib.max_alts (Fib.alt_at e));
   Alcotest.(check int) "out of range" (-1) (Fib.alt_at e Fib.max_alts);
-  (* single-alt shim reads slot 0 and writes a singleton *)
+  (* alt_port reads slot 0; a singleton set clears the higher slots *)
   Alcotest.(check int) "alt_port_id = slot 0" 4 (Fib.alt_port_id e);
-  Fib.set_alt_port e (Some 5);
-  Alcotest.(check (list int)) "shim clears higher slots" [ 5; -1; -1; -1 ]
+  Fib.set_alts e [ 5 ];
+  Alcotest.(check (list int)) "singleton clears higher slots" [ 5; -1; -1; -1 ]
     (List.init Fib.max_alts (Fib.alt_at e));
   (* ECMP spreading: bucket b -> slot (b mod count); a one-alt entry
      always uses slot 0 (the k=1 data plane) *)
@@ -256,7 +257,7 @@ let test_fib_deflects () =
   Fib.set_deflect_buckets entry 0;
   Alcotest.(check bool) "zero buckets never deflect" false (Fib.deflects entry ~flow:7);
   Fib.set_deflect_buckets entry Fib.buckets;
-  Fib.set_alt_port entry None;
+  Fib.set_alts entry [];
   Alcotest.(check bool) "no alt never deflects" false (Fib.deflects entry ~flow:7)
 
 (* [size] is a cached O(1) count, maintained through refreshes and
@@ -276,9 +277,10 @@ let test_fib_size_and_gauge () =
   Alcotest.(check (float 1e-6)) "fib.entries gauge tracks net insertions" (base +. 1.)
     (Obs.gauge_value "fib.entries")
 
-(* Flat (open-addressed) and Hashed (legacy oracle) representations must
-   be observationally identical under arbitrary insert / remove /
-   set-alt / set-deflect churn. *)
+(* The flat open-addressed FIB and the boxed per-length-Hashtbl
+   reference model (Mifo_oracle.Boxed_fib) must be observationally
+   identical under arbitrary insert / remove / set-alts / set-deflect
+   churn. *)
 let fib_universe =
   Array.map Prefix.of_string
     [|
@@ -294,40 +296,82 @@ let fib_probes =
       "192.168.7.42"; "192.168.1.1"; "203.0.113.9"; "8.8.8.8";
     |]
 
-let apply_fib_op fib (kind, pidx, a, b) =
-  let p = fib_universe.(pidx mod Array.length fib_universe) in
-  match kind with
-  | 0 ->
-    if b mod 3 = 0 then Fib.insert fib p ~out_port:(a land 15) ()
-    else Fib.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
-  | 1 -> ignore (Fib.remove fib p)
-  | 2 ->
-    (match Fib.find fib p with
-     | Some e -> Fib.set_deflect_buckets e (a mod (Fib.buckets + 1))
-     | None -> ())
-  | 3 ->
-    (match Fib.find fib p with
-     | Some _ -> Fib.set_alt fib p (if b land 1 = 0 then None else Some (32 + (b land 7)))
-     | None -> ())
-  | _ ->
-    (* ranked set of 0..5 candidate ports (possibly with negatives /
-       overflow, exercising drop+truncate+compact) *)
-    (match Fib.find fib p with
-     | Some e ->
-       let n = b mod 6 in
-       Fib.set_alts e (List.init n (fun i -> ((a + (7 * i)) land 31) - 4))
-     | None -> ())
+module type FIB = sig
+  type t
+  type entry
 
-let fib_dump fib =
-  let acc = ref [] in
-  Fib.iter fib (fun p e ->
-      acc :=
-        ( Prefix.to_string p,
-          Fib.out_port e,
-          List.init Fib.max_alts (Fib.alt_at e),
-          Fib.deflect_buckets e )
-        :: !acc);
-  List.sort compare !acc
+  val insert : t -> Prefix.t -> out_port:int -> ?alt_port:int -> unit -> unit
+  val remove : t -> Prefix.t -> bool
+  val find : t -> Prefix.t -> entry option
+  val lookup : t -> Prefix.addr -> entry option
+  val iter : t -> (Prefix.t -> entry -> unit) -> unit
+  val size : t -> int
+  val may_deflect : t -> bool
+  val out_port : entry -> int
+  val alt_at : entry -> int -> int
+  val deflect_buckets : entry -> int
+  val set_alts : entry -> int list -> unit
+  val set_deflect_buckets : entry -> int -> unit
+end
+
+module Fib_churn (F : FIB) = struct
+  let apply fib (kind, pidx, a, b) =
+    let p = fib_universe.(pidx mod Array.length fib_universe) in
+    match kind with
+    | 0 ->
+      if b mod 3 = 0 then F.insert fib p ~out_port:(a land 15) ()
+      else F.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
+    | 1 -> ignore (F.remove fib p)
+    | 2 -> (
+      match F.find fib p with
+      | Some e -> F.set_deflect_buckets e (a mod (Fib.buckets + 1))
+      | None -> ())
+    | 3 -> (
+      match F.find fib p with
+      | Some e -> F.set_alts e (if b land 1 = 0 then [] else [ 32 + (b land 7) ])
+      | None -> ())
+    | _ -> (
+      (* ranked set of 0..5 candidate ports (possibly with negatives /
+         overflow, exercising drop+truncate+compact) *)
+      match F.find fib p with
+      | Some e ->
+        let n = b mod 6 in
+        F.set_alts e (List.init n (fun i -> ((a + (7 * i)) land 31) - 4))
+      | None -> ())
+
+  let view e = (F.out_port e, List.init Fib.max_alts (F.alt_at e), F.deflect_buckets e)
+
+  (* everything observable: size, the deflect flag, the sorted contents
+     and the longest-prefix match of every probe *)
+  let observe fib =
+    let acc = ref [] in
+    F.iter fib (fun p e -> acc := (Prefix.to_string p, view e) :: !acc);
+    ( F.size fib,
+      F.may_deflect fib,
+      List.sort compare !acc,
+      Array.map (fun addr -> Option.map view (F.lookup fib addr)) fib_probes )
+end
+
+module Flat_churn = Fib_churn (Fib)
+module Boxed_churn = Fib_churn (Mifo_oracle.Boxed_fib)
+
+(* Replays [ops] on both stores; the first observable that differs,
+   or [None]. *)
+let fib_churn_divergence ops =
+  let flat = Fib.create () in
+  let boxed = Mifo_oracle.Boxed_fib.create () in
+  List.iter
+    (fun op ->
+      Flat_churn.apply flat op;
+      Boxed_churn.apply boxed op)
+    ops;
+  let fsize, fdefl, fdump, flookup = Flat_churn.observe flat in
+  let bsize, bdefl, bdump, blookup = Boxed_churn.observe boxed in
+  if fsize <> bsize then Some "sizes diverged"
+  else if fdefl <> bdefl then Some "may_deflect diverged"
+  else if fdump <> bdump then Some "iterated contents diverged"
+  else if flookup <> blookup then Some "lookup diverged"
+  else None
 
 let prop_fib_flat_matches_hashed =
   QCheck2.Test.make ~name:"fib: flat and hashed reps agree under churn" ~count:300
@@ -335,34 +379,20 @@ let prop_fib_flat_matches_hashed =
       list_size (int_range 0 80)
         (quad (int_bound 4) (int_bound 1000) (int_bound 1000) (int_bound 1000)))
     (fun ops ->
-      let flat = Fib.create ~rep:Fib.Flat () in
-      let hashed = Fib.create ~rep:Fib.Hashed () in
-      List.iter
-        (fun op ->
-          apply_fib_op flat op;
-          apply_fib_op hashed op)
-        ops;
-      if Fib.size flat <> Fib.size hashed then
-        QCheck2.Test.fail_report "sizes diverged";
-      if Fib.may_deflect flat <> Fib.may_deflect hashed then
-        QCheck2.Test.fail_report "may_deflect diverged";
-      if fib_dump flat <> fib_dump hashed then
-        QCheck2.Test.fail_report "iterated contents diverged";
-      Array.iter
-        (fun addr ->
-          let view fib =
-            match Fib.lookup fib addr with
-            | None -> None
-            | Some e ->
-              Some
-                ( Fib.out_port e,
-                  List.init Fib.max_alts (Fib.alt_at e),
-                  Fib.deflect_buckets e )
-          in
-          if view flat <> view hashed then
-            QCheck2.Test.fail_report "lookup diverged")
-        fib_probes;
-      true)
+      match fib_churn_divergence ops with
+      | Some msg -> QCheck2.Test.fail_report msg
+      | None -> true)
+
+(* Same out_port, no alt hint, on an entry whose slot 0 is already
+   empty: the refresh still clears the ramp.  Insert 10.1.2.0/24 with
+   no alternative, set its ramp to 5, refresh it the same way. *)
+let test_fib_refresh_without_alt_clears_ramp () =
+  let ops = [ (0, 3, 0, 0); (2, 3, 5, 0); (0, 3, 0, 0) ] in
+  Alcotest.(check (option string)) "flat = boxed" None (fib_churn_divergence ops);
+  let fib = Fib.create () in
+  List.iter (Flat_churn.apply fib) ops;
+  Alcotest.(check int) "ramp cleared" 0
+    (Fib.deflect_buckets (Option.get (Fib.find fib fib_universe.(3))))
 
 (* ---------- Engine ---------- *)
 
@@ -739,9 +769,10 @@ let prop_engine_invariants =
            (outer_dst is 99, not this router) *)
         false)
 
-(* Acceptance gate (k=1 bit-identity): an entry whose ranked set is the
-   singleton [a] must forward every packet exactly like the historical
-   single-alternative entry configured through set_alt_port. *)
+(* k=1 bit-identity: an entry whose ranked set is the singleton [a],
+   written by set_alts, must forward every packet exactly like the
+   single-alternative entry installed through insert's [?alt_port]
+   hint. *)
 let prop_engine_k1_matches_single_alt =
   QCheck2.Test.make ~name:"engine: singleton ranked set = single-alt shim" ~count:300
     engine_env_gen
@@ -776,9 +807,9 @@ let daemon_fib () =
   (fib, fun () -> Fib.deflect_buckets (Option.get (Fib.find fib (Prefix.of_as 2))))
 
 let run_epoch fib ~out_util ~alt_util =
-  Daemon.epoch ~fib
+  Daemon.epoch_ranked ~fib
     ~port_utilization:(fun p -> if p = 0 then out_util else alt_util)
-    ~choose_alt:(fun _ e -> Fib.alt_port e)
+    ~choose_alts:(fun _ e -> Option.to_list (Fib.alt_port e))
     ()
 
 let test_daemon_ramps_up () =
@@ -814,10 +845,7 @@ let test_daemon_hysteresis_band () =
 let test_daemon_clears_without_alt () =
   let fib, buckets = daemon_fib () in
   run_epoch fib ~out_util:0.99 ~alt_util:0.0;
-  Daemon.epoch ~fib
-    ~port_utilization:(fun _ -> 0.99)
-    ~choose_alt:(fun _ _ -> None)
-    ();
+  Daemon.epoch_ranked ~fib ~port_utilization:(fun _ -> 0.99) ~choose_alts:(fun _ _ -> []) ();
   Alcotest.(check int) "no alt, no deflection" 0 (buckets ())
 
 let test_daemon_is_congested () =
@@ -836,9 +864,9 @@ let test_daemon_alt_change_resets_buckets () =
     (buckets ());
   let changes0 = Obs.counter_value "daemon.alt_changed" in
   let resets0 = Obs.counter_value "daemon.buckets_reset" in
-  Daemon.epoch ~fib
+  Daemon.epoch_ranked ~fib
     ~port_utilization:(fun p -> if p = 0 then 0.99 else 0.0)
-    ~choose_alt:(fun _ _ -> Some 2)
+    ~choose_alts:(fun _ _ -> [ 2 ])
     ();
   (* reset to zero on the switch, then the same epoch starts the fresh
      ramp: pre-fix the new alternative inherited 2*ramp_up + ramp_up *)
@@ -1058,6 +1086,8 @@ let () =
           Alcotest.test_case "O(1) size + fib.entries gauge" `Quick
             test_fib_size_and_gauge;
           QCheck_alcotest.to_alcotest prop_fib_flat_matches_hashed;
+          Alcotest.test_case "refresh without an alternative clears the ramp" `Quick
+            test_fib_refresh_without_alt_clears_ramp;
         ] );
       ( "engine",
         [

@@ -4,6 +4,8 @@
 
 module Eventq = Mifo_netsim.Eventq
 module Maxmin = Mifo_netsim.Maxmin
+module Maxmin_ref = Mifo_oracle.Maxmin_ref
+module Heap_queue = Mifo_oracle.Heap_queue
 module Tcp = Mifo_netsim.Tcp
 module Flowsim = Mifo_netsim.Flowsim
 module Packetsim = Mifo_netsim.Packetsim
@@ -72,44 +74,38 @@ let prop_eventq_fifo_ties =
    counter running, so a reused queue tie-broke differently from a
    fresh one — a determinism leak across resets. *)
 let test_eventq_clear_resets_seq () =
-  List.iter
-    (fun engine ->
-      let q = Eventq.create ~engine () in
-      Eventq.schedule q ~time:1. "x";
-      Eventq.schedule q ~time:2. "y";
-      ignore (Eventq.pop_before q ~until:3.);
-      Eventq.clear q;
-      Alcotest.(check bool) "empty" true (Eventq.is_empty q);
-      check_float "last_time reset" 0. (Eventq.last_time q);
-      Eventq.schedule q ~time:4. "z";
-      (match Eventq.peek_key q with
-       | Some (t, s) ->
-         check_float "time" 4. t;
-         Alcotest.(check int) "seq restarts at 0" 0 s
-       | None -> Alcotest.fail "empty after schedule");
-      Alcotest.(check int) "peak length reset" 1 (Eventq.peak_length q))
-    [ Eventq.Heap; Eventq.Wheel ]
+  let q = Eventq.create () in
+  Eventq.schedule q ~time:1. "x";
+  Eventq.schedule q ~time:2. "y";
+  ignore (Eventq.pop_before q ~until:3.);
+  Eventq.clear q;
+  Alcotest.(check bool) "empty" true (Eventq.is_empty q);
+  check_float "last_time reset" 0. (Eventq.last_time q);
+  Eventq.schedule q ~time:4. "z";
+  (match Eventq.peek_key q with
+   | Some (t, s) ->
+     check_float "time" 4. t;
+     Alcotest.(check int) "seq restarts at 0" 0 s
+   | None -> Alcotest.fail "empty after schedule");
+  Alcotest.(check int) "peak length reset" 1 (Eventq.peak_length q)
 
 let test_eventq_pop_before_time_cell () =
-  List.iter
-    (fun engine ->
-      let q = Eventq.create ~engine () in
-      let cell = Eventq.time_cell q in
-      Eventq.schedule q ~time:5e-6 "a";
-      Eventq.schedule q ~time:9e-6 "b";
-      Alcotest.(check (option string)) "beyond horizon" None
-        (Eventq.pop_before q ~until:1e-6);
-      Alcotest.(check (option string)) "within horizon" (Some "a")
-        (Eventq.pop_before q ~until:6e-6);
-      check_float "last_time" 5e-6 (Eventq.last_time q);
-      Alcotest.(check (option string)) "rest" (Some "b")
-        (Eventq.pop_before q ~until:Float.infinity);
-      check_float "shared cell tracks pops" 9e-6 cell.(0))
-    [ Eventq.Heap; Eventq.Wheel ]
+  let q = Eventq.create () in
+  let cell = Eventq.time_cell q in
+  Eventq.schedule q ~time:5e-6 "a";
+  Eventq.schedule q ~time:9e-6 "b";
+  Alcotest.(check (option string)) "beyond horizon" None (Eventq.pop_before q ~until:1e-6);
+  Alcotest.(check (option string)) "within horizon" (Some "a")
+    (Eventq.pop_before q ~until:6e-6);
+  check_float "last_time" 5e-6 (Eventq.last_time q);
+  Alcotest.(check (option string)) "rest" (Some "b")
+    (Eventq.pop_before q ~until:Float.infinity);
+  check_float "shared cell tracks pops" 9e-6 cell.(0)
 
-(* The tentpole's safety net at the API level: any interleaving of
-   schedules and pops — duplicate times, sub-tick spacings, far-future
-   outliers including +inf — pops bit-identically under both engines. *)
+(* The timing wheel against the binary-heap reference queue
+   (Mifo_oracle.Heap_queue): any interleaving of schedules, pops and
+   horizon-bounded pops — duplicate times, sub-tick spacings, far-future
+   outliers including +inf — pops bit-identically, keys included. *)
 let eventq_time_gen =
   QCheck2.Gen.(
     frequency
@@ -121,13 +117,13 @@ let eventq_time_gen =
 
 let prop_eventq_engines_agree =
   QCheck2.Test.make ~name:"eventq: heap and wheel pop identical sequences" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 250) (pair bool eventq_time_gen))
+    QCheck2.Gen.(list_size (int_range 1 250) (pair (int_bound 3) eventq_time_gen))
     (fun ops ->
-      let qh = Eventq.create ~engine:Eventq.Heap () in
-      let qw = Eventq.create ~engine:Eventq.Wheel () in
+      let qh = Heap_queue.create () in
+      let qw = Eventq.create () in
       let i = ref 0 and agree = ref true in
-      let pop_both () =
-        match (Eventq.next qh, Eventq.next qw) with
+      let same popped_h popped_w =
+        match (popped_h, popped_w) with
         | None, None -> false
         | Some (th, ph), Some (tw, pw) ->
           if not (Int64.bits_of_float th = Int64.bits_of_float tw && ph = pw) then
@@ -137,22 +133,45 @@ let prop_eventq_engines_agree =
           agree := false;
           false
       in
+      let pop_both () = same (Heap_queue.next qh) (Eventq.next qw) in
+      let pop_both_before until =
+        let w =
+          Option.map (fun p -> (Eventq.last_time qw, p)) (Eventq.pop_before qw ~until)
+        in
+        ignore (same (Heap_queue.pop_before qh ~until) w)
+      in
       List.iter
-        (fun (pop, t) ->
-          if pop then ignore (pop_both ())
-          else begin
-            Eventq.schedule qh ~time:t !i;
+        (fun (op, t) ->
+          match op with
+          | 0 -> ignore (pop_both ())
+          | 1 -> pop_both_before t
+          | _ ->
             Eventq.schedule qw ~time:t !i;
-            incr i
-          end)
+            Heap_queue.schedule qh ~time:t !i;
+            incr i;
+            if Heap_queue.peek_key qh <> Eventq.peek_key qw then agree := false)
         ops;
       while pop_both () do () done;
-      !agree && Eventq.is_empty qh && Eventq.is_empty qw)
+      !agree && Heap_queue.is_empty qh && Eventq.is_empty qw)
 
 (* ---------- Maxmin ---------- *)
 
+(* Production max-min: a fresh Solver over [capacities] with every
+   flow's deduplicated link set registered in order; returns the rates
+   and the per-link allocation. *)
+let solve ~capacities ~flow_links =
+  let sv = Maxmin.Solver.create ~nlinks:(Array.length capacities) () in
+  Array.iteri (Maxmin.Solver.set_capacity sv) capacities;
+  let slots =
+    Array.map (fun links -> Maxmin.Solver.register sv (Maxmin.dedup_links links)) flow_links
+  in
+  Maxmin.Solver.solve sv slots (Array.length slots);
+  (Array.map (Maxmin.Solver.rate sv) slots, Array.copy (Maxmin.Solver.link_allocs sv))
+
+let rates ~capacities ~flow_links = fst (solve ~capacities ~flow_links)
+
 let test_maxmin_two_flows_one_link () =
-  let rates = Maxmin.allocate ~capacities:[| 10. |] ~flow_links:[| [| 0 |]; [| 0 |] |] in
+  let rates = rates ~capacities:[| 10. |] ~flow_links:[| [| 0 |]; [| 0 |] |] in
   check_float "fair split" 5. rates.(0);
   check_float "fair split" 5. rates.(1)
 
@@ -160,8 +179,7 @@ let test_maxmin_classic () =
   (* classic example: links A(cap 10) and B(cap 4); flow1 on A+B, flow2 on
      B, flow3 on A.  Max-min: flow1 = flow2 = 2 (B bottleneck), flow3 = 8. *)
   let rates =
-    Maxmin.allocate ~capacities:[| 10.; 4. |]
-      ~flow_links:[| [| 0; 1 |]; [| 1 |]; [| 0 |] |]
+    rates ~capacities:[| 10.; 4. |] ~flow_links:[| [| 0; 1 |]; [| 1 |]; [| 0 |] |]
   in
   check_float "flow1" 2. rates.(0);
   check_float "flow2" 2. rates.(1);
@@ -170,45 +188,37 @@ let test_maxmin_classic () =
 let test_maxmin_empty_path () =
   (* A flow crossing no link is unconstrained: infinity, explicitly —
      not the largest capacity of links it never touches. *)
-  let rates = Maxmin.allocate ~capacities:[| 7. |] ~flow_links:[| [||] |] in
-  Alcotest.(check bool) "unconstrained is infinite" true (rates.(0) = Float.infinity);
+  let rates1 = rates ~capacities:[| 7. |] ~flow_links:[| [||] |] in
+  Alcotest.(check bool) "unconstrained is infinite" true (rates1.(0) = Float.infinity);
   (* and it must not rob constrained flows of anything *)
-  let rates =
-    Maxmin.allocate ~capacities:[| 7. |] ~flow_links:[| [||]; [| 0 |]; [| 0 |] |]
-  in
-  Alcotest.(check bool) "still infinite beside others" true
-    (rates.(0) = Float.infinity);
-  check_float "others unaffected" 3.5 rates.(1);
-  check_float "others unaffected" 3.5 rates.(2)
+  let rates3 = rates ~capacities:[| 7. |] ~flow_links:[| [||]; [| 0 |]; [| 0 |] |] in
+  Alcotest.(check bool) "still infinite beside others" true (rates3.(0) = Float.infinity);
+  check_float "others unaffected" 3.5 rates3.(1);
+  check_float "others unaffected" 3.5 rates3.(2)
 
 let test_maxmin_all_empty_flows () =
-  let rates = Maxmin.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |] in
+  let rs, alloc = solve ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |] in
   Array.iter
     (fun r -> Alcotest.(check bool) "all unconstrained" true (r = Float.infinity))
-    rates;
-  (* no links at all: same answer, no division by a fold over nothing *)
-  let rates = Maxmin.allocate ~capacities:[||] ~flow_links:[| [||] |] in
-  Alcotest.(check bool) "no links" true (rates.(0) = Float.infinity);
-  let alloc =
-    Maxmin.link_allocation ~capacities:[| 5.; 2. |]
-      ~flow_links:[| [||]; [||] |]
-      ~rates:(Maxmin.allocate ~capacities:[| 5.; 2. |] ~flow_links:[| [||]; [||] |])
-  in
+    rs;
   check_float "nothing allocated" 0. alloc.(0);
-  check_float "nothing allocated" 0. alloc.(1)
+  check_float "nothing allocated" 0. alloc.(1);
+  (* no links at all: same answer, no division by a fold over nothing *)
+  let rs = rates ~capacities:[||] ~flow_links:[| [||] |] in
+  Alcotest.(check bool) "no links" true (rs.(0) = Float.infinity)
 
 let test_maxmin_duplicate_links_counted_once () =
-  let rates = Maxmin.allocate ~capacities:[| 6. |] ~flow_links:[| [| 0; 0 |]; [| 0 |] |] in
+  let rates = rates ~capacities:[| 6. |] ~flow_links:[| [| 0; 0 |]; [| 0 |] |] in
   check_float "dedup" 3. rates.(0);
   check_float "dedup" 3. rates.(1)
 
 let test_maxmin_rejects_bad_input () =
   Alcotest.(check bool) "bad link id" true
-    (match Maxmin.allocate ~capacities:[| 1. |] ~flow_links:[| [| 3 |] |] with
+    (match rates ~capacities:[| 1. |] ~flow_links:[| [| 3 |] |] with
      | exception Invalid_argument _ -> true
      | _ -> false);
   Alcotest.(check bool) "negative capacity" true
-    (match Maxmin.allocate ~capacities:[| -1. |] ~flow_links:[||] with
+    (match rates ~capacities:[| -1. |] ~flow_links:[||] with
      | exception Invalid_argument _ -> true
      | _ -> false)
 
@@ -230,19 +240,14 @@ let prop_maxmin_feasible =
   QCheck2.Test.make ~name:"max-min allocation never exceeds capacity" ~count:300
     maxmin_instance_gen
     (fun (caps, flows) ->
-      let rates = Maxmin.allocate ~capacities:caps ~flow_links:flows in
-      (* link_allocation requires duplicate-free link sets *)
-      let deduped = Array.map Maxmin.dedup_links flows in
-      let alloc = Maxmin.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
+      let _, alloc = solve ~capacities:caps ~flow_links:flows in
       Array.for_all2 (fun a c -> a <= c +. 1e-6) alloc caps)
 
 let prop_maxmin_bottleneck =
   QCheck2.Test.make ~name:"every flow has a saturated bottleneck where it is maximal"
     ~count:300 maxmin_instance_gen
     (fun (caps, flows) ->
-      let rates = Maxmin.allocate ~capacities:caps ~flow_links:flows in
-      let deduped = Array.map Maxmin.dedup_links flows in
-      let alloc = Maxmin.link_allocation ~capacities:caps ~flow_links:deduped ~rates in
+      let rates, alloc = solve ~capacities:caps ~flow_links:flows in
       let max_rate_on = Array.make (Array.length caps) 0. in
       Array.iteri
         (fun f links ->
@@ -260,7 +265,8 @@ let prop_maxmin_bottleneck =
 
 (* Richer instances than the fairness properties: zero-capacity links,
    empty link sets, duplicate link ids — the corners the incremental
-   solver must agree with the reference on, bit for bit. *)
+   solver must agree with the reference allocator (Mifo_oracle.Maxmin_ref)
+   on, bit for bit. *)
 let solver_instance_gen =
   QCheck2.Gen.(
     let* nlinks = int_range 1 12 in
@@ -284,11 +290,10 @@ let prop_solver_matches_reference =
     ~name:"Solver rates and link allocs are bit-identical to the reference"
     ~count:500 solver_instance_gen
     (fun (caps, flows) ->
-      let expect = Maxmin.allocate ~capacities:caps ~flow_links:flows in
+      let expect = Maxmin_ref.allocate ~capacities:caps ~flow_links:flows in
       let deduped = Array.map Maxmin.dedup_links flows in
       let expect_alloc =
-        Maxmin.link_allocation ~capacities:caps ~flow_links:deduped
-          ~rates:expect
+        Maxmin_ref.link_allocation ~capacities:caps ~flow_links:deduped ~rates:expect
       in
       let sv = Maxmin.Solver.create ~nlinks:(Array.length caps) () in
       Array.iteri (fun l c -> Maxmin.Solver.set_capacity sv l c) caps;
@@ -343,9 +348,42 @@ let prop_solver_slot_reuse =
       let ref_links =
         Array.map clamp (Array.append kept_links flows2)
       in
-      let expect = Maxmin.allocate ~capacities:caps ~flow_links:ref_links in
+      let expect = Maxmin_ref.allocate ~capacities:caps ~flow_links:ref_links in
       let got = Array.map (fun s -> Maxmin.Solver.rate sv s) active in
       exactly_equal expect got)
+
+(* Flowsim skips the solve on clean epochs, which is sound only because
+   re-solving is idempotent: a second solve with no register,
+   unregister, set_links or set_capacity in between reproduces the
+   rates and link allocations bit for bit — checked on a fresh solver
+   and again after unregister/register churn has recycled slots. *)
+let prop_solver_idempotent =
+  QCheck2.Test.make ~name:"Solver re-solve with no change is bit-identical" ~count:300
+    QCheck2.Gen.(
+      let* ((_, flows) as inst) = solver_instance_gen in
+      let* flows2 = array_size (int_range 0 8) (list_size (int_range 0 5) (int_bound 11)) in
+      let* keep_mask = array_size (return (Array.length flows)) bool in
+      return (inst, Array.map Array.of_list flows2, keep_mask))
+    (fun ((caps, flows), flows2, keep_mask) ->
+      let nlinks = Array.length caps in
+      let clamp links = Maxmin.dedup_links (Array.map (fun l -> l mod nlinks) links) in
+      let sv = Maxmin.Solver.create ~nlinks () in
+      Array.iteri (Maxmin.Solver.set_capacity sv) caps;
+      let twice active =
+        let n = Array.length active in
+        Maxmin.Solver.solve sv active n;
+        let rates = Array.map (Maxmin.Solver.rate sv) active in
+        let allocs = Array.copy (Maxmin.Solver.link_allocs sv) in
+        Maxmin.Solver.solve sv active n;
+        exactly_equal rates (Array.map (Maxmin.Solver.rate sv) active)
+        && exactly_equal allocs (Maxmin.Solver.link_allocs sv)
+      in
+      let slots = Array.map (fun links -> Maxmin.Solver.register sv (clamp links)) flows in
+      let fresh_ok = twice slots in
+      Array.iteri (fun i s -> if not keep_mask.(i) then Maxmin.Solver.unregister sv s) slots;
+      let kept = List.filteri (fun i _ -> keep_mask.(i)) (Array.to_list slots) in
+      let added = Array.map (fun links -> Maxmin.Solver.register sv (clamp links)) flows2 in
+      fresh_ok && twice (Array.append (Array.of_list kept) added))
 
 let test_solver_validation () =
   let expect_invalid name f =
@@ -616,11 +654,28 @@ let test_flowsim_rejects_bad_specs () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-(* The incremental engine (with and without clean-epoch skipping) and
-   the reference engine must agree bit for bit on a full run — rates,
-   series, everything.  This is the determinism contract the 3x-epoch
-   speedup rests on: skipping a solve is only sound because re-running
-   it would reproduce the exact same floats. *)
+(* Bit-level digest of a float sequence, for pinning long outputs. *)
+let digest_floats xs =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map (fun f -> Printf.sprintf "%Lx" (Int64.bits_of_float f)) xs)))
+
+(* Outputs of the reference engine — a fresh per-epoch
+   Mifo_oracle.Maxmin_ref allocation on every epoch — on the workload
+   below, recorded while that engine still ran inside Flowsim.  The
+   production solver, which skips clean epochs, must reproduce them bit
+   for bit: skipping a solve is only sound because re-running it would
+   reproduce the exact same floats. *)
+let reference_throughput_bits =
+  [|
+    0x41c3de4355555552L; 0x41c4090135c81132L; 0x41cd6f34587e6b6fL; 0x41cdcd64fffffff7L;
+    0x41cdcd65000000b3L; 0x41cdcd65000000b3L; 0x41cdcd65000000d8L; 0x41cdcd65000000b3L;
+  |]
+
+let reference_series_digest = "f98a0e8fd459a631e556c82cc419bc4e"
+let reference_epochs = 200
+
 let test_flowsim_engines_bit_identical () =
   let topo = Lazy.force topo in
   let table = Lazy.force table in
@@ -637,45 +692,22 @@ let test_flowsim_engines_bit_identical () =
            (151, 250, 2.0); (152, 250, 6.0); (103, 200, 6.1); (104, 200, 12.0);
          ])
   in
-  let run engine skip =
+  let r =
     Flowsim.run
-      ~params:
-        {
-          quick_params with
-          Flowsim.engine;
-          skip_clean_epochs = skip;
-          max_time = 20.;
-        }
+      ~params:{ quick_params with Flowsim.max_time = 20. }
       table
       (Flowsim.Mifo (Deployment.full ~n))
       flows
   in
-  let skip_on = run Flowsim.Incremental true in
-  let skip_off = run Flowsim.Incremental false in
-  let reference = run Flowsim.Reference true in
-  let bits r =
-    Array.map Int64.bits_of_float (Flowsim.throughputs r)
-  in
   Alcotest.(check (array int64))
-    "skip on = skip off" (bits skip_off) (bits skip_on);
-  Alcotest.(check (array int64))
-    "incremental = reference" (bits reference) (bits skip_off);
-  let series_bits (r : Flowsim.result) =
-    Array.concat
-      (List.map
-         (fun (t, v) -> [| Int64.bits_of_float t; Int64.bits_of_float v |])
-         (Array.to_list r.Flowsim.series))
-  in
-  Alcotest.(check (array int64))
-    "series identical" (series_bits reference) (series_bits skip_on);
-  Alcotest.(check int) "same epochs" reference.Flowsim.epochs skip_on.Flowsim.epochs;
+    "throughputs = reference" reference_throughput_bits
+    (Array.map Int64.bits_of_float (Flowsim.throughputs r));
+  Alcotest.(check string)
+    "series = reference" reference_series_digest
+    (digest_floats (List.concat_map (fun (t, v) -> [ t; v ]) (Array.to_list r.Flowsim.series)));
+  Alcotest.(check int) "same epochs" reference_epochs r.Flowsim.epochs;
   (* the whole point: clean epochs were actually skipped *)
-  Alcotest.(check bool) "skipping happened" true
-    (skip_on.Flowsim.solves < skip_on.Flowsim.epochs);
-  Alcotest.(check int) "skip off solves every epoch"
-    skip_off.Flowsim.epochs skip_off.Flowsim.solves;
-  Alcotest.(check int) "reference solves every epoch"
-    reference.Flowsim.epochs reference.Flowsim.solves
+  Alcotest.(check bool) "skipping happened" true (r.Flowsim.solves < r.Flowsim.epochs)
 
 (* Series sampling must stay phase-locked to the interval grid.  With
    dt = 0.01 and interval = 0.025, anchoring the cursor at the (dt-
@@ -780,12 +812,12 @@ let test_packetsim_two_flows_share () =
       | None -> Alcotest.fail "did not finish")
     results
 
-(* End-to-end bit-identity of the eventq engines: the same workload —
-   a TCP transfer with queue drops and retransmissions plus an
-   open-loop UDP blast — must produce identical observable results
-   under every (engine x packet_trains) combination.  The heap with
-   per-packet scheduling is the oracle; the wheel with trains is the
-   production fast path. *)
+(* End-to-end bit-identity of the event queue: a TCP transfer with
+   queue drops and retransmissions plus an open-loop UDP blast.  The
+   fingerprint below was recorded from the binary-heap queue with
+   per-packet scheduling (no trains) while that queue still ran inside
+   Packetsim; the timing wheel must reproduce it with trains off and
+   on. *)
 let pkt_fingerprint sim =
   let finishes =
     Array.map
@@ -797,15 +829,23 @@ let pkt_fingerprint sim =
   in
   (Packetsim.events_processed sim, finishes, Packetsim.counters sim)
 
+let heap_oracle_fingerprint =
+  ( 2755,
+    [| 0x3fa7f7dd8a217d63L; Int64.minus_one |],
+    {
+      Packetsim.delivered_packets = 479;
+      dropped_queue = 167;
+      dropped_ttl = 0;
+      dropped_valley = 0;
+      dropped_no_route = 0;
+      encapsulated = 0;
+      deflected = 0;
+    } )
+
 let test_packetsim_engines_bit_identical () =
-  let run engine trains =
+  let run trains =
     let config =
-      {
-        Packetsim.default_config with
-        Packetsim.eventq_engine = engine;
-        packet_trains = trains;
-        queue_bits = 100_000;
-      }
+      { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
     in
     let sim, h1, h2 = line_network ~config ~rate:1e8 () in
     let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
@@ -815,15 +855,13 @@ let test_packetsim_engines_bit_identical () =
     Alcotest.(check bool) "small queue forces drops" true (c.Packetsim.dropped_queue > 0);
     pkt_fingerprint sim
   in
-  let oracle = run Eventq.Heap false in
   List.iter
-    (fun (engine, trains) ->
+    (fun trains ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s/trains=%b bit-identical to the heap oracle"
-           (Eventq.engine_name engine) trains)
+        (Printf.sprintf "trains=%b bit-identical to the heap oracle" trains)
         true
-        (run engine trains = oracle))
-    [ (Eventq.Heap, true); (Eventq.Wheel, false); (Eventq.Wheel, true) ]
+        (run trains = heap_oracle_fingerprint))
+    [ false; true ]
 
 let test_packetsim_ttl_on_routing_loop () =
   (* misconfigured FIBs that point at each other: packets must die by TTL,
@@ -1160,14 +1198,13 @@ let shard_obs_keys =
     "daemon.buckets_reset";
   ]
 
-(* One run of a generated workload under (domains, engine, trains);
-   returns the full observable fingerprint including Obs counter deltas. *)
-let run_dumbbell ~domains ~engine ~trains (n_l, n_r, flow_specs) =
+(* One run of a generated workload under (domains, trains); returns the
+   full observable fingerprint including Obs counter deltas. *)
+let run_dumbbell ~domains ~trains (n_l, n_r, flow_specs) =
   let config =
     {
       Packetsim.default_config with
-      Packetsim.eventq_engine = engine;
-      packet_trains = trains;
+      Packetsim.packet_trains = trains;
       domains;
       queue_bits = 100_000;
     }
@@ -1196,12 +1233,12 @@ let run_dumbbell ~domains ~engine ~trains (n_l, n_r, flow_specs) =
   in
   (pkt_fingerprint sim, obs_delta, series, Packetsim.path_switches sim)
 
-(* The 2x2x2 gate: serial/sharded x heap/wheel x trains on/off, all
-   bit-identical (counters, finish times, event counts, goodput series,
-   Obs counters) to the serial heap no-trains oracle on random
-   dumbbells with drops and UDP blasts. *)
+(* The 2x2 gate: serial/sharded x trains on/off, all bit-identical
+   (counters, finish times, event counts, goodput series, Obs counters)
+   to the serial no-trains run on random dumbbells with drops and UDP
+   blasts. *)
 let prop_packetsim_sharded_identical =
-  QCheck2.Test.make ~name:"packetsim: sharded x engine x trains bit-identical"
+  QCheck2.Test.make ~name:"packetsim: sharded x trains bit-identical"
     ~count:6
     QCheck2.Gen.(
       triple (int_range 2 3) (int_range 2 3)
@@ -1210,22 +1247,10 @@ let prop_packetsim_sharded_identical =
               (int_bound 10) bool)))
     (fun workload ->
       Mifo_util.Parallel.set_default_jobs 2;
-      let n_l, n_r, specs = workload in
-      let w = (n_l, n_r, specs) in
-      let oracle = run_dumbbell ~domains:1 ~engine:Eventq.Heap ~trains:false w in
+      let oracle = run_dumbbell ~domains:1 ~trains:false workload in
       List.for_all
-        (fun (domains, engine, trains) ->
-          run_dumbbell ~domains ~engine ~trains w = oracle)
-        [
-          (1, Eventq.Heap, true);
-          (1, Eventq.Wheel, false);
-          (1, Eventq.Wheel, true);
-          (2, Eventq.Heap, false);
-          (2, Eventq.Heap, true);
-          (2, Eventq.Wheel, false);
-          (2, Eventq.Wheel, true);
-          (3, Eventq.Wheel, true);
-        ])
+        (fun (domains, trains) -> run_dumbbell ~domains ~trains workload = oracle)
+        [ (1, true); (2, false); (2, true); (3, true) ])
 
 let () =
   Alcotest.run "mifo_netsim"
@@ -1259,6 +1284,7 @@ let () =
             test_solver_validation;
           QCheck_alcotest.to_alcotest prop_solver_matches_reference;
           QCheck_alcotest.to_alcotest prop_solver_slot_reuse;
+          QCheck_alcotest.to_alcotest prop_solver_idempotent;
         ] );
       ( "tcp",
         [

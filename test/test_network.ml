@@ -71,6 +71,30 @@ let test_as_network_mifo_relieves () =
     true
     (mifo_time < bgp_time *. 0.95)
 
+(* Outputs of the full-MIFO diamond run, recorded while As_network still
+   registered its greedy choosers through the single-alternative (option
+   returning) API.  The ranked choosers that replaced it return [[]] or
+   [[p]] and must reproduce the run bit for bit. *)
+let test_as_network_mifo_pinned () =
+  let net = run_diamond (Deployment.full ~n:6) in
+  let sim = net.As_network.sim in
+  Alcotest.(check int) "events" 201083 (Packetsim.events_processed sim);
+  Alcotest.(check (array int64)) "finish times"
+    [| 0x3fc421fe01a315c7L; 0x3fc1937d287d5171L |]
+    (Array.map
+       (fun (r : Packetsim.flow_result) ->
+         Int64.bits_of_float (Option.value r.finish ~default:Float.nan))
+       (Packetsim.flow_results sim));
+  Alcotest.(check (list (pair int int))) "path switches" [ (0, 53331); (1, 61276) ]
+    (Packetsim.path_switches sim);
+  let c = Packetsim.counters sim in
+  Alcotest.(check (list int)) "counters" [ 20091; 2; 0; 0; 0; 0; 2612 ]
+    Packetsim.
+      [
+        c.delivered_packets; c.dropped_queue; c.dropped_ttl; c.dropped_valley;
+        c.dropped_no_route; c.encapsulated; c.deflected;
+      ]
+
 let test_as_network_tracer_reconstructs_path () =
   let table = Routing_table.create (diamond ()) in
   let net =
@@ -201,6 +225,8 @@ let () =
         [
           Alcotest.test_case "BGP baseline bottlenecks" `Quick test_as_network_bgp_baseline;
           Alcotest.test_case "MIFO relieves the bottleneck" `Slow test_as_network_mifo_relieves;
+          Alcotest.test_case "MIFO diamond matches the pinned k=1 outputs" `Quick
+            test_as_network_mifo_pinned;
           Alcotest.test_case "tracer reconstructs the path" `Quick
             test_as_network_tracer_reconstructs_path;
           Alcotest.test_case "host validation" `Quick test_as_network_rejects_bad_host;

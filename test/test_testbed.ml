@@ -59,6 +59,33 @@ let test_deterministic () =
   let b = Testbed.run ~config:small_config Testbed.Mifo_routing in
   Alcotest.(check (array (float 1e-12))) "same FCTs" a.Testbed.fct b.Testbed.fct
 
+(* Outputs of [small_config]'s MIFO run, recorded while Rd and Ra still
+   registered their choosers through the single-alternative (option
+   returning) API.  The ranked choosers that replaced it return [[]] or
+   [[p]] and must reproduce the run bit for bit. *)
+let test_mifo_run_pinned () =
+  let r = Testbed.run ~config:small_config Testbed.Mifo_routing in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check (array int64)) "flow completion times"
+    [|
+      0x3fa08614d77d80c8L; 0x3fa19d1b843fec20L; 0x3fa0289c815581bcL;
+      0x3fa170e6471c4980L; 0x3f9a86d9ce67f4e4L; 0x3f9b707939d2a8d0L;
+    |]
+    (bits r.Testbed.fct);
+  Alcotest.(check int64) "makespan" 0x3fb8631f3422c504L (Int64.bits_of_float r.Testbed.makespan);
+  Alcotest.(check int64) "mean aggregate" 0x41cc9c3800000000L
+    (Int64.bits_of_float r.Testbed.mean_aggregate);
+  Alcotest.(check (list (pair int int))) "path switches"
+    [ (0, 18654); (1, 21667); (2, 18816); (3, 21499); (4, 18856); (5, 14503) ]
+    r.Testbed.switches;
+  let c = r.Testbed.counters in
+  Alcotest.(check (list int)) "counters" [ 12000; 0; 0; 0; 0; 1396; 2792 ]
+    Packetsim.
+      [
+        c.delivered_packets; c.dropped_queue; c.dropped_ttl; c.dropped_valley;
+        c.dropped_no_route; c.encapsulated; c.deflected;
+      ]
+
 let test_encap_ablation_breaks_cycling () =
   (* without IP-in-IP, deflected packets ping-pong between Rd and Ra and
      die by TTL - the Fig. 2(b) failure mode *)
@@ -86,6 +113,8 @@ let () =
           Alcotest.test_case "MIFO tunnels over iBGP" `Quick test_mifo_run_uses_alternative;
           Alcotest.test_case "MIFO beats BGP" `Slow test_mifo_beats_bgp;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "MIFO run matches the pinned k=1 outputs" `Quick
+            test_mifo_run_pinned;
           Alcotest.test_case "encap ablation: cycling dies by TTL" `Quick
             test_encap_ablation_breaks_cycling;
         ] );
