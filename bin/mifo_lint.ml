@@ -21,7 +21,10 @@
      comparator's argument type drifted).  Use the monomorphic
      [Float.compare] / [Int.compare] (identical orders on those types).
 
-   A finding can be waived for one line with a [lint:allow] marker.
+   A finding can be waived for one line with a [lint:allow] marker.  A
+   marker must earn its place: one on a line where no rule fires is a
+   finding itself, and so is an exemption-list entry naming a file the
+   walk never saw, so waivers cannot outlive the code they excused.
    Exit status: 0 clean, 1 findings. *)
 
 let banned_substrings =
@@ -49,7 +52,7 @@ let domain_shared = [ "routing.ml"; "routing_table.ml"; "obs.ml" ]
    pure control-plane parsers are exempt wholesale.  Boxed reference
    representations live in test/oracle/, outside these directories. *)
 let no_hashtbl_dirs = [ "bgp"; "core"; "analysis" ]
-let no_hashtbl_exempt = [ "bgp_proto.ml"; "prefix_table.ml" ]
+let no_hashtbl_exempt = [ "bgp_proto.ml" ]
 
 (* Library code reports through {!Report} / {!Obs.Json}; writing to
    stdout from lib/ bypasses the JSON contract and interleaves with the
@@ -124,27 +127,35 @@ let lint_file path =
     (String.length path >= n && String.sub path 0 n = prefix)
     || contains ~sub:(Filename.dir_sep ^ prefix) path
   in
+  (* The messages of every rule that fires on [line]. *)
+  let rule_hits line =
+    let substring_hits table =
+      List.filter_map
+        (fun (sub, msg) -> if contains ~sub line then Some (sub ^ ": " ^ msg) else None)
+        table
+    in
+    substring_hits banned_substrings
+    @ (if on_hot_path && uses_polymorphic_compare line then
+         [
+           "polymorphic compare on a simulator hot path; use Float.compare / \
+            Int.compare (or waive with lint:allow)";
+         ]
+       else [])
+    @ (if no_hashtbl && contains ~sub:"Hashtbl." line then
+         [
+           "bare Hashtbl on a data-plane hot path; use the flat CSR/open-addressed \
+            representations (or waive a cold path with lint:allow)";
+         ]
+       else [])
+    @ if in_lib then substring_hits no_stdout_prints else []
+  in
   Array.iteri
     (fun i line ->
-      if not (contains ~sub:"lint:allow" line) then begin
-        List.iter
-          (fun (sub, msg) ->
-            if contains ~sub line then report path (i + 1) line (sub ^ ": " ^ msg))
-          banned_substrings;
-        if on_hot_path && uses_polymorphic_compare line then
-          report path (i + 1) line
-            "polymorphic compare on a simulator hot path; use Float.compare / \
-             Int.compare (or waive with lint:allow)";
-        if no_hashtbl && contains ~sub:"Hashtbl." line then
-          report path (i + 1) line
-            "bare Hashtbl on a data-plane hot path; use the flat CSR/open-addressed \
-             representations (or waive a cold path with lint:allow)";
-        if in_lib then
-          List.iter
-            (fun (sub, msg) ->
-              if contains ~sub line then report path (i + 1) line (sub ^ ": " ^ msg))
-            no_stdout_prints
-      end)
+      match (contains ~sub:"lint:allow" line, rule_hits line) with
+      | false, hits -> List.iter (report path (i + 1) line) hits
+      | true, [] ->
+        report path (i + 1) line "stale lint:allow waiver: no rule fires on this line"
+      | true, _ :: _ -> ())
     lines;
   if List.mem (Filename.basename path) domain_shared then begin
     let whole = String.concat "\n" (Array.to_list lines) in
@@ -153,6 +164,10 @@ let lint_file path =
       Printf.printf "%s: bare Hashtbl in a domain-shared module without a Mutex\n" path
     end
   end
+
+(* Basenames of the linted files under [no_hashtbl_dirs], to check that
+   every [no_hashtbl_exempt] entry still names one of them. *)
+let seen_no_hashtbl = ref []
 
 let rec walk path =
   if Sys.is_directory path then
@@ -163,7 +178,11 @@ let rec walk path =
   else if
     Filename.check_suffix path ".ml" && Filename.basename path <> "mifo_lint.ml"
     (* the rule table above would match itself *)
-  then lint_file path
+  then begin
+    if List.mem (Filename.basename (Filename.dirname path)) no_hashtbl_dirs then
+      seen_no_hashtbl := Filename.basename path :: !seen_no_hashtbl;
+    lint_file path
+  end
 
 let () =
   let dirs =
@@ -172,6 +191,16 @@ let () =
     | _ -> [ "lib"; "bin"; "test"; "examples" ]
   in
   List.iter (fun d -> if Sys.file_exists d then walk d) dirs;
+  (* Only meaningful when the walk covered the directories the list is
+     about; a run over test/ alone sees none of them. *)
+  if !seen_no_hashtbl <> [] then
+    List.iter
+      (fun exempt ->
+        if not (List.mem exempt !seen_no_hashtbl) then begin
+          incr findings;
+          Printf.printf "no_hashtbl_exempt: stale entry %S names no linted file\n" exempt
+        end)
+      no_hashtbl_exempt;
   if !findings > 0 then begin
     Printf.printf "mifo-lint: %d finding(s)\n" !findings;
     exit 1

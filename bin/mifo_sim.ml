@@ -372,21 +372,11 @@ let check_cmd =
              minus default-path length, per source.")
   in
   let fail_link_t =
-    let link_conv =
-      let parse s =
-        match String.split_on_char ':' s with
-        | [ u; v ] -> (
-          match (int_of_string_opt u, int_of_string_opt v) with
-          | Some u, Some v when u >= 0 && v >= 0 -> Ok (u, v)
-          | _ -> Error (`Msg (Printf.sprintf "bad link %S (want U:V)" s)))
-        | _ -> Error (`Msg (Printf.sprintf "bad link %S (want U:V)" s))
-      in
-      let print fmt (u, v) = Format.fprintf fmt "%d:%d" u v in
-      Arg.conv (parse, print)
-    in
+    (* Parsed in [run], so a malformed value is a usage error (exit 2)
+       like every other bad flag value. *)
     Arg.(
       value
-      & opt (some link_conv) None
+      & opt (some string) None
       & info [ "fail-link" ] ~docv:"U:V"
           ~doc:
             "Verify under a single-link-failure overlay: the AS-level link \
@@ -456,6 +446,14 @@ let check_cmd =
         | None -> (generate_topology ~seed ases).Generator.graph
     in
     let n = Mifo_topology.As_graph.n g in
+    let fail_link =
+      Option.map
+        (fun s ->
+          match List.map Mifo_util.Decimal.of_string_opt (String.split_on_char ':' s) with
+          | [ Some u; Some v ] -> (u, v)
+          | _ -> usage_error "--fail-link %s: want U:V with decimal AS ids" s)
+        fail_link
+    in
     (match fail_link with
     | Some (u, v) when u >= n || v >= n ->
       usage_error "--fail-link %d:%d names an AS outside 0..%d" u v (n - 1)

@@ -3,7 +3,6 @@ module Routing = Mifo_bgp.Routing
 module Relationship = Mifo_topology.Relationship
 module Policy = Mifo_core.Policy
 module Loop_walk = Mifo_core.Loop_walk
-module Intset = Mifo_util.Intset
 
 type move = Automaton.move = {
   at : int;
@@ -23,8 +22,6 @@ type counterexample = {
 
 type loop_result = { counterexample : counterexample option; states_explored : int }
 
-let all_enabled ~at:_ ~via:_ = true
-
 type frame = {
   v : int;
   tag : bool;
@@ -33,7 +30,7 @@ type frame = {
   mutable rest : (move * int * bool) list;
 }
 
-let find_loop_auto auto =
+let find_loop_in auto =
   (* Exhaustive DFS over the product automaton from every source root
      [(v, source_tag, 0)].  The transition relation, state encoding and
      overlay live in {!Automaton}; this function owns only the cycle
@@ -129,13 +126,8 @@ let find_loop_auto auto =
   done;
   { counterexample = !result; states_explored = !explored }
 
-let find_loop_in = find_loop_auto
-
-let find_loop ?(tag_check = true) ?(deflection_enabled = all_enabled) ?k g rt =
-  find_loop_auto
-    (Automaton.create ~tag_check
-       ~overlay:(Automaton.deflection_overlay deflection_enabled)
-       ?k g rt)
+let find_loop ?(tag_check = true) ?k g rt =
+  find_loop_in (Automaton.create ~tag_check ?k g rt)
 
 let replay ?(tag_check = true) g rt cx =
   let moves = Array.of_list (cx.entry_moves @ cx.cycle_moves) in
@@ -158,131 +150,6 @@ let replay ?(tag_check = true) g rt cx =
      one extra turn of the cycle, well inside this bound. *)
   let max_hops = 2 * (total + cyc_len) + 8 in
   Loop_walk.walk ~tag_check ~max_hops g rt ~decide ~src
-
-module Inc = struct
-  (* Incremental re-verification over FIB deltas.  A delta toggles one
-     deflection edge [(at, via)]; the invariant exploited is that a NEW
-     root-reachable cycle after a batch of deltas must traverse a
-     re-enabled edge (removing edges from a graph whose reachable region
-     was acyclic cannot create cycles).  So a recheck after removals is
-     free, and a recheck after additions DFSes only the region reachable
-     from the changed states; a full [find_loop] (with the same overlay)
-     runs only when that scan actually smells a cycle — which makes the
-     returned verdict bit-identical to the full check by construction,
-     counterexamples included. *)
-  type inc = {
-    g : As_graph.t;
-    rt : Routing.t;
-    tag_check : bool;
-    k : int option;  (* k-alternative bound, None = unbounded *)
-    slots : int;  (* widened-state slot count: 1 or k+1 *)
-    disabled : Intset.t;  (* key = at * n + via; flat set, domain-private *)
-    auto : Automaton.t;  (* overlay reads [disabled] live *)
-    mutable pending_add : (int * int) list;  (* re-enabled since last recheck *)
-    mutable pending_remove : (int * int) list;  (* disabled since last recheck *)
-    mutable last : loop_result;
-    scratch : Automaton.Scratch.t;  (* region-scan colors, epoch-cleared *)
-    mutable full_checks : int;
-    mutable region_scans : int;
-  }
-
-  type t = inc
-
-  let full_check t =
-    t.full_checks <- t.full_checks + 1;
-    find_loop_auto t.auto
-
-  let create ?(tag_check = true) ?k g rt =
-    let n = As_graph.n g in
-    let slots = match k with None -> 1 | Some kk -> kk + 1 in
-    let disabled = Intset.create () in
-    let enabled ~at ~via = not (Intset.mem disabled ((at * n) + via)) in
-    let auto =
-      Automaton.create ~tag_check ~overlay:(Automaton.deflection_overlay enabled) ?k g
-        rt
-    in
-    let t =
-      {
-        g;
-        rt;
-        tag_check;
-        k;
-        slots;
-        disabled;
-        auto;
-        pending_add = [];
-        pending_remove = [];
-        last = { counterexample = None; states_explored = 0 };
-        scratch = Automaton.Scratch.create ();
-        full_checks = 0;
-        region_scans = 0;
-      }
-    in
-    t.last <- full_check t;
-    (* Pre-size the region-scan scratch so the first recheck is as
-       O(region) as every later one — the arrays are allocated here,
-       not inside a caller's timing window. *)
-    Automaton.Scratch.round t.scratch ~states:(Automaton.n_states auto);
-    t
-
-  let result t = t.last
-  let stats t = (t.full_checks, t.region_scans)
-
-  let deflection_enabled t ~at ~via =
-    not (Intset.mem t.disabled ((at * As_graph.n t.g) + via))
-
-  let set_deflection t ~at ~via ~enabled =
-    let n = As_graph.n t.g in
-    let key = (at * n) + via in
-    if enabled then begin
-      if Intset.mem t.disabled key then begin
-        Intset.remove t.disabled key;
-        t.pending_add <- (at, via) :: t.pending_add
-      end
-    end
-    else if not (Intset.mem t.disabled key) then begin
-      Intset.add t.disabled key;
-      t.pending_remove <- (at, via) :: t.pending_remove
-    end
-
-  (* DFS over the current edge set from the states touched by re-enabled
-     edges; true iff a cycle is reachable from them.  Any new cycle, and
-     any path newly connecting a source root to an old cycle, runs
-     through a re-enabled edge — its endpoints (both tags and every
-     entering slot, a conservative superset of the gated states) seed
-     {!Automaton.cycle_from}. *)
-  let region_scan t adds =
-    t.region_scans <- t.region_scans + 1;
-    let seeds = List.concat_map (fun (at, via) -> [ at; via ]) adds in
-    Automaton.cycle_from t.auto ~scratch:t.scratch ~seeds
-
-  let recheck t =
-    let adds = t.pending_add and removes = t.pending_remove in
-    t.pending_add <- [];
-    t.pending_remove <- [];
-    (match t.last.counterexample with
-    | Some _ ->
-      (* The standing verdict is a loop; a removal may have broken it
-         (and the cached counterexample may reference a now-disabled
-         edge), so anything pending forces a full re-verification. *)
-      if adds <> [] || removes <> [] then t.last <- full_check t
-    | None ->
-      if adds = [] then begin
-        (* Removals only: deleting edges from a graph whose reachable
-           region is acyclic cannot create a cycle.  Zero states. *)
-        if removes <> [] then t.last <- { counterexample = None; states_explored = 0 }
-      end
-      else begin
-        let found, explored = region_scan t adds in
-        if found then
-          (* The region scan's cycle may sit outside the root-reachable
-             region; the full check settles it and, when genuine, yields
-             the canonical replayable counterexample. *)
-          t.last <- full_check t
-        else t.last <- { counterexample = None; states_explored = explored }
-      end);
-    t.last
-end
 
 (* The valley audit, chain-first.  A RIB path at [v] via entry [e] is
    [v :: default_path (e.via)], so both its hop count and its

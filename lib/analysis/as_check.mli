@@ -31,13 +31,11 @@ type loop_result = { counterexample : counterexample option; states_explored : i
 
 val find_loop_in : Automaton.t -> loop_result
 (** The loop check over an already-built automaton — any overlay, any
-    bound.  {!find_loop} below is this over a fresh automaton with a
-    deflection overlay; the property suite ({!Props}) runs it under
-    failed-link overlays. *)
+    bound.  {!find_loop} below is this over a fresh, healthy automaton;
+    the property suite ({!Props}) runs it under failed-link overlays. *)
 
 val find_loop :
   ?tag_check:bool ->
-  ?deflection_enabled:(at:int -> via:int -> bool) ->
   ?k:int ->
   Mifo_topology.As_graph.t ->
   Mifo_bgp.Routing.t ->
@@ -47,9 +45,7 @@ val find_loop :
     loop-free toward this destination for {e every} deflection strategy
     and congestion pattern.  With [tag_check:false] the deflection gate
     is removed — the legacy multi-path ablation, which loops on the
-    Fig. 2(a) gadget.  [deflection_enabled] (default: everything) masks
-    individual deflection edges — the overlay {!Inc} uses to model
-    withdrawn FIB alternatives; the default route is never masked.
+    Fig. 2(a) gadget.
 
     [?k] models the k-alternative data plane: deflections are bounded
     to the first [k] RIB alternatives (the pool
@@ -59,48 +55,6 @@ val find_loop :
     [(AS, tag, slot)] where [slot] is the ranked slot the packet
     entered by.  Omitted = the unbounded legacy automaton, bit-identical
     to the historical checker.  O(states + transitions) = O(k·V + E). *)
-
-(** Incremental re-verification.  Holds a verdict for one destination
-    and refreshes it as FIB deltas toggle deflection availability,
-    re-DFSing only the [(AS, tag)] region reachable from the changed
-    entries instead of the full product automaton.  Verdicts are
-    bit-identical to a fresh {!find_loop} under the same overlay: a
-    recheck that cannot prove cleanliness locally falls back to the full
-    DFS (which also yields the canonical, replayable counterexample). *)
-module Inc : sig
-  type t
-
-  val create :
-    ?tag_check:bool -> ?k:int -> Mifo_topology.As_graph.t -> Mifo_bgp.Routing.t -> t
-  (** Runs the initial full check.  [?k] as in {!find_loop}: bound the
-      automaton to the k-alternative data plane (deltas and verdicts
-      then refer to the bounded automaton). *)
-
-  val set_deflection : t -> at:int -> via:int -> enabled:bool -> unit
-  (** Record a FIB delta: the alternative at AS [at] via neighbor [via]
-      became available/unavailable.  Cheap; verdicts refresh at
-      {!recheck}.  Unknown [(at, via)] pairs are harmless (masking an
-      edge not in the RIB is a no-op on the automaton). *)
-
-  val deflection_enabled : t -> at:int -> via:int -> bool
-
-  val recheck : t -> loop_result
-  (** Refresh the verdict against the pending deltas.  Removals on a
-      clean verdict are free; additions trigger a region DFS from the
-      changed states and escalate to a full check only when that scan
-      finds a candidate cycle.  [states_explored] reflects the work
-      actually done (0 when nothing needed exploring). *)
-
-  val result : t -> loop_result
-  (** The standing verdict (without rechecking). *)
-
-  val full_check : t -> loop_result
-  (** A fresh full {!find_loop} under the current overlay — the oracle
-      the bench and the QCheck agreement property compare against. *)
-
-  val stats : t -> int * int
-  (** [(full_checks, region_scans)] performed so far. *)
-end
 
 val replay :
   ?tag_check:bool ->

@@ -13,8 +13,6 @@ type overlay = {
 let all ~at:_ ~via:_ = true
 let default_overlay = { deflection_enabled = all; link_enabled = all; repair = None }
 
-let deflection_overlay enabled = { default_overlay with deflection_enabled = enabled }
-
 (* The local-repair failure model for one failed default-tree link
    [(u, v = next_hop u)]: the link is masked in both directions, [u]
    promotes its first surviving RIB alternative to an unchecked default
@@ -91,7 +89,7 @@ let slot_of_move t (m : move) = if t.slots = 1 then 0 else m.slot
 (* Outgoing transitions of product state (v, tag): the default route is
    always available and never checked; every other RIB entry is a
    deflection gated by the exit-point Tag-Check and by the overlay
-   ([deflection_enabled] models withdrawn FIB alternatives,
+   ([deflection_enabled] models withdrawn RIB alternatives,
    [link_enabled] a failed physical link, [repair] the post-failure
    promoted default).  Iterates the RIB through the packed accessors —
    no boxed entries materialise, which is what keeps the 44K product DFS
@@ -255,11 +253,10 @@ let co_reach t ~scratch v0 tag0 =
 
 (* Region cycle scan: DFS over the widened state space from every
    (seed, tag, slot) state; true iff a cycle is reachable from the
-   seeds.  The incremental checker seeds it with the endpoints of
-   re-enabled deflection edges, the resilience sweep with the endpoints
-   of a failed-then-repaired link — in both cases a NEW cycle must run
-   through a changed edge, so a clean scan certifies the whole automaton
-   without re-walking it.  Starts a fresh scratch round itself. *)
+   seeds.  The resilience sweep seeds it with the endpoints of a
+   failed-then-repaired link — a NEW cycle must run through a changed
+   edge, so a clean scan certifies the whole automaton without
+   re-walking it.  Starts a fresh scratch round itself. *)
 let cycle_from t ~scratch ~seeds =
   Scratch.round scratch ~states:(n_states t);
   let explored = ref 0 in

@@ -23,9 +23,9 @@ type move = {
 }
 
 (** Edge masks composed into the transition relation.
-    [deflection_enabled] gates deflection edges only (the {!As_check.Inc}
-    overlay modelling withdrawn FIB alternatives; the default route is
-    never masked by it).  [link_enabled] gates {e every} edge over a
+    [deflection_enabled] gates deflection edges only (withdrawn RIB
+    alternatives, see {!fail_link}; the default route is never masked
+    by it).  [link_enabled] gates {e every} edge over a
     directed link, default included — a failed physical link.  [repair]
     is [(node, slot)]: at [node] the default edge is RIB entry [slot]
     instead of entry 0, taken unconditionally (the locally repaired
@@ -39,8 +39,6 @@ type overlay = {
 
 val default_overlay : overlay
 (** Everything enabled, no repair — the healthy data plane. *)
-
-val deflection_overlay : (at:int -> via:int -> bool) -> overlay
 
 val fail_link : Mifo_bgp.Routing.t -> u:int -> v:int -> overlay
 (** The single-link-failure model for the failed default-tree link

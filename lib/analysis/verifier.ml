@@ -20,11 +20,10 @@ let verify_dest ?tag_check ?k ?stretch_bound ?fail_link ?fail_links ?seed ~props
     stats = { prop_report.Report.stats with Report.paths_checked };
   }
 
-let verify_props ?tag_check ?k ?stretch_bound ?fail_link ?fail_links ?seed ?pool
+let verify_props ?tag_check ?k ?stretch_bound ?fail_link ?fail_links ?seed
     ?(props = Props.all) g ~table ~dests =
-  let pool = match pool with Some p -> p | None -> Parallel.get_default () in
   let reports =
-    Parallel.parallel_map pool
+    Parallel.parallel_map (Parallel.get_default ())
       (verify_dest ?tag_check ?k ?stretch_bound ?fail_link ?fail_links ?seed ~props g
          ~table)
       (Array.of_list dests)

@@ -14,7 +14,6 @@ val verify_props :
   ?fail_link:int * int ->
   ?fail_links:int ->
   ?seed:int ->
-  ?pool:Mifo_util.Parallel.pool ->
   ?props:Props.prop list ->
   Mifo_topology.As_graph.t ->
   table:Mifo_bgp.Routing_table.t ->
@@ -22,11 +21,10 @@ val verify_props :
   Report.t
 (** Run the {!Props} property suite (default: all four properties) plus
     the {!As_check.check_paths} audit for every listed destination,
-    fanned out over the {!Mifo_util.Parallel} domain pool ([?pool]
-    defaults to the shared one).  Results are written into slots indexed
-    by destination and merged in destination order, so the report is
-    bit-identical at any [MIFO_JOBS].  Per-property options as in
-    {!Props.verify_dest}. *)
+    fanned out over the shared {!Mifo_util.Parallel} domain pool.
+    Results are written into slots indexed by destination and merged in
+    destination order, so the report is bit-identical at any
+    [MIFO_JOBS].  Per-property options as in {!Props.verify_dest}. *)
 
 val verify_as_level :
   ?tag_check:bool ->

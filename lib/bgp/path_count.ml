@@ -51,12 +51,11 @@ let mifo_counts g rt ~capable =
   in
   Array.init n (fun v -> count v Rose)
 
-let mifo_counts_many ?pool g table ~dests ~capable =
-  let pool = match pool with Some p -> p | None -> Mifo_util.Parallel.get_default () in
+let mifo_counts_many g table ~dests ~capable =
   (* Warm the table first so every domain mapping below takes the cache
      hit path; then one DP per destination, each on its own Routing.t. *)
-  Routing_table.precompute ~pool table dests;
-  Mifo_util.Parallel.parallel_map pool
+  Routing_table.precompute table dests;
+  Mifo_util.Parallel.parallel_map (Mifo_util.Parallel.get_default ())
     (fun d -> mifo_counts g (Routing_table.get table d) ~capable)
     dests
 

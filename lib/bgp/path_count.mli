@@ -23,7 +23,6 @@ val mifo_counts :
     entry is 1. *)
 
 val mifo_counts_many :
-  ?pool:Mifo_util.Parallel.pool ->
   Mifo_topology.As_graph.t ->
   Routing_table.t ->
   dests:int array ->
@@ -32,7 +31,7 @@ val mifo_counts_many :
 (** [mifo_counts_many g table ~dests ~capable] is
     [Array.map (fun d -> mifo_counts g (Routing_table.get table d) ~capable) dests],
     with both the route computations and the per-destination DPs fanned
-    out across the pool (default {!Mifo_util.Parallel.get_default}).
+    out across the shared pool ({!Mifo_util.Parallel.get_default}).
     Output is slot-per-destination and independent of scheduling. *)
 
 val bgp_count : Routing.t -> src:int -> int

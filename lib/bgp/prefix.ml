@@ -4,7 +4,7 @@ let addr_of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
     let byte field =
-      match int_of_string_opt field with
+      match Mifo_util.Decimal.of_string_opt field with
       | Some v when v >= 0 && v <= 255 -> Int32.of_int v
       | _ -> invalid_arg ("Prefix.addr_of_string: " ^ s)
     in
@@ -28,7 +28,7 @@ let make network length =
 let of_string s =
   match String.split_on_char '/' s with
   | [ addr; len ] ->
-    (match int_of_string_opt len with
+    (match Mifo_util.Decimal.of_string_opt len with
      | Some l -> make (addr_of_string addr) l
      | None -> invalid_arg ("Prefix.of_string: " ^ s))
   | _ -> invalid_arg ("Prefix.of_string: " ^ s)

@@ -8,7 +8,9 @@
 type addr = int32
 
 val addr_of_string : string -> addr
-(** Dotted quad.  @raise Invalid_argument on malformed input. *)
+(** Dotted quad of decimal bytes 0..255.
+    @raise Invalid_argument on malformed input, including any byte
+    that is not plain decimal ([0x0a], [1_0], [+7]). *)
 
 val addr_to_string : addr -> string
 
@@ -20,7 +22,8 @@ val make : addr -> int -> t
 (** Masks host bits. *)
 
 val of_string : string -> t
-(** ["10.1.2.0/24"]. *)
+(** ["10.1.2.0/24"]: a dotted quad, ['/'], and a decimal length 0..32.
+    @raise Invalid_argument on anything else. *)
 
 val to_string : t -> string
 val contains : t -> addr -> bool

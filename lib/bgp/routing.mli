@@ -23,9 +23,9 @@
     entry.  Every per-node accessor ({!next_hop}, {!best_class},
     {!best_len}, {!export_len}, {!customer_route_len}, {!reachable})
     derives from the node's selected route, the first cell of its
-    segment.  A [t] is immutable once {!compute} returns, so
-    {!compute} results can be cached and shared across domains freely
-    — which is exactly what {!Routing_table.precompute} does. *)
+    segment.  A [t] is immutable once {!compute} returns, so it can be
+    published to other domains and read there without locks — which is
+    what {!Routing_table}'s write-once slots do. *)
 
 type route_class = Customer_route | Peer_route | Provider_route
 

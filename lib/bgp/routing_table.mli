@@ -1,35 +1,26 @@
 (** Cache of per-destination routing states.
 
     Experiments query routes toward many destinations; this table
-    memoizes {!Routing.compute} per destination.  [precompute] (and
-    [precompute_all]) fan the independent per-destination computations
-    out over a {!Mifo_util.Parallel} domain pool; larger graphs can rely
-    on lazy filling with an optional bound on the number of cached
-    destinations.
+    memoizes {!Routing.compute} per destination, computing each state
+    on first use.  [precompute] fans the independent per-destination
+    computations out over the shared {!Mifo_util.Parallel} domain pool.
+    Nothing is ever evicted: a filled destination stays filled for the
+    table's lifetime.
 
     {b Thread safety.}  The table is safe to use from any number of
-    domains concurrently.  The cache is sharded by destination
-    ([d mod nshards], one mutex per shard), so parallel fills of
-    distinct destinations proceed without contention; [Routing.compute]
-    itself runs outside the shard lock.  Repeated [get]s of the same
-    destination return physically equal ([==]) states, including under
-    a racy double-compute (the first insert wins).  Cached
-    {!Routing.t} values may be shared freely across domains — see the
-    thread-safety note in {!Routing}.
-
-    {b Eviction.}  Each shard is an exact LRU: a cache {e hit} refreshes
-    the entry's recency, so a bounded table under a skewed workload
-    keeps the hot destinations and evicts the cold ones (the previous
-    FIFO evicted in insertion order regardless of use).  With
-    [~max_cached:m] the effective bound is
-    [nshards * (m / nshards) <= m] where
-    [nshards = min 16 m]. *)
+    domains concurrently.  Each destination has one write-once atomic
+    slot: a miss runs {!Routing.compute} without any lock and publishes
+    the result with a compare-and-set.  When two domains fill the same
+    slot at once, the first publish wins and the other returns the
+    winner's state, so repeated [get]s of a destination always return
+    physically equal ([==]) states.  Cached {!Routing.t} values may be
+    shared freely across domains — see the thread-safety note in
+    {!Routing}. *)
 
 type t
 
-val create : ?max_cached:int -> Mifo_topology.As_graph.t -> t
-(** [max_cached] defaults to unbounded.
-    @raise Invalid_argument if [max_cached < 1]. *)
+val create : Mifo_topology.As_graph.t -> t
+(** An empty table over the graph: one slot per AS. *)
 
 val graph : t -> Mifo_topology.As_graph.t
 
@@ -37,14 +28,11 @@ val get : t -> int -> Routing.t
 (** Routing state toward destination [d], computed on first use.
     @raise Invalid_argument if [d] is out of range. *)
 
-val precompute : ?pool:Mifo_util.Parallel.pool -> t -> int array -> unit
-(** [precompute ~pool t dests] fills the cache for every listed
-    destination, fanning {!Routing.compute} out across the pool's
-    domains ([pool] defaults to {!Mifo_util.Parallel.get_default}).
-    Results are identical to serial [get]s — only the wall-clock
-    changes. *)
-
-val precompute_all : ?pool:Mifo_util.Parallel.pool -> t -> unit
-(** [precompute] over every destination of the graph. *)
+val precompute : t -> int array -> unit
+(** [precompute t dests] fills the slot of every listed destination,
+    fanning {!Routing.compute} out across the shared domain pool
+    ({!Mifo_util.Parallel.get_default}).  Results are identical to
+    serial [get]s — only the wall-clock changes. *)
 
 val cached_count : t -> int
+(** Number of destinations filled so far. *)

@@ -64,14 +64,13 @@ module Fig7 = struct
     let dests = Mifo_util.Prng.sample_without_replacement rng k n in
     let dep50 = Context.deployment ctx ~ratio:0.5 in
     let dep100 = Context.deployment ctx ~ratio:1.0 in
-    let pool = Parallel.get_default () in
-    Routing_table.precompute ~pool ctx.Context.table dests;
+    Routing_table.precompute ctx.Context.table dests;
     (* Both counters fan out one task per destination and then flatten
        the per-destination slots in destination order, so the sample
        stream is byte-identical to the old serial loop. *)
     let mifo_counts deployment =
       let per_dest =
-        Path_count.mifo_counts_many ~pool g ctx.Context.table ~dests
+        Path_count.mifo_counts_many g ctx.Context.table ~dests
           ~capable:(Deployment.to_fun deployment)
       in
       let acc = Mifo_util.Vec.create () in
@@ -85,7 +84,7 @@ module Fig7 = struct
     let miro_counts deployment =
       let config = { Miro.cap = ctx.Context.scale.miro_cap } in
       let per_dest =
-        Parallel.parallel_map pool
+        Parallel.parallel_map (Parallel.get_default ())
           (fun d ->
             let rt = Routing_table.get ctx.Context.table d in
             let out = Array.make (n - 1) 0. in

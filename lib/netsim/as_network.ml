@@ -16,7 +16,7 @@ type t = {
 let host t as_id = Hashtbl.find t.host_of_as as_id
 let router t as_id = t.router_of_as.(as_id)
 
-let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
+let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
   let host_rate = match host_rate with Some r -> r | None -> link_rate in
   let g = Routing_table.graph table in
   let n = As_graph.n g in
@@ -26,7 +26,7 @@ let build ?config ?pool ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts (
     hosts;
   (* One routing state per host prefix; the computations are independent
      so they fan out across the domain pool before the serial FIB fill. *)
-  Routing_table.precompute ?pool table
+  Routing_table.precompute table
     (Array.of_list (List.sort_uniq Int.compare hosts));
   let sim = Packetsim.create ?config () in
   let router_of_as = Array.init n (fun v -> Packetsim.add_router sim ~as_id:v) in

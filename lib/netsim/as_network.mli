@@ -20,7 +20,6 @@ type t = {
 
 val build :
   ?config:Packetsim.config ->
-  ?pool:Mifo_util.Parallel.pool ->
   ?link_rate:float ->
   ?host_rate:float ->
   Mifo_bgp.Routing_table.t ->
@@ -38,9 +37,9 @@ val build :
     inter-AS link; [host_rate] (default [link_rate]) sets the host access
     links — raise it to keep end hosts from being the bottleneck.
 
-    The per-host routing computations are fanned out over [pool]
-    (default {!Mifo_util.Parallel.get_default}) before the serial
-    network wiring; the built network is identical for any pool size.
+    The per-host routing computations are fanned out over the shared
+    domain pool ({!Mifo_util.Parallel.get_default}) before the serial
+    network wiring; the built network is identical at any [MIFO_JOBS].
 
     @raise Invalid_argument if a listed AS id is out of range. *)
 

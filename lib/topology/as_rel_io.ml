@@ -4,6 +4,9 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* ASNs are 32-bit (RFC 6793). *)
+let max_asn = 0xFFFF_FFFF
+
 (* A provider cycle in a graph [As_graph.create] rejected as cyclic, as
    dense ids, each a provider of the next and the last of the first.
    Kahn's peel, providers first, removes every node whose provider
@@ -66,17 +69,18 @@ let parse_string text =
       if line <> "" && line.[0] <> '#' then begin
         match String.split_on_char '|' line with
         | [ a; b; r ] | a :: b :: r :: _ :: [] ->
-          let parse_int field s =
-            match int_of_string_opt (String.trim s) with
-            | Some v -> v
-            | None -> fail lineno (Printf.sprintf "bad %s %S" field s)
+          let asn s =
+            match Mifo_util.Decimal.of_string_opt (String.trim s) with
+            | Some v when v <= max_asn -> v
+            | Some _ | None ->
+              fail lineno (Printf.sprintf "bad AS number %S (want decimal 0..%d)" s max_asn)
           in
-          let a = parse_int "AS number" a and b = parse_int "AS number" b in
+          let a = asn a and b = asn b in
           let kind =
-            match parse_int "relationship" r with
-            | -1 -> As_graph.Provider_customer
-            | 0 -> As_graph.Peer_peer
-            | other -> fail lineno (Printf.sprintf "unknown relationship %d" other)
+            match String.trim r with
+            | "-1" -> As_graph.Provider_customer
+            | "0" -> As_graph.Peer_peer
+            | other -> fail lineno (Printf.sprintf "unknown relationship %S" other)
           in
           if a = b then fail lineno (Printf.sprintf "self-loop at AS%d" a);
           let key = (Stdlib.min a b, Stdlib.max a b) in

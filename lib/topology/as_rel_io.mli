@@ -6,8 +6,11 @@
     paper's Nov. 2014 UCLA IRL trace) ship in this format, so a user can
     swap the synthetic graph for a real one without code changes.
 
-    Arbitrary AS numbers in the file are mapped to the dense ids
-    {!As_graph} uses; the mapping is returned alongside the graph. *)
+    AS numbers are plain decimal in 0..2{^32}-1 and the relationship is
+    exactly [-1] or [0]; a sign, a [0x] prefix or a [_] separator is a
+    parse error.  Arbitrary AS numbers in the file are mapped to the
+    dense ids {!As_graph} uses; the mapping is returned alongside the
+    graph. *)
 
 type loaded = {
   graph : As_graph.t;

@@ -26,9 +26,9 @@ val default_jobs : unit -> int
 
 val create : ?jobs:int -> unit -> pool
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults
-    to {!default_jobs}; values < 1 are clamped to 1).  Pools are cheap
-    to keep but not free to create — prefer {!get_default} for
-    long-lived use and {!shutdown} short-lived ones. *)
+    to {!default_jobs}; values < 1 are clamped to 1).  Library entry
+    points take no pool: they all run on the shared one
+    ({!get_default}), sized by [MIFO_JOBS] or {!set_default_jobs}. *)
 
 val jobs : pool -> int
 
@@ -39,9 +39,10 @@ val get_default : unit -> pool
 
 val set_default_jobs : int -> unit
 (** Replace the shared pool with one of the given size, shutting the
-    previous one down.  Intended for tests that compare serial and
-    parallel execution in one process, and for a [--jobs] CLI flag; not
-    safe to call while another domain is using the shared pool.
+    previous one down.  This is the one way to choose the parallelism of
+    the library's fan-outs: the [--jobs] CLI flag, and tests that compare
+    serial and parallel execution in one process.  Not safe to call
+    while another domain is using the shared pool.
     @raise Invalid_argument when [jobs <= 0] — an explicit error beats
     silently clamping a flag the user typed. *)
 

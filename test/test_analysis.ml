@@ -22,7 +22,7 @@ module Report = Mifo_analysis.Report
 module Verifier = Mifo_analysis.Verifier
 module Automaton = Mifo_analysis.Automaton
 module Props = Mifo_analysis.Props
-module Parallel = Mifo_util.Parallel
+module Jobs = Mifo_oracle.Jobs
 module Json = Mifo_util.Obs.Json
 
 let gadget = lazy (let g = Generator.fig2a_gadget () in (g, Routing.compute g 0))
@@ -149,14 +149,7 @@ let test_k2_gadget () =
      (* the machine check: the counterexample replays to a dynamic loop *)
      (match As_check.replay ~tag_check:false g rt cx with
       | Loop_walk.Looped _ -> ()
-      | _ -> Alcotest.fail "k=2 replay did not loop"));
-  (* the incremental checker carries the bound through *)
-  let inc1 = As_check.Inc.create ~tag_check:false ~k:1 g rt in
-  Alcotest.(check bool) "Inc k=1: clean" true
-    ((As_check.Inc.result inc1).As_check.counterexample = None);
-  let inc2 = As_check.Inc.create ~tag_check:false ~k:2 g rt in
-  Alcotest.(check bool) "Inc k=2: loop" true
-    ((As_check.Inc.result inc2).As_check.counterexample <> None)
+      | _ -> Alcotest.fail "k=2 replay did not loop"))
 
 let rec take n = function
   | [] -> []
@@ -210,77 +203,6 @@ let prop_ranked_static_matches_dynamic =
           | _ -> false)
       in
       static_on.As_check.counterexample = None && dynamic_ok && replay_ok)
-
-(* ---------- incremental re-verification ---------- *)
-
-(* Toggling deflection edges on the ablated (dirty) gadget: every
-   recheck must agree with a fresh full check under the same overlay,
-   and re-enabling everything restores the original counterexample. *)
-let test_inc_gadget_toggle () =
-  let g, rt = Lazy.force gadget in
-  let inc = As_check.Inc.create ~tag_check:false g rt in
-  match (As_check.Inc.result inc).As_check.counterexample with
-  | None -> Alcotest.fail "the ablated gadget must start with a loop"
-  | Some cx ->
-    let toggle enabled =
-      List.iter
-        (fun (m : As_check.move) ->
-          if m.As_check.deflected then
-            As_check.Inc.set_deflection inc ~at:m.As_check.at ~via:m.As_check.via
-              ~enabled)
-        cx.As_check.cycle_moves
-    in
-    toggle false;
-    let r = As_check.Inc.recheck inc in
-    let full = As_check.Inc.full_check inc in
-    Alcotest.(check bool) "verdict agrees with full after disabling" true
-      (r.As_check.counterexample = full.As_check.counterexample);
-    toggle true;
-    let r2 = As_check.Inc.recheck inc in
-    let full2 = As_check.Inc.full_check inc in
-    Alcotest.(check bool) "verdict agrees with full after re-enabling" true
-      (r2.As_check.counterexample = full2.As_check.counterexample);
-    Alcotest.(check bool) "re-enabling restores the loop" true
-      (r2.As_check.counterexample <> None)
-
-let prop_incremental_matches_full =
-  let topo =
-    lazy
-      (Generator.generate
-         ~params:{ Generator.default_params with Generator.ases = 120; tier1 = 4;
-                   content_providers = 2; content_peer_span = (3, 8) }
-         ~seed:7 ())
-  in
-  QCheck2.Test.make
-    ~name:"incremental recheck is bit-identical to a fresh full check" ~count:40
-    QCheck2.Gen.(
-      triple bool (int_bound 119)
-        (list_size (int_range 1 12) (triple (int_bound 119) (int_bound 7) bool)))
-    (fun (tag_check, dst, ops) ->
-      let t = Lazy.force topo in
-      let g = t.Generator.graph in
-      let rt = Routing.compute g dst in
-      let inc = As_check.Inc.create ~tag_check g rt in
-      let ok = ref true in
-      List.iter
-        (fun (at, idx, enabled) ->
-          let k = Routing.rib_size rt at in
-          if at <> dst && k >= 2 then begin
-            let via = Routing.rib_via rt at (1 + (idx mod (k - 1))) in
-            As_check.Inc.set_deflection inc ~at ~via ~enabled;
-            let r = As_check.Inc.recheck inc in
-            let full = As_check.Inc.full_check inc in
-            if r.As_check.counterexample <> full.As_check.counterexample then ok := false;
-            match r.As_check.counterexample with
-            | Some cx -> (
-              (* any surviving counterexample must still replay to a loop *)
-              match As_check.replay ~tag_check g rt cx with
-              | Loop_walk.Looped _ -> ()
-              | _ -> ok := false)
-            | None -> ()
-          end)
-        ops;
-      !ok)
 
 (* ---------- report serialisation ---------- *)
 
@@ -679,9 +601,8 @@ let prop_delivery_matches_stranding =
         in
         no_loop && replays_strand && dynamic_consistent)
 
-(* The parallel fan-out must be bit-identical to the serial run: same
-   JSON byte-for-byte at any job count (the 44K bench asserts the same
-   identity at scale). *)
+(* The parallel fan-out must be bit-identical to the serial run: the
+   same JSON byte-for-byte with the shared pool at 1 job and at 4. *)
 let prop_parallel_matches_serial =
   let fixture =
     lazy
@@ -700,19 +621,11 @@ let prop_parallel_matches_serial =
     (fun (seed, dests) ->
       let g, table = Lazy.force fixture in
       let dests = List.sort_uniq Int.compare dests in
-      let serial = Parallel.create ~jobs:1 () in
-      let four = Parallel.create ~jobs:4 () in
-      let a =
-        Verifier.verify_props ~pool:serial ~fail_links:4 ~seed ~props:all_props g ~table
-          ~dests
+      let run jobs =
+        Jobs.with_jobs jobs (fun () ->
+            Verifier.verify_props ~fail_links:4 ~seed ~props:all_props g ~table ~dests)
       in
-      let b =
-        Verifier.verify_props ~pool:four ~fail_links:4 ~seed ~props:all_props g ~table
-          ~dests
-      in
-      Parallel.shutdown serial;
-      Parallel.shutdown four;
-      Report.to_json_string a = Report.to_json_string b)
+      Report.to_json_string (run 1) = Report.to_json_string (run 4))
 
 (* The resilience sweep's certificates vs N independent full checks:
    per failed link, the sweep's verdict (loop? how many strandings?)
@@ -803,9 +716,6 @@ let () =
           Alcotest.test_case "k2 gadget: clean at k=1, loops at k=2" `Quick
             test_k2_gadget;
           QCheck_alcotest.to_alcotest prop_ranked_static_matches_dynamic;
-          Alcotest.test_case "incremental toggles on the gadget" `Quick
-            test_inc_gadget_toggle;
-          QCheck_alcotest.to_alcotest prop_incremental_matches_full;
         ] );
       ( "report",
         [

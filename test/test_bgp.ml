@@ -5,6 +5,7 @@ module Prefix = Mifo_bgp.Prefix
 module Routing = Mifo_bgp.Routing
 module Routing_table = Mifo_bgp.Routing_table
 module Path_count = Mifo_bgp.Path_count
+module Jobs = Mifo_oracle.Jobs
 module As_graph = Mifo_topology.As_graph
 module Relationship = Mifo_topology.Relationship
 module Generator = Mifo_topology.Generator
@@ -25,6 +26,13 @@ let test_addr_invalid () =
          | exception Invalid_argument _ -> true
          | _ -> false))
     [ "1.2.3"; "1.2.3.4.5"; "256.0.0.1"; "a.b.c.d"; "-1.0.0.0" ]
+
+(* Fields [int_of_string] reads but plain decimal does not: a hex byte,
+   a '_' separator, a hex length.  Each is a malformed prefix. *)
+let prefix_rejects s () =
+  match Prefix.of_string s with
+  | exception Invalid_argument _ -> ()
+  | p -> Alcotest.failf "%s accepted as %s" s (Prefix.to_string p)
 
 let test_prefix_contains () =
   let p = Prefix.of_string "10.1.2.0/24" in
@@ -445,29 +453,33 @@ let test_routing_table_cache () =
   Alcotest.(check bool) "cached (physical equality)" true (a == b);
   Alcotest.(check int) "one destination cached" 1 (Routing_table.cached_count table)
 
-let test_routing_table_eviction () =
+(* Racing fills of one slot: four domains, released together by a spin
+   barrier, [get] the same destination of a fresh table.  The loser of
+   each publish must return the winner's state, so every racer gets the
+   same physical value. *)
+let test_routing_table_racing_gets () =
   let g = graph () in
-  let table = Routing_table.create ~max_cached:2 g in
-  ignore (Routing_table.get table 1);
-  ignore (Routing_table.get table 2);
-  ignore (Routing_table.get table 3);
-  Alcotest.(check int) "bounded" 2 (Routing_table.cached_count table)
-
-let test_routing_table_lru_refresh () =
-  let g = graph () in
-  (* max_cached 32 -> 16 shards of capacity 2; 1, 17 and 33 share a
-     shard, so inserting 33 must evict that shard's LRU entry. *)
-  let table = Routing_table.create ~max_cached:32 g in
-  let a1 = Routing_table.get table 1 in
-  let a17 = Routing_table.get table 17 in
-  ignore (Routing_table.get table 1);
-  (* hit refreshes 1's recency *)
-  ignore (Routing_table.get table 33);
-  (* shard full: 17 is now least recent *)
-  Alcotest.(check bool) "refreshed entry survives eviction" true
-    (Routing_table.get table 1 == a1);
-  Alcotest.(check bool) "least-recently-used entry was evicted" false
-    (Routing_table.get table 17 == a17)
+  let racers = 4 in
+  for round = 1 to 50 do
+    let table = Routing_table.create g in
+    let d = round * 37 mod As_graph.n g in
+    let arrived = Atomic.make 0 in
+    let racer () =
+      Atomic.incr arrived;
+      while Atomic.get arrived < racers do
+        Domain.cpu_relax ()
+      done;
+      Routing_table.get table d
+    in
+    let results = List.map Domain.join (List.init racers (fun _ -> Domain.spawn racer)) in
+    let first = List.hd results in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: every racer got the same state" round)
+      true
+      (List.for_all (fun r -> r == first) results);
+    Alcotest.(check bool) "later gets return it too" true (Routing_table.get table d == first);
+    Alcotest.(check int) "one slot filled" 1 (Routing_table.cached_count table)
+  done
 
 let test_precompute_parallel_determinism () =
   let g = graph () in
@@ -475,12 +487,8 @@ let test_precompute_parallel_determinism () =
   let dests = Array.init 40 (fun i -> i * n / 40) in
   let serial = Routing_table.create g in
   let parallel = Routing_table.create g in
-  let pool1 = Mifo_util.Parallel.create ~jobs:1 () in
-  let pool4 = Mifo_util.Parallel.create ~jobs:4 () in
-  Routing_table.precompute ~pool:pool1 serial dests;
-  Routing_table.precompute ~pool:pool4 parallel dests;
-  Mifo_util.Parallel.shutdown pool1;
-  Mifo_util.Parallel.shutdown pool4;
+  Jobs.with_jobs 1 (fun () -> Routing_table.precompute serial dests);
+  Jobs.with_jobs 4 (fun () -> Routing_table.precompute parallel dests);
   Array.iter
     (fun d ->
       let rs = Routing_table.get serial d and rp = Routing_table.get parallel d in
@@ -510,6 +518,9 @@ let () =
         [
           Alcotest.test_case "address roundtrip" `Quick test_addr_roundtrip;
           Alcotest.test_case "invalid addresses" `Quick test_addr_invalid;
+          Alcotest.test_case "rejects a hex byte" `Quick (prefix_rejects "0x0a.0.0.1/8");
+          Alcotest.test_case "rejects a '_' in a byte" `Quick (prefix_rejects "1_0.0.0.0/8");
+          Alcotest.test_case "rejects a hex length" `Quick (prefix_rejects "10.0.0.0/0x10");
           Alcotest.test_case "contains" `Quick test_prefix_contains;
           Alcotest.test_case "masks host bits" `Quick test_prefix_masks_host_bits;
           Alcotest.test_case "of_as encoding" `Quick test_of_as;
@@ -546,8 +557,8 @@ let () =
       ( "routing_table",
         [
           Alcotest.test_case "caching" `Quick test_routing_table_cache;
-          Alcotest.test_case "eviction bound" `Quick test_routing_table_eviction;
-          Alcotest.test_case "LRU refresh" `Quick test_routing_table_lru_refresh;
+          Alcotest.test_case "racing gets share one state" `Quick
+            test_routing_table_racing_gets;
           Alcotest.test_case "parallel precompute deterministic" `Quick
             test_precompute_parallel_determinism;
         ] );

@@ -5,9 +5,8 @@ module As_graph = Mifo_topology.As_graph
 module Generator = Mifo_topology.Generator
 module Routing = Mifo_bgp.Routing
 module Bgp_proto = Mifo_bgp.Bgp_proto
-module Lpm_trie = Mifo_bgp.Lpm_trie
+module Lpm_trie = Mifo_oracle.Lpm_trie
 module Prefix = Mifo_bgp.Prefix
-module Prng = Mifo_util.Prng
 
 (* ---------- Bgp_proto ---------- *)
 
@@ -151,39 +150,6 @@ let test_proto_failure_validation () =
   Alcotest.(check int) "nobody black-holed after convergence" 0
     (Bgp_proto.unreachable_count proto)
 
-(* ---------- Prefix_table ---------- *)
-
-let test_prefix_table () =
-  let rng = Prng.create ~seed:77 () in
-  let table = Mifo_bgp.Prefix_table.generate rng ~size:20_000 in
-  Alcotest.(check int) "size" 20_000 (Array.length table);
-  (* distinct prefixes *)
-  let seen = Hashtbl.create 20_000 in
-  Array.iter
-    (fun (p, _) ->
-      let key = (p.Prefix.network, p.Prefix.length) in
-      Alcotest.(check bool) "distinct" false (Hashtbl.mem seen key);
-      Hashtbl.add seen key ())
-    table;
-  (* /24 share near the configured 55% *)
-  let slash24 =
-    Array.fold_left
-      (fun acc (p, _) -> if p.Prefix.length = 24 then acc + 1 else acc)
-      0 table
-  in
-  let share = float_of_int slash24 /. 20_000. in
-  Alcotest.(check bool)
-    (Printf.sprintf "/24 share %.3f within 0.52..0.58" share)
-    true
-    (share > 0.52 && share < 0.58);
-  (* trie loads and answers *)
-  let trie = Mifo_bgp.Prefix_table.load_trie table in
-  Alcotest.(check int) "trie cardinal" 20_000 (Lpm_trie.cardinal trie);
-  let p0, _ = table.(0) in
-  (* a longer prefix may shadow p0's own value; matching anything is enough *)
-  Alcotest.(check bool) "own network matches" true
-    (Lpm_trie.lookup p0.Prefix.network trie <> None)
-
 (* ---------- RIB loop filter ---------- *)
 
 (* Diamond: AS 1 must NOT see a route via its provider 3, because 3's
@@ -317,6 +283,27 @@ let test_csv_series () =
   in
   Alcotest.(check string) "series" "x,y1,y2\n1,2,3\n4,5,6\n" out
 
+(* ---------- Decimal ---------- *)
+
+let test_decimal_accepts () =
+  let check s n = Alcotest.(check (option int)) s (Some n) (Mifo_util.Decimal.of_string_opt s) in
+  check "0" 0;
+  check "7" 7;
+  check "007" 7;
+  check "4294967296" 4294967296;
+  check (string_of_int max_int) max_int
+
+(* Every one of these is an integer to [int_of_string_opt]. *)
+let test_decimal_rejects () =
+  List.iter
+    (fun s ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%S" s) None (Mifo_util.Decimal.of_string_opt s))
+    [ ""; "-5"; "+7"; "0x10"; "0o7"; "0b1"; "1_0"; " 1"; "1 "; "-0x1"; "1e3" ];
+  (* one past [max_int] overflows rather than wrapping *)
+  Alcotest.(check (option int)) "max_int + 1" None
+    (Mifo_util.Decimal.of_string_opt "4611686018427387904")
+
 let () =
   Alcotest.run "mifo_proto"
     [
@@ -333,7 +320,6 @@ let () =
             test_proto_link_failure_reroutes;
           Alcotest.test_case "failure API" `Quick test_proto_failure_validation;
         ] );
-      ("prefix_table", [ Alcotest.test_case "realistic table" `Quick test_prefix_table ]);
       ("loop filter", [ Alcotest.test_case "diamond" `Quick test_rib_loop_filter ]);
       ( "lpm_trie",
         [
@@ -348,5 +334,10 @@ let () =
         [
           Alcotest.test_case "escaping" `Quick test_csv_escaping;
           Alcotest.test_case "series" `Quick test_csv_series;
+        ] );
+      ( "decimal_ints",
+        [
+          Alcotest.test_case "plain digits" `Quick test_decimal_accepts;
+          Alcotest.test_case "rejects what int_of_string reads" `Quick test_decimal_rejects;
         ] );
     ]

@@ -6,7 +6,7 @@ module As_graph = Mifo_topology.As_graph
 module Generator = Mifo_topology.Generator
 module As_rel_io = Mifo_topology.As_rel_io
 module Topo_stats = Mifo_topology.Topo_stats
-module Union_find = Mifo_util.Union_find
+module Union_find = Mifo_oracle.Union_find
 
 (* ---------- Relationship ---------- *)
 
@@ -283,6 +283,19 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Fields [int_of_string] reads but plain decimal does not — a sign, a
+   hex prefix, a '_' separator — and an ASN wider than 32 bits.  Each
+   must be a [Parse_error] at its own line (line 1 is a good link). *)
+let as_rel_rejects bad () =
+  match parse_error ("100|200|-1\n" ^ bad ^ "\n") with
+  | Some (line, _) -> Alcotest.(check int) "offending line" 2 line
+  | None -> Alcotest.failf "%S accepted" bad
+
+let test_as_rel_max_asn () =
+  let loaded = As_rel_io.parse_string "4294967295|0|0\n" in
+  Alcotest.(check (array int)) "largest 32-bit ASN kept" [| 4294967295; 0 |]
+    loaded.As_rel_io.as_number
+
 let test_as_rel_self_loop () =
   match parse_error "1|2|-1\n7|7|-1\n" with
   | Some (line, msg) ->
@@ -448,6 +461,13 @@ let () =
           Alcotest.test_case "self-loop is a parse error" `Quick test_as_rel_self_loop;
           Alcotest.test_case "provider cycle is a parse error" `Quick test_as_rel_provider_cycle;
           Alcotest.test_case "duplicate link is a parse error" `Quick test_as_rel_duplicate;
+          Alcotest.test_case "largest 32-bit ASN parses" `Quick test_as_rel_max_asn;
+          Alcotest.test_case "rejects -5|3|-1" `Quick (as_rel_rejects "-5|3|-1");
+          Alcotest.test_case "rejects 0x10|2|-1" `Quick (as_rel_rejects "0x10|2|-1");
+          Alcotest.test_case "rejects 1_0|2|0" `Quick (as_rel_rejects "1_0|2|0");
+          Alcotest.test_case "rejects +7|2|0" `Quick (as_rel_rejects "+7|2|0");
+          Alcotest.test_case "rejects 1|2|-0x1" `Quick (as_rel_rejects "1|2|-0x1");
+          Alcotest.test_case "rejects 4294967296|1|0" `Quick (as_rel_rejects "4294967296|1|0");
         ] );
       ( "topo_stats",
         [

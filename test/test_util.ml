@@ -6,7 +6,7 @@ module Stats = Mifo_util.Stats
 module Dist = Mifo_util.Dist
 module Heap = Mifo_util.Heap
 module Wheel = Mifo_util.Wheel
-module Union_find = Mifo_util.Union_find
+module Union_find = Mifo_oracle.Union_find
 module Vec = Mifo_util.Vec
 module Table = Mifo_util.Table
 module Obs = Mifo_util.Obs
@@ -696,57 +696,6 @@ let test_set_default_jobs_rejects_nonpositive () =
           (String.length msg > 0))
     [ 0; -1; -100 ]
 
-(* ---------- intset ---------- *)
-
-module Intset = Mifo_util.Intset
-
-let test_intset_basic () =
-  let s = Intset.create () in
-  Alcotest.(check bool) "fresh set is empty" true (Intset.is_empty s);
-  Alcotest.(check int) "fresh cardinal" 0 (Intset.cardinal s);
-  Intset.add s 3;
-  Intset.add s 3;
-  Intset.add s 0;
-  Intset.add s 1000;
-  Alcotest.(check int) "cardinal after idempotent adds" 3 (Intset.cardinal s);
-  Alcotest.(check bool) "mem 3" true (Intset.mem s 3);
-  Alcotest.(check bool) "mem 0" true (Intset.mem s 0);
-  Alcotest.(check bool) "mem 1000" true (Intset.mem s 1000);
-  Alcotest.(check bool) "mem absent" false (Intset.mem s 4);
-  Intset.remove s 3;
-  Intset.remove s 3;
-  Intset.remove s 77;
-  Alcotest.(check bool) "removed key gone" false (Intset.mem s 3);
-  Alcotest.(check int) "cardinal after removes" 2 (Intset.cardinal s);
-  let total = ref 0 in
-  Intset.iter (fun x -> total := !total + x) s;
-  Alcotest.(check int) "iter visits exactly the live keys" 1000 !total;
-  match Intset.add s (-1) with
-  | () -> Alcotest.fail "negative key accepted"
-  | exception Invalid_argument _ -> ()
-
-(* Growth across several doublings, then backward-shift deletion of
-   every other key: the survivors must all stay findable (no tombstone
-   scheme — deletion compacts the probe chains in place). *)
-let test_intset_grow_and_backshift () =
-  let s = Intset.create () in
-  for i = 0 to 499 do
-    Intset.add s (i * 7)
-  done;
-  Alcotest.(check int) "500 keys" 500 (Intset.cardinal s);
-  for i = 0 to 499 do
-    if not (Intset.mem s (i * 7)) then Alcotest.fail "key lost while growing"
-  done;
-  for i = 0 to 499 do
-    if i mod 2 = 0 then Intset.remove s (i * 7)
-  done;
-  Alcotest.(check int) "half left" 250 (Intset.cardinal s);
-  for i = 0 to 499 do
-    if Intset.mem s (i * 7) <> (i mod 2 = 1) then
-      Alcotest.fail "backward-shift deletion corrupted a probe chain"
-  done;
-  Alcotest.(check bool) "still not empty" false (Intset.is_empty s)
-
 let () =
   Alcotest.run "mifo_util"
     [
@@ -763,12 +712,6 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_prng_exponential_mean;
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
-        ] );
-      ( "intset",
-        [
-          Alcotest.test_case "add/mem/remove/iter" `Quick test_intset_basic;
-          Alcotest.test_case "growth + backward-shift deletion" `Quick
-            test_intset_grow_and_backshift;
         ] );
       ( "stats",
         [
