@@ -45,6 +45,11 @@ let of_as asn =
   let net = Int32.logor 0x0A000000l (Int32.of_int (asn lsl 8)) in
   make net 24
 
+let to_as t =
+  if t.length = 24 && Int32.logand t.network 0xFF000000l = 0x0A000000l then
+    Some (Int32.to_int (Int32.shift_right_logical t.network 8) land 0xFFFF)
+  else None
+
 let host_of_as asn i =
   if i < 1 || i > 254 then invalid_arg "Prefix.host_of_as: host index out of range";
   Int32.logor (of_as asn).network (Int32.of_int i)

@@ -34,6 +34,9 @@ val of_as : int -> t
 (** A deterministic /24 for an AS id: the convention used throughout the
     simulators to give every AS an announced prefix. *)
 
+val to_as : t -> int option
+(** The inverse of {!of_as}; [None] for a prefix outside its layout. *)
+
 val host_of_as : int -> int -> addr
 (** [host_of_as asn i] is host [i] (1-based within the /24) inside
     [of_as asn]. *)

@@ -287,12 +287,9 @@ let rib_entry_at t v i =
 
 let rib_array t v = Array.init (rib_size t v) (rib_entry_at t v)
 
-let rib_from t v first =
-  let rec build i acc = if i < first then acc else build (i - 1) (rib_entry_at t v i :: acc) in
+let rib t v =
+  let rec build i acc = if i < 0 then acc else build (i - 1) (rib_entry_at t v i :: acc) in
   build (rib_size t v - 1) []
-
-let rib t v = rib_from t v 0
-let alternatives t v = rib_from t v 1
 
 (* The concrete AS path behind a RIB entry.  A neighbor advertises, to a
    provider or peer, its best customer route; to a customer, its selected

@@ -86,10 +86,6 @@ val rib : t -> int -> rib_entry list
 val rib_array : t -> int -> rib_entry array
 (** The same RIB as a fresh array. *)
 
-val alternatives : t -> int -> rib_entry list
-(** [rib] minus the default entry — exactly the paths MIFO can deflect
-    to.  Allocates, like {!rib}. *)
-
 val rib_size : t -> int -> int
 (** Number of RIB entries at an AS — O(1) and allocation-free (an
     offset subtraction). *)

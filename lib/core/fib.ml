@@ -77,8 +77,12 @@ let flat_create () =
     freed = [];
   }
 
-let create () =
-  { store = Array.init 33 (fun _ -> flat_create ()); len_mask = 0; count = 0; alt_entries = 0 }
+(* Every length starts on this shared, never-written level ([cap] and
+   [a_len] 0 read as empty everywhere); [insert] swaps in a private
+   level on a length's first use.  A 44K router uses one length of 33. *)
+let unused_level = flat_create ()
+
+let create () = { store = Array.make 33 unused_level; len_mask = 0; count = 0; alt_entries = 0 }
 
 let may_deflect t = t.alt_entries > 0
 let size t = t.count
@@ -260,19 +264,21 @@ let flat_remove fl key =
     done;
     had_alt
 
+let[@inline] note_alt_transition t ~had ~has =
+  if had && not has then t.alt_entries <- t.alt_entries - 1
+  else if has && not had then t.alt_entries <- t.alt_entries + 1
+
 let insert t prefix ~out_port ?alt_port () =
   let len = prefix.Prefix.length in
   let key = ikey_of_addr prefix.Prefix.network in
   let alt = match alt_port with None -> -1 | Some p -> p in
+  if t.store.(len) == unused_level then t.store.(len) <- flat_create ();
   let eff = flat_insert t.store.(len) key ~out_port ~alt in
   if eff.created then begin
     t.count <- t.count + 1;
     Obs.add_gauge g_entries 1.
   end;
-  (match (eff.had_alt, eff.has_alt) with
-  | false, true -> t.alt_entries <- t.alt_entries + 1
-  | true, false -> t.alt_entries <- t.alt_entries - 1
-  | _ -> ());
+  note_alt_transition t ~had:eff.had_alt ~has:eff.has_alt;
   t.len_mask <- t.len_mask lor (1 lsl len)
 
 let remove t prefix =
@@ -363,10 +369,6 @@ let alt_count e =
   else 4
 
 let[@inline] deflect_buckets e = e.fl.a_defl.(e.id)
-
-let[@inline] note_alt_transition t ~had ~has =
-  if had && not has then t.alt_entries <- t.alt_entries - 1
-  else if has && not had then t.alt_entries <- t.alt_entries + 1
 
 (* Write the ranked set [ports] (first [n] elements) into the entry's
    slots: negatives are skipped, the rest kept in order, truncated at

@@ -51,6 +51,8 @@ val default_k : unit -> int
     {!max_alts} slots — this only caps how many get used. *)
 
 val create : unit -> t
+(** An empty table.  A prefix length's storage is allocated on its first
+    [insert]: a table holding only /24s carries one level, not 33. *)
 
 val insert : t -> Mifo_bgp.Prefix.t -> out_port:int -> ?alt_port:int -> unit -> unit
 (** Installs or refreshes the entry for a prefix.

@@ -7,14 +7,33 @@ module Fib = Mifo_core.Fib
 module Engine = Mifo_core.Engine
 module Deployment = Mifo_core.Deployment
 
-type t = {
-  sim : Packetsim.t;
-  router_of_as : int array;
-  host_of_as : (int, int) Hashtbl.t;
-}
+type t = { sim : Packetsim.t; router_of_as : int array; host_of_as : int array }
 
-let host t as_id = Hashtbl.find t.host_of_as as_id
+let host t as_id =
+  if as_id < 0 || as_id >= Array.length t.host_of_as || t.host_of_as.(as_id) < 0 then
+    invalid_arg (Printf.sprintf "As_network.host: AS %d has no host" as_id);
+  t.host_of_as.(as_id)
+
 let router t as_id = t.router_of_as.(as_id)
+
+let greedy_chooser table ~as_id:v ~spare ~port prefix entry =
+  let g = Routing_table.graph table in
+  match Prefix.to_as prefix with
+  | Some d when d <> v && d < As_graph.n g ->
+    let rt = Routing_table.get table d in
+    let best = ref (-1) and best_spare = ref neg_infinity in
+    for j = 1 to Routing.rib_size rt v - 1 do
+      let i = As_graph.neighbor_index g v (Routing.rib_via rt v j) in
+      let s = spare i in
+      if s > !best_spare then begin
+        best := i;
+        best_spare := s
+      end
+    done;
+    if !best < 0 then Fib.primary_alts entry
+    else if !best_spare > 0. then [ port !best ]
+    else []
+  | _ -> Fib.primary_alts entry
 
 let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
   let host_rate = match host_rate with Some r -> r | None -> link_rate in
@@ -26,12 +45,13 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
     hosts;
   (* One routing state per host prefix; the computations are independent
      so they fan out across the domain pool before the serial FIB fill. *)
-  Routing_table.precompute table
-    (Array.of_list (List.sort_uniq Int.compare hosts));
+  Routing_table.precompute table (Array.of_list (List.sort_uniq Int.compare hosts));
   let sim = Packetsim.create ?config () in
   let router_of_as = Array.init n (fun v -> Packetsim.add_router sim ~as_id:v) in
-  (* Inter-AS links; remember the egress port of every directed pair. *)
-  let port_of = Hashtbl.create (4 * As_graph.edge_count g) in
+  (* Inter-AS links.  [port_at.(u).(i)] is [u]'s port toward its [i]-th
+     neighbour, parallel to [As_graph.neighbors g u]. *)
+  let port_at = Array.init n (fun u -> Array.make (As_graph.degree g u) (-1)) in
+  let port_to u v = port_at.(u).(As_graph.neighbor_index g u v) in
   ignore
     (As_graph.fold_edges g ~init:()
        ~f:(fun () u v kind ->
@@ -46,79 +66,54 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
              ~kind_ba:(Engine.Ebgp { neighbor_as = u; rel = rel_vu })
              ~rate:link_rate ()
          in
-         Hashtbl.replace port_of (u, v) pu;
-         Hashtbl.replace port_of (v, u) pv));
+         port_at.(u).(As_graph.neighbor_index g u v) <- pu;
+         port_at.(v).(As_graph.neighbor_index g v u) <- pv));
   (* Hosts and their access links. *)
-  let host_of_as = Hashtbl.create (List.length hosts) in
-  let host_port = Hashtbl.create (List.length hosts) in
+  let host_of_as = Array.make n (-1) and host_port = Array.make n (-1) in
   List.iter
     (fun v ->
-      if not (Hashtbl.mem host_of_as v) then begin
+      if host_of_as.(v) < 0 then begin
         let h = Packetsim.add_host sim ~addr:(Prefix.host_of_as v 1) in
         let _, router_side =
           Packetsim.connect sim ~a:h ~b:router_of_as.(v) ~kind_ab:Engine.Local
             ~kind_ba:Engine.Local ~rate:host_rate ()
         in
-        Hashtbl.replace host_of_as v h;
-        Hashtbl.replace host_port v router_side
+        host_of_as.(v) <- h;
+        host_port.(v) <- router_side
       end)
     hosts;
   (* FIBs: one entry per host prefix in every router, from the analytic
-     routing; alternatives live on MIFO-capable ASes and are refreshed by
-     the per-router daemon chooser below. *)
-  let alt_candidates = Hashtbl.create 256 in
-  (* (as, dest) -> candidate (neighbor, port) list, precomputed once *)
-  List.iter
-    (fun d ->
-      let prefix = Prefix.of_as d in
-      let rt = Routing_table.get table d in
-      for v = 0 to n - 1 do
-        let fib = Packetsim.fib sim router_of_as.(v) in
-        if v = d then
-          Fib.insert fib prefix ~out_port:(Hashtbl.find host_port v) ()
-        else begin
-          match Routing.next_hop rt v with
-          | None -> ()
-          | Some nh ->
-            let out_port = Hashtbl.find port_of (v, nh) in
-            if Deployment.capable deployment v then begin
-              let alts =
-                (* RIB alternatives are cells 1 .. of the arena segment *)
-                List.init (Routing.rib_size rt v - 1) (fun j ->
-                    let via = Routing.rib_via rt v (j + 1) in
-                    (via, Hashtbl.find port_of (v, via)))
-              in
-              Hashtbl.replace alt_candidates (v, prefix.Prefix.network) alts;
-              match alts with
-              | (_, first) :: _ -> Fib.insert fib prefix ~out_port ~alt_port:first ()
-              | [] -> Fib.insert fib prefix ~out_port ()
-            end
-            else Fib.insert fib prefix ~out_port ()
-        end
-      done)
-    hosts;
-  (* Daemon choosers: the greedy rule - among the precomputed RIB
-     alternatives, pick the port whose link has the most measured spare
-     capacity.  Legacy ASes keep no alternative. *)
+     routing.  RIB cell 0 is the default next hop and cells 1 .. the
+     alternatives; a MIFO-capable AS starts on the first of them and the
+     daemon chooser below refreshes it.  Router-major, so each FIB takes
+     its entries back to back, still in [hosts] order. *)
+  let dests = Array.of_list hosts in
+  let prefixes = Array.map Prefix.of_as dests in
+  let rts = Array.map (Routing_table.get table) dests in
   for v = 0 to n - 1 do
-    if Deployment.capable deployment v then begin
-      let node = router_of_as.(v) in
-      Packetsim.set_ranked_chooser sim node (fun prefix entry ->
-          match Hashtbl.find_opt alt_candidates (v, prefix.Prefix.network) with
-          | None | Some [] -> Fib.primary_alts entry
-          | Some candidates ->
-            let best = ref None in
-            List.iter
-              (fun (nb, port) ->
-                let s = Packetsim.spare_capacity sim node port in
-                match !best with
-                | Some (_, _, bs) when bs >= s -> ()
-                | _ -> best := Some (nb, port, s))
-              candidates;
-            (match !best with
-             | Some (_, port, s) when s > 0. -> [ port ]
-             | _ -> []))
-    end
+    let fib = Packetsim.fib sim router_of_as.(v) in
+    let capable = Deployment.capable deployment v in
+    for k = 0 to Array.length dests - 1 do
+      let rt = rts.(k) and prefix = prefixes.(k) in
+      let size = Routing.rib_size rt v in
+      if v = dests.(k) then Fib.insert fib prefix ~out_port:host_port.(v) ()
+      else if size > 0 then
+        let out_port = port_to v (Routing.rib_via rt v 0) in
+        if size > 1 && capable then
+          let alt_port = port_to v (Routing.rib_via rt v 1) in
+          Fib.insert fib prefix ~out_port ~alt_port ()
+        else Fib.insert fib prefix ~out_port ()
+    done
+  done;
+  (* Daemon choosers on MIFO-capable ASes; legacy ASes keep no
+     alternative. *)
+  for v = 0 to n - 1 do
+    if Deployment.capable deployment v then
+      let node = router_of_as.(v) and ports = port_at.(v) in
+      Packetsim.set_ranked_chooser sim node
+        (greedy_chooser table ~as_id:v
+           ~spare:(fun i -> Packetsim.spare_capacity sim node ports.(i))
+           ~port:(Array.get ports))
   done;
   { sim; router_of_as; host_of_as }
 

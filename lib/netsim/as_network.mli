@@ -10,12 +10,14 @@
 
     This is how the test suite cross-validates the two simulators, and
     how small AS scenarios (a few dozen ASes) can be studied at packet
-    granularity. *)
+    granularity.  At the paper's 44K scale the build allocates nothing
+    per (AS, destination): ports sit in arrays parallel to the AS graph's
+    neighbour arrays, and the choosers read the routing state. *)
 
 type t = {
   sim : Packetsim.t;
   router_of_as : int array;  (** AS id -> router node id *)
-  host_of_as : (int, int) Hashtbl.t;  (** AS id -> host node id (if any) *)
+  host_of_as : int array;  (** AS id -> host node id, [-1] when it has none *)
 }
 
 val build :
@@ -43,13 +45,22 @@ val build :
 
     @raise Invalid_argument if a listed AS id is out of range. *)
 
+val greedy_chooser :
+  Mifo_bgp.Routing_table.t -> as_id:int -> spare:(int -> float) -> port:(int -> int) ->
+  Mifo_bgp.Prefix.t -> Mifo_core.Fib.entry -> int list
+(** Both builders' daemon chooser at AS [as_id], the greedy rule: over the
+    RIB alternatives toward the entry's destination, at neighbour index
+    [i], the first with the most spare capacity [spare i] gives [[port i]]
+    ([[]] when that is not positive); no alternative keeps
+    {!Mifo_core.Fib.primary_alts}. *)
+
 val host : t -> int -> int
-(** Host node of an AS.  @raise Not_found if the AS has no host. *)
+(** Host node of an AS.  @raise Invalid_argument naming the AS if it has none. *)
 
 val router : t -> int -> int
 
 val add_transfer : t -> src_as:int -> dst_as:int -> bytes:int -> start:float -> int
 (** A TCP transfer between the hosts of two ASes; returns the flow id.
-    @raise Not_found if either AS has no host. *)
+    @raise Invalid_argument naming the AS if either AS has no host. *)
 
 val run : ?until:float -> t -> unit

@@ -10,13 +10,13 @@
     border router than the default egress; the daemon then installs an
     iBGP alternative, and a deflection makes the engine tunnel the packet
     with IP-in-IP exactly as in Fig. 2(b) — which is the point of running
-    at this granularity. *)
+    at this granularity.  Ports and choosers are built as in {!As_network}. *)
 
 type t = {
   sim : Packetsim.t;
   expansion : Mifo_topology.Router_level.t;
   node_of_router : int array;  (** router id in the expansion -> sim node *)
-  host_of_as : (int, int) Hashtbl.t;
+  host_of_as : int array;  (** AS id -> host node id, [-1] when it has none *)
 }
 
 val build :
@@ -34,5 +34,9 @@ val build :
     @raise Invalid_argument otherwise, or on out-of-range host ASes. *)
 
 val host : t -> int -> int
+(** As {!As_network.host}, raising the same [Invalid_argument]. *)
+
 val add_transfer : t -> src_as:int -> dst_as:int -> bytes:int -> start:float -> int
+(** As {!As_network.add_transfer}. *)
+
 val run : ?until:float -> t -> unit

@@ -107,20 +107,22 @@ let providers t v = t.providers.(v)
 let peers t v = t.peers.(v)
 let degree t v = Array.length t.neighbors.(v)
 
-let rel t u v =
+let neighbor_index t u v =
   let nbrs = t.neighbors.(u) in
   let rec search lo hi =
-    if lo > hi then None
+    if lo > hi then -1
     else
       let mid = (lo + hi) / 2 in
-      if nbrs.(mid) = v then Some t.rels.(u).(mid)
+      if nbrs.(mid) = v then mid
       else if nbrs.(mid) < v then search (mid + 1) hi
       else search lo (mid - 1)
   in
   search 0 (Array.length nbrs - 1)
 
+let rel t u v =
+  match neighbor_index t u v with -1 -> None | i -> Some t.rels.(u).(i)
+
 let rel_exn t u v = match rel t u v with Some r -> r | None -> raise Not_found
-let is_edge t u v = rel t u v <> None
 let level t v = t.level.(v)
 
 let max_level t = Array.fold_left Stdlib.max 0 t.level

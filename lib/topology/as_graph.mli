@@ -41,14 +41,17 @@ val providers : t -> int -> int array
 val peers : t -> int -> int array
 val degree : t -> int -> int
 
+val neighbor_index : t -> int -> int -> int
+(** [neighbor_index g u v] is the position of [v] in [neighbors g u], or
+    [-1] when not adjacent (and when [u = v]): an index into arrays kept
+    parallel to [neighbors], to key per-adjacency data.  O(log degree). *)
+
 val rel : t -> int -> int -> Relationship.t option
 (** [rel g u v] is the role [v] plays relative to [u], or [None] when the
     ASes are not adjacent.  O(log degree). *)
 
 val rel_exn : t -> int -> int -> Relationship.t
 (** @raise Not_found when not adjacent. *)
-
-val is_edge : t -> int -> int -> bool
 
 val level : t -> int -> int
 (** Depth in the provider hierarchy: 0 for ASes with no provider

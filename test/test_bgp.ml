@@ -51,7 +51,15 @@ let test_of_as () =
   Alcotest.(check string) "10.x.y.0/24 encoding" "10.1.2.0/24" (Prefix.to_string p);
   Alcotest.(check bool) "host inside" true (Prefix.contains p (Prefix.host_of_as 258 1));
   Alcotest.(check bool) "rejects out of range" true
-    (match Prefix.of_as 70_000 with exception Invalid_argument _ -> true | _ -> false)
+    (match Prefix.of_as 70_000 with exception Invalid_argument _ -> true | _ -> false);
+  List.iter
+    (fun asn -> Alcotest.(check (option int)) "to_as inverts of_as" (Some asn)
+        (Prefix.to_as (Prefix.of_as asn)))
+    [ 0; 1; 258; 44_339; 0xFFFF ];
+  List.iter
+    (fun s -> Alcotest.(check (option int)) ("to_as outside the layout: " ^ s) None
+        (Prefix.to_as (Prefix.of_string s)))
+    [ "10.1.2.0/25"; "10.1.0.0/16"; "11.1.2.0/24"; "0.0.0.0/0" ]
 
 (* ---------- Routing on hand-built graphs ---------- *)
 
@@ -91,7 +99,7 @@ let test_gadget_routing () =
   (* each also has two alternative peer routes in its RIB *)
   List.iter
     (fun v ->
-      let alts = Routing.alternatives rt v in
+      let alts = List.tl (Routing.rib rt v) in
       Alcotest.(check int) "two alternatives" 2 (List.length alts);
       List.iter
         (fun (e : Routing.rib_entry) ->
@@ -123,7 +131,7 @@ let test_customer_beats_shorter_peer () =
     (Routing.best_class rt 1 = Some Routing.Customer_route);
   Alcotest.(check (list int)) "long way down" [ 1; 2; 3; 0 ] (Routing.default_path rt 1);
   (* the peer route is still in the RIB as an alternative *)
-  let alts = Routing.alternatives rt 1 in
+  let alts = List.tl (Routing.rib rt 1) in
   Alcotest.(check bool) "peer alternative present" true
     (List.exists (fun (e : Routing.rib_entry) -> e.via = 4 && e.len = 2) alts)
 
@@ -248,8 +256,6 @@ let prop_csr_matches_boxed =
         if Routing.rib csr v <> rb then QCheck2.Test.fail_report "rib lists diverged";
         if Routing.rib_array csr v <> Oracle.rib_array boxed v then
           QCheck2.Test.fail_report "rib arrays diverged";
-        if Routing.alternatives csr v <> (match rb with [] -> [] | _ :: tl -> tl) then
-          QCheck2.Test.fail_report "alternatives diverged";
         if Routing.rib_size csr v <> List.length rb then
           QCheck2.Test.fail_report "rib_size diverged";
         List.iteri

@@ -394,6 +394,32 @@ let test_fib_refresh_without_alt_clears_ramp () =
   Alcotest.(check int) "ramp cleared" 0
     (Fib.deflect_buckets (Option.get (Fib.find fib fib_universe.(3))))
 
+(* Levels are allocated on first insert, and every unused length of
+   every table starts on one shared empty level: filling /24 and /8 in
+   one table must leave a second fresh table empty at every length. *)
+let test_fib_lazy_levels_isolated () =
+  let used = Fib.create () and fresh = Fib.create () in
+  let p24 = Prefix.of_string "10.1.2.0/24" and p8 = Prefix.of_string "10.0.0.0/8" in
+  Fib.insert used p24 ~out_port:1 ~alt_port:2 ();
+  Fib.insert used p8 ~out_port:3 ();
+  Alcotest.(check int) "used: two entries" 2 (Fib.size used);
+  Alcotest.(check bool) "used: may deflect" true (Fib.may_deflect used);
+  Alcotest.(check (option int)) "used: /24 wins the match" (Some 1)
+    (Option.map Fib.out_port (Fib.lookup used (Prefix.addr_of_string "10.1.2.9")));
+  Alcotest.(check int) "fresh: size 0" 0 (Fib.size fresh);
+  Alcotest.(check bool) "fresh: lookup misses" true
+    (Fib.lookup fresh (Prefix.addr_of_string "10.1.2.9") = None);
+  Alcotest.(check bool) "fresh: find misses" true
+    (Fib.find fresh p24 = None && Fib.find fresh p8 = None);
+  Alcotest.(check bool) "fresh: may_deflect false" false (Fib.may_deflect fresh);
+  let visited = ref 0 in
+  Fib.iter fresh (fun _ _ -> incr visited);
+  Alcotest.(check int) "fresh: iter visits nothing" 0 !visited;
+  Alcotest.(check bool) "remove at a never-used length" false
+    (Fib.remove used (Prefix.of_string "10.1.0.0/16"));
+  Alcotest.(check bool) "remove from a fresh table" false (Fib.remove fresh p24);
+  Alcotest.(check int) "used: still two entries" 2 (Fib.size used)
+
 (* ---------- Engine ---------- *)
 
 (* A single-router environment with configurable port kinds and
@@ -1088,6 +1114,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fib_flat_matches_hashed;
           Alcotest.test_case "refresh without an alternative clears the ramp" `Quick
             test_fib_refresh_without_alt_clears_ramp;
+          Alcotest.test_case "lazy levels stay isolated between tables" `Quick
+            test_fib_lazy_levels_isolated;
         ] );
       ( "engine",
         [

@@ -120,6 +120,93 @@ let test_as_network_rejects_bad_host () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* An AS without a host is named in an [Invalid_argument], not a bare
+   [Not_found]. *)
+let check_missing_host name expected f =
+  Alcotest.(check (option string)) name (Some expected)
+    (match f () with exception Invalid_argument msg -> Some msg | _ -> None)
+
+let test_as_network_missing_host () =
+  let table = Routing_table.create (diamond ()) in
+  let net =
+    As_network.build table ~deployment:(Deployment.none ~n:6) ~hosts:[ 0; 4 ] ()
+  in
+  let msg = "As_network.host: AS 1 has no host" in
+  check_missing_host "host" msg (fun () -> As_network.host net 1);
+  check_missing_host "add_transfer" msg (fun () ->
+      As_network.add_transfer net ~src_as:4 ~dst_as:1 ~bytes:1_000 ~start:0.);
+  check_missing_host "out of range" "As_network.host: AS 6 has no host" (fun () ->
+      As_network.host net 6)
+
+(* The port map on a built network: every eBGP port leads to the router
+   of the AS its kind names, and every FIB entry's out port faces the
+   default next hop and its slot-0 alternative the first RIB
+   alternative (legacy ASes: none). *)
+let test_as_network_port_map () =
+  let topo =
+    Generator.generate
+      ~params:
+        {
+          Generator.default_params with
+          Generator.ases = 80;
+          tier1 = 4;
+          content_providers = 2;
+          content_peer_span = (2, 5);
+        }
+      ~seed:11 ()
+  in
+  let g = topo.Generator.graph in
+  let n = As_graph.n g in
+  let table = Routing_table.create g in
+  let deployment = Deployment.fraction ~n ~ratio:0.5 ~seed:3 in
+  let hosts = [ 0; 17; 42; 79 ] in
+  let net = As_network.build table ~deployment ~hosts () in
+  let sim = net.As_network.sim in
+  let facing node p =
+    match Packetsim.port_kind sim node p with
+    | Engine.Ebgp { neighbor_as; _ } -> neighbor_as
+    | Engine.Ibgp _ | Engine.Local -> -1
+  in
+  for v = 0 to n - 1 do
+    let node = As_network.router net v in
+    for p = 0 to Packetsim.port_count sim node - 1 do
+      let nb = facing node p in
+      if nb >= 0 then
+        Alcotest.(check int) "eBGP port lands on the neighbour's router"
+          (As_network.router net nb)
+          (fst (Packetsim.port_peer sim node p))
+    done
+  done;
+  let with_alt = ref 0 in
+  List.iter
+    (fun d ->
+      let rt = Routing_table.get table d in
+      for v = 0 to n - 1 do
+        let node = As_network.router net v in
+        match (Mifo_core.Fib.find (Packetsim.fib sim node) (Prefix.of_as d), v = d) with
+        | None, _ ->
+          Alcotest.(check bool) "no entry only when unreachable" true
+            (Mifo_bgp.Routing.rib_size rt v = 0 && v <> d)
+        | Some e, true ->
+          Alcotest.(check bool) "destination delivers locally" true
+            (Packetsim.port_kind sim node (Mifo_core.Fib.out_port e) = Engine.Local)
+        | Some e, false ->
+          Alcotest.(check int) "out port faces the next hop"
+            (Mifo_bgp.Routing.rib_via rt v 0)
+            (facing node (Mifo_core.Fib.out_port e));
+          let expected_alt =
+            if Deployment.capable deployment v && Mifo_bgp.Routing.rib_size rt v > 1 then
+              Mifo_bgp.Routing.rib_via rt v 1
+            else -1
+          in
+          let alt = Mifo_core.Fib.alt_at e 0 in
+          if alt >= 0 then incr with_alt;
+          Alcotest.(check int) "slot-0 alt faces the first RIB alternative" expected_alt
+            (if alt < 0 then -1 else facing node alt)
+      done)
+    hosts;
+  Alcotest.(check bool) "some entries carry an alternative" true (!with_alt > 0)
+
 (* ---------- Router_level ---------- *)
 
 let test_router_level_structure () =
@@ -203,7 +290,41 @@ let test_router_network_tunnels () =
   (* the alternative egress lives on a different border router, so MIFO
      deflections must ride IP-in-IP across the iBGP mesh *)
   Alcotest.(check bool) "MIFO tunnels over iBGP" true (cm.Packetsim.encapsulated > 0);
-  Alcotest.(check int) "no TTL deaths" 0 cm.Packetsim.dropped_ttl
+  Alcotest.(check int) "no TTL deaths" 0 cm.Packetsim.dropped_ttl;
+
+  (* The MIFO run's fingerprint, recorded while the builder still kept
+     its eBGP ports in a (u, v)-keyed table and precomputed per-entry
+     candidate lists; the neighbour-indexed ports and the choosers that
+     read the routing arena must reproduce it bit for bit. *)
+  let sim = mifo.Router_network.sim in
+  Alcotest.(check int) "MIFO events" 246054 (Packetsim.events_processed sim);
+  Alcotest.(check (array int64)) "MIFO finish times"
+    [| 0x3fc239a1d10f6a74L; 0x3fc1e9bf5471ced9L |]
+    (Array.map
+       (fun (r : Packetsim.flow_result) ->
+         Int64.bits_of_float (Option.value r.finish ~default:Float.nan))
+       (Packetsim.flow_results sim));
+  Alcotest.(check (list (pair int int))) "MIFO path switches" [ (0, 68858); (1, 79187) ]
+    (Packetsim.path_switches sim);
+  Alcotest.(check (list int)) "MIFO counters" [ 20096; 2; 0; 0; 0; 4750; 9500 ]
+    Packetsim.
+      [
+        cm.delivered_packets; cm.dropped_queue; cm.dropped_ttl; cm.dropped_valley;
+        cm.dropped_no_route; cm.encapsulated; cm.deflected;
+      ]
+
+let test_router_network_missing_host () =
+  let g = diamond () in
+  let table = Routing_table.create g in
+  let expansion = Router_level.expand ~seed:5 g ~expand:[ 3 ] in
+  let net =
+    Router_network.build table ~expansion ~deployment:(Deployment.none ~n:6)
+      ~hosts:[ 0; 4 ] ()
+  in
+  let msg = "Router_network.host: AS 1 has no host" in
+  check_missing_host "host" msg (fun () -> Router_network.host net 1);
+  check_missing_host "add_transfer" msg (fun () ->
+      Router_network.add_transfer net ~src_as:1 ~dst_as:0 ~bytes:1_000 ~start:0.)
 
 let test_router_network_rejects_mismatched_graph () =
   let g1 = diamond () in
@@ -230,6 +351,10 @@ let () =
           Alcotest.test_case "tracer reconstructs the path" `Quick
             test_as_network_tracer_reconstructs_path;
           Alcotest.test_case "host validation" `Quick test_as_network_rejects_bad_host;
+          Alcotest.test_case "missing host is an Invalid_argument" `Quick
+            test_as_network_missing_host;
+          Alcotest.test_case "ports and FIB entries face the routing" `Quick
+            test_as_network_port_map;
         ] );
       ( "router_level",
         [
@@ -241,5 +366,7 @@ let () =
         [
           Alcotest.test_case "deflections tunnel over iBGP" `Slow test_router_network_tunnels;
           Alcotest.test_case "graph identity" `Quick test_router_network_rejects_mismatched_graph;
+          Alcotest.test_case "missing host is an Invalid_argument" `Quick
+            test_router_network_missing_host;
         ] );
     ]

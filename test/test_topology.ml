@@ -232,6 +232,46 @@ let prop_generator_valid =
         (As_graph.fold_edges g ~init:() ~f:(fun () u v _ -> ignore (Union_find.union uf u v)));
       Union_find.count_sets uf = 1)
 
+(* [neighbor_index] against the classified neighbour sets: every edge
+   resolves, in both directions, to the position holding the other end;
+   every non-edge and every [u = v] reads -1; and [rel], now built on
+   it, still names the class the edge sits in. *)
+let prop_neighbor_index =
+  QCheck2.Test.make ~name:"as_graph: neighbor_index and rel over generated graphs" ~count:8
+    QCheck2.Gen.(pair (int_range 20 150) (int_range 0 1000))
+    (fun (ases, seed) ->
+      let params =
+        {
+          Generator.default_params with
+          Generator.ases;
+          tier1 = 4;
+          content_providers = 2;
+          content_peer_span = (2, 6);
+        }
+      in
+      let g = (Generator.generate ~params ~seed ()).Generator.graph in
+      let n = As_graph.n g in
+      let class_of u v =
+        if Array.mem v (As_graph.customers g u) then Some Relationship.Customer
+        else if Array.mem v (As_graph.providers g u) then Some Relationship.Provider
+        else if Array.mem v (As_graph.peers g u) then Some Relationship.Peer
+        else None
+      in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        let nbrs = As_graph.neighbors g u in
+        for v = 0 to n - 1 do
+          let i = As_graph.neighbor_index g u v in
+          let expected = class_of u v in
+          (match expected with
+           | Some _ -> if i < 0 || nbrs.(i) <> v then ok := false
+           | None -> if i <> -1 then ok := false);
+          if not (Option.equal Relationship.equal (As_graph.rel g u v) expected) then
+            ok := false
+        done
+      done;
+      !ok)
+
 let test_fig2a_gadget () =
   let g = Generator.fig2a_gadget () in
   Alcotest.(check int) "4 nodes" 4 (As_graph.n g);
@@ -441,6 +481,7 @@ let () =
           Alcotest.test_case "rejects self-loops" `Quick test_graph_rejects_self_loop;
           Alcotest.test_case "fold_edges" `Quick test_fold_edges;
           Alcotest.test_case "path valley-freeness" `Quick test_path_valley_free;
+          QCheck_alcotest.to_alcotest prop_neighbor_index;
         ] );
       ( "generator",
         [
