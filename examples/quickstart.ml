@@ -65,8 +65,8 @@ let () =
             Engine.Ebgp { neighbor_as = 9; rel = Relationship.Peer }
           else Engine.Ebgp { neighbor_as = 8; rel = Relationship.Provider });
       is_congested = (fun p -> p = default_port);
-      next_hop_router = (fun _ -> None);
-      route_to_peer = (fun _ -> None);
+      next_hop_router = (fun _ -> -1);
+      route_to_peer = (fun _ -> -1);
     }
   in
   let packet =

@@ -64,14 +64,17 @@ type env = {
       (** instantaneous congestion signal of an egress port; the paper
           leaves the definition open and uses the tx-queue ratio, as do
           our simulators *)
-  next_hop_router : int -> int option;
-      (** router at the far end of a port, when known ([None] for eBGP /
-          host ports) *)
-  route_to_peer : int -> int option;
+  next_hop_router : int -> int;
+      (** router at the far end of a port, [-1] when there is none (eBGP
+          and host ports) *)
+  route_to_peer : int -> int;
       (** port carrying the iBGP session toward the given router id, used
-          to route in-transit tunnels on their outer header; [None] when
+          to route in-transit tunnels on their outer header; [-1] when
           this router has no session to that peer *)
 }
+(** The callbacks run on every packet, so they return plain ints and
+    preallocated [port_kind]s: a simulator's env allocates nothing per
+    call. *)
 
 type drop_reason = No_route | Valley_violation | Ttl_expired
 
@@ -93,14 +96,51 @@ val forward :
     {!Policy.source_tag}.  [tag_check] (default [true]) disables the
     valley-free check for the loop ablation; [ibgp_encap] (default
     [true]) disables IP-in-IP for the iBGP-cycling ablation of
-    Fig. 2(b). *)
+    Fig. 2(b).
 
-val forward_from :
-  tag_check:bool -> ibgp_encap:bool -> env -> ingress:int -> Packet.t -> action
-(** {!forward} with the ingress port as a plain int ([-1] = locally
-    originated) and both ablation flags mandatory.  Semantically
-    identical; this is the per-hop entry point for simulators, where
-    the option wrappers of {!forward} would be three fresh allocations
-    on every packet. *)
+    A value-level wrapper around {!decide} for tests, examples and
+    tracers: it copies [p] into a fresh {!hdr}, decides, and builds the
+    {!action} with {!action}. *)
+
+(** {1 The in-place entry point}
+
+    What a simulator runs on every packet at every hop.  The packet's
+    forwarding state sits in a small mutable header of immediate fields;
+    {!decide} rewrites it in place (TTL, tag, IP-in-IP outer header),
+    writes the egress into [port]/[default_port] and returns an
+    immediate verdict.  On a warmed FIB, with tracing off, a decision
+    allocates nothing. *)
+
+type hdr = {
+  mutable dst : int;  (** destination address as a {!Fib.key_of_addr} key *)
+  mutable flow : int;
+  mutable ttl : int;
+  mutable tag : bool;  (** the valley-free tag *)
+  mutable outer_src : int;  (** IP-in-IP outer source; [-1] = not encapsulated *)
+  mutable outer_dst : int;  (** IP-in-IP outer destination; [-1] = not encapsulated *)
+  mutable port : int;  (** out: the egress port of a [Forward] *)
+  mutable default_port : int;
+      (** out: the FIB's default egress for the (inner) destination, as in
+          {!Send}; [-1] when the decision involved no FIB entry *)
+}
+
+type verdict =
+  | Forward  (** send out of [port] *)
+  | Drop_no_route
+  | Drop_valley
+  | Drop_ttl  (** the header is left untouched *)
+
+val header : unit -> hdr
+(** A fresh scratch header (unencapsulated). *)
+
+val decide :
+  tag_check:bool -> ibgp_encap:bool -> env -> ingress:int -> hdr -> verdict
+(** Algorithm 1 on one header, in place.  [ingress] is the arrival port,
+    [-1] for locally originated; the flags are {!forward}'s. *)
+
+val action : Packet.t -> hdr -> verdict -> action
+(** The value-level view of a decision: [action p h v] is what
+    {!forward} returns when [p] was loaded into [h] and [decide] then
+    returned [v]. *)
 
 val drop_reason_to_string : drop_reason -> string

@@ -321,23 +321,43 @@ let msb m =
     !r
   end
 
+(* A longest-prefix-match hit packs the matching entry's arena id and
+   prefix length into one int: [id * 64 + len] (lengths fit in 6 bits).
+   It is only valid until the next insert/remove, which is all the
+   forwarding decision needs. *)
+let len_bits = 6
+let len_field = (1 lsl len_bits) - 1
+let key_of_addr = ikey_of_addr
+
+let lpm t key =
+  let m = ref t.len_mask and hit = ref (-1) in
+  while !m <> 0 do
+    let len = msb !m in
+    let fl = t.store.(len) in
+    let i = find_index fl (key land imask.(len)) in
+    if i >= 0 then begin
+      hit := (fl.idx_id.(i) lsl len_bits) lor len;
+      m := 0
+    end
+    else m := !m land lnot (1 lsl len)
+  done;
+  !hit
+
+let[@inline] hit_level t hit = t.store.(hit land len_field)
+let[@inline] hit_id hit = hit lsr len_bits
+let hit_out_port t hit = (hit_level t hit).a_out.(hit_id hit)
+let hit_alt_port t hit = (hit_level t hit).a_alt.(hit_id hit * max_alts)
+let hit_deflect_buckets t hit = (hit_level t hit).a_defl.(hit_id hit)
+
 let find_key t len key =
   let fl = t.store.(len) in
   let i = find_index fl key in
   if i < 0 then None else Some { owner = t; fl; id = fl.idx_id.(i) }
 
 let lookup t addr =
-  let a = ikey_of_addr addr in
-  let rec scan m =
-    if m = 0 then None
-    else begin
-      let len = msb m in
-      match find_key t len (a land imask.(len)) with
-      | Some _ as r -> r
-      | None -> scan (m land lnot (1 lsl len))
-    end
-  in
-  scan t.len_mask
+  match lpm t (ikey_of_addr addr) with
+  | -1 -> None
+  | hit -> Some { owner = t; fl = hit_level t hit; id = hit_id hit }
 
 let find t prefix =
   find_key t prefix.Prefix.length (ikey_of_addr prefix.Prefix.network)
@@ -360,15 +380,22 @@ let[@inline] alt_at e slot =
   if slot < 0 || slot >= max_alts then -1 else e.fl.a_alt.((e.id * max_alts) + slot)
 
 (* Slots are compacted, so the count is the first empty index. *)
-let alt_count e =
-  let a = e.fl.a_alt and base = e.id * max_alts in
+let count_alts a base =
   if a.(base) < 0 then 0
   else if a.(base + 1) < 0 then 1
   else if a.(base + 2) < 0 then 2
   else if a.(base + 3) < 0 then 3
   else 4
 
+let alt_count e = count_alts e.fl.a_alt (e.id * max_alts)
+
 let[@inline] deflect_buckets e = e.fl.a_defl.(e.id)
+
+let hit_alt_count t hit = count_alts (hit_level t hit).a_alt (hit_id hit * max_alts)
+
+let hit_alt_at t hit slot =
+  if slot < 0 || slot >= max_alts then -1
+  else (hit_level t hit).a_alt.((hit_id hit * max_alts) + slot)
 
 (* Write the ranked set [ports] (first [n] elements) into the entry's
    slots: negatives are skipped, the rest kept in order, truncated at

@@ -72,7 +72,36 @@ val remove : t -> Mifo_bgp.Prefix.t -> bool
     {!entry} handles for that prefix become invalid. *)
 
 val lookup : t -> Mifo_bgp.Prefix.addr -> entry option
-(** Longest-prefix match. *)
+(** Longest-prefix match; built on {!lpm}. *)
+
+(** {1 Allocation-free lookup}
+
+    The per-hop forwarding decision runs {!lpm} and reads the matched
+    entry through a {e hit}: a plain int naming the entry, valid until
+    the next {!insert} or {!remove} on the table.  No closure, option or
+    entry view is allocated. *)
+
+val key_of_addr : Mifo_bgp.Prefix.addr -> int
+(** An address as the unsigned 32-bit int key {!lpm} takes. *)
+
+val lpm : t -> int -> int
+(** [lpm t key] is the longest-prefix-match hit for the address [key]
+    (see {!key_of_addr}), or [-1] on a miss. *)
+
+val hit_out_port : t -> int -> int
+(** The default port of a hit's entry; {!out_port}. *)
+
+val hit_alt_port : t -> int -> int
+(** Slot 0 of a hit's ranked set, [-1] for none; {!alt_port_id}. *)
+
+val hit_alt_count : t -> int -> int
+(** {!alt_count} of a hit's entry. *)
+
+val hit_alt_at : t -> int -> int -> int
+(** {!alt_at} of a hit's entry. *)
+
+val hit_deflect_buckets : t -> int -> int
+(** {!deflect_buckets} of a hit's entry. *)
 
 val find : t -> Mifo_bgp.Prefix.t -> entry option
 (** Exact-prefix lookup (the daemon's view). *)

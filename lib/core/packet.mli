@@ -4,8 +4,12 @@
     MIFO state from the paper: the one-bit valley-free tag (Section
     III-A4 — in a real deployment an unused MPLS-label bit or a reserved
     IP-header bit) and an optional IP-in-IP outer header identifying the
-    deflecting iBGP sender (Section III-B).  Packets are immutable;
-    the engine returns updated copies. *)
+    deflecting iBGP sender (Section III-B).
+
+    [t] is the value-level view of a packet, used by the tests, the
+    examples and the simulator's tracer.  The packet simulator itself
+    keeps packets as mutable slots of a flat arena and the engine
+    decides on them in place ({!Engine.decide}). *)
 
 type kind = Data | Ack
 
@@ -43,6 +47,9 @@ val encapsulate : t -> outer_src:int -> outer_dst:int -> t
 val decapsulate : t -> t
 val decrement_ttl : t -> t option
 (** [None] when the TTL reaches zero. *)
+
+val outer_header_bits : int
+(** 160: the minimal 20-byte outer IPv4 header an IP-in-IP tunnel adds. *)
 
 val wire_size_bits : t -> int
 (** [size_bits] plus 160 bits when an outer IP header is present — the

@@ -138,6 +138,19 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000) ?(domains = 1) ~s
          every derivable path, plus FIB/RIB consistency of the built
          network *)
       ("static data-plane verifier clean", Mifo_analysis.Report.ok static_report);
+      (* every packet a host sent is delivered, absorbed as an ACK or a
+         stray, dropped, or still in flight — exactly once *)
+      ( "packet conservation (both legs)",
+        List.for_all
+          (fun net ->
+            let sim = net.As_network.sim in
+            let c = Packetsim.counters sim in
+            Packetsim.originated sim
+            = c.Packetsim.delivered_packets + Packetsim.acks_absorbed sim
+              + Packetsim.strays_absorbed sim + c.Packetsim.dropped_queue
+              + c.Packetsim.dropped_ttl + c.Packetsim.dropped_valley
+              + c.Packetsim.dropped_no_route + Packetsim.in_flight sim)
+          [ pk_bgp; pk_mifo ] );
     ]
   in
   (* per-flow throughput comparison under BGP: packetsim flows were added

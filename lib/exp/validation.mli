@@ -26,7 +26,8 @@ type t = {
           counter deltas around the packet-level runs — e.g. no
           valley-violation drops with the tag-check on, no tunnels in a
           network without iBGP ports, engine drop accounting agreeing
-          with the simulator's own counters.  All [true] on a healthy
+          with the simulator's own counters, packet conservation
+          ({!Mifo_netsim.Packetsim.originated}) on both legs.  All [true] on a healthy
           build; {!render} prints any violation. *)
   static_report : Mifo_analysis.Report.t;
       (** Static data-plane verifier verdict over the scenario's routing

@@ -18,15 +18,19 @@ let alloc_seq t =
   t.next_seq <- s + 1;
   s
 
-let schedule_pre t ~time ~seq payload =
-  if Float.is_nan time || time < 0. then invalid_arg "Eventq.schedule: bad time";
-  Wheel.schedule t.wheel ~time ~seq payload;
+let note_peak t =
   let n = length t in
   if n > t.peak then t.peak <- n
 
+let schedule_at t times i ~seq payload =
+  Wheel.schedule_at t.wheel times i ~seq payload;
+  note_peak t
+
 let schedule t ~time payload =
   let seq = alloc_seq t in
-  schedule_pre t ~time ~seq payload
+  if Float.is_nan time || time < 0. then invalid_arg "Eventq.schedule: bad time";
+  Wheel.schedule t.wheel ~time ~seq payload;
+  note_peak t
 
 let next t =
   match Wheel.pop t.wheel with
@@ -39,12 +43,14 @@ let is_empty t = Wheel.is_empty t.wheel
    allocation per event instead of an option per peek plus a tuple per
    pop.  The popped event's time is read back via {!last_time}. *)
 let pop_before t ~until = Wheel.pop_before t.wheel ~until ~cell:t.last
+let due t ~until = Wheel.due t.wheel ~until
+let take t = Wheel.take t.wheel ~cell:t.last
 let last_time t = t.last.(0)
 let time_cell t = t.last
 
 (* Allocation-free "may this key run ahead of the queue?" test for
    batched callers; true when the queue is empty. *)
-let precedes_head t ~time ~seq = Wheel.precedes t.wheel ~time ~seq
+let precedes_head_at t times i ~seq = Wheel.precedes_at t.wheel times i ~seq
 
 let clear t =
   Wheel.clear t.wheel;

@@ -23,9 +23,12 @@ val alloc_seq : 'a t -> int
     have received from {!schedule}, preserving order equivalence with
     the unbatched schedule-per-event discipline. *)
 
-val schedule_pre : 'a t -> time:float -> seq:int -> 'a -> unit
-(** Schedule under a sequence number claimed earlier with {!alloc_seq}
-    (or carried over when re-scheduling); does not advance the counter.
+val schedule_at : 'a t -> float array -> int -> seq:int -> 'a -> unit
+(** Schedule at time [times.(i)] under a sequence number claimed earlier
+    with {!alloc_seq} (or carried over when re-scheduling); does not
+    advance the counter.  The time is read out of a flat float array, so
+    a caller that keeps its times there (the packet arena) schedules
+    without boxing a float.
     @raise Invalid_argument on NaN or negative time. *)
 
 val next : 'a t -> (float * 'a) option
@@ -34,7 +37,15 @@ val pop_before : 'a t -> until:float -> 'a option
 (** Pop the next event only if its time is [<= until]; the popped
     event's time is available from {!last_time}.  Fuses peek, the
     horizon check, and pop into one call with a single [Some]
-    allocation — the dispatch-loop fast path. *)
+    allocation; {!due} and {!take} avoid even that. *)
+
+val due : 'a t -> until:float -> bool
+(** Whether an event is pending at or before [until]. *)
+
+val take : 'a t -> 'a
+(** Pop the head event and write its time into {!time_cell}; call only
+    after {!due} returned [true].  Together they are {!pop_before}
+    without the [Some] — the dispatch loop's allocation-free pop. *)
 
 val last_time : 'a t -> float
 (** Time of the event returned by the last successful {!pop_before}
@@ -47,10 +58,10 @@ val time_cell : 'a t -> float array
     of it — without flambda, {!last_time}'s float return would be boxed
     on every event. *)
 
-val precedes_head : 'a t -> time:float -> seq:int -> bool
-(** Whether [(time, seq)] strictly precedes the queue head's key (true
-    on an empty queue), without allocating.  Lets a caller holding a
-    batch of keyed work (a packet train) test if its next element is
+val precedes_head_at : 'a t -> float array -> int -> seq:int -> bool
+(** Whether [(times.(i), seq)] strictly precedes the queue head's key
+    (true on an empty queue), without allocating.  Lets a caller holding
+    a batch of keyed work (a packet train) test if its next element is
     still globally next. *)
 
 val is_empty : 'a t -> bool

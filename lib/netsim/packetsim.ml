@@ -49,11 +49,13 @@ type link = {
   mutable carried_at_epoch : float;  (* snapshot at last daemon tick *)
 }
 
-(* [event] is defined up here so each port can cache its own [Train]
-   event: trains re-enter the queue every time they are preempted, and
-   the event payload is identical each time. *)
+(* Packets are simulator-owned slots of a per-exec arena (see [arena]
+   below); events and train elements carry a slot's int handle.  A
+   host writes a slot once when it sends, every hop then updates it in
+   place, and the slot is freed when the packet is absorbed at a host
+   or dropped. *)
 type event =
-  | Arrive of { node : node_id; port : int; packet : Packet.t }
+  | Arrive of { node : node_id; port : int; pkt : int }
   | Train of { node : node_id; port : int }
       (* the pending departures of [port] on [node]; keyed in the queue
          by the head element's (time, seq) *)
@@ -67,26 +69,27 @@ type port = {
   peer : node_id;
   peer_port : int;
   kind : Engine.port_kind;
-  (* Per-link packet train: in-flight departures on this port, FIFO and
-     therefore sorted by (arrival time, queue seq) — serialization keeps
-     per-link arrival times non-decreasing and seqs are allocated in
-     append order.  The event queue holds at most ONE entry per port
+  (* Per-link packet train: in-flight departures on this port, an
+     intrusive FIFO of arena slots linked through their [f_next] field,
+     and therefore sorted by (arrival time, queue seq) — serialization
+     keeps per-link arrival times non-decreasing and seqs are allocated
+     in append order.  The event queue holds at most ONE entry per port
      ([tr_live]), keyed by the head element, instead of one per packet;
      see [train_drain]. *)
-  tr_time : float Vec.t;
-  tr_seq : int Vec.t;
-  tr_pkt : Packet.t Vec.t;
-  mutable tr_head : int;
+  mutable tr_head : int;  (* -1 = empty *)
+  mutable tr_tail : int;
   mutable tr_live : bool;
-  tr_ev : event;  (* this port's [Train], allocated once *)
+  mutable tr_ev : event option;
+      (* this port's [Train] event, allocated on its first transmit so
+         that building a network allocates no train state *)
 }
 
 type flow_rec = {
   id : int;
   src_host : node_id;
   dst_host : node_id;
-  src_addr : Prefix.addr;
-  dst_addr : Prefix.addr;
+  src_key : int;  (* endpoint addresses as arena keys ([Fib.key_of_addr]) *)
+  dst_key : int;
   bytes : int;
   start : float;
   mutable finish : float option;
@@ -101,15 +104,20 @@ type sender = {
          rule disables the RTT sample).  A flat array instead of an
          (int, float) Hashtbl: seq ids are dense 0..total-1, and this
          sits on the per-segment hot path. *)
-  (* Lazy RTO timer.  Re-arming on every ACK used to schedule a fresh
-     Timeout event each time, leaving a trail of dead events in the
-     queue (one per ACK, each living a full RTO).  Instead the logical
-     deadline is just recorded here, and a queue event exists only for
-     the earliest outstanding fire time [t_min]; an event firing before
-     [t_deadline] is stale and re-schedules itself at the deadline.  The
-     timeout still takes effect at exactly the eager scheme's time: the
-     deadline of the latest arm. *)
   mutable t_gen : int;  (* Tcp timer generation of the latest arm *)
+  timer : rto_timer;
+}
+
+(* Lazy RTO timer.  Re-arming on every ACK used to schedule a fresh
+   Timeout event each time, leaving a trail of dead events in the queue
+   (one per ACK, each living a full RTO).  Instead the logical deadline
+   is just recorded here, and a queue event exists only for the
+   earliest outstanding fire time [t_min]; an event firing before
+   [t_deadline] is stale and re-schedules itself at the deadline.  The
+   timeout still takes effect at exactly the eager scheme's time: the
+   deadline of the latest arm.  All-float, so the per-ACK stores are
+   flat rather than fresh boxed floats. *)
+and rto_timer = {
   mutable t_deadline : float;  (* logical fire time; infinity = unarmed *)
   mutable t_min : float;  (* earliest queued Timeout; infinity = none *)
 }
@@ -127,11 +135,12 @@ type router = {
          without one the tick keeps each entry's slot-0 alternative *)
   last_egress : int Vec.t;  (* flow -> last egress port; -1 = none yet *)
   switches : int Vec.t;  (* flow -> egress change count *)
-  ibgp_peers : (int, int) Hashtbl.t;
-      (* peer router (node id named in the port's Ibgp kind) -> local
-         port carrying that session; the engine's route_to_peer.  Stays
-         a hashtable: consulted only on encapsulation decisions, keyed
-         by sparse node ids. *)
+  ibgp_peer : int Vec.t;
+  ibgp_port : int Vec.t;
+      (* parallel: peer router (node id named in the port's Ibgp kind)
+         -> local port carrying that session; the engine's
+         route_to_peer.  A linear scan: a router has one session per
+         router of its AS, and the lookup must not allocate. *)
 }
 
 (* Open-loop (UDP-style) source: the testbed's line-rate probe traffic.
@@ -148,6 +157,7 @@ type udp_sender = {
 
 type host = {
   addr : Prefix.addr;
+  key : int;  (* [addr] as an arena key *)
   senders : sender option Vec.t;  (* flow id -> sender, on the src host *)
   receivers : Tcp.Receiver.t option Vec.t;  (* flow id -> receiver, dst host *)
   udp_tx : udp_sender option Vec.t;  (* flow id -> UDP source, src host *)
@@ -169,6 +179,86 @@ type counters = {
   deflected : int;
 }
 
+(* The packet arena: [stride] ints per slot in [hdr] plus the slot's
+   arrival time at the far end of its current link in [time].  Free
+   slots form a list through [f_next]; the arena only grows, so its
+   capacity is the peak number of packets in flight. *)
+let f_src = 0 (* source address key *)
+let f_dst = 1 (* destination address key *)
+let f_flow = 2
+let f_seq = 3
+let f_ksz = 4 (* [size_bits lsl 1], [lor 1] for an ACK *)
+let f_ttl = 5
+let f_tag = 6 (* valley-free tag, 0/1 *)
+let f_osrc = 7 (* IP-in-IP outer source; -1 = not encapsulated *)
+let f_odst = 8 (* IP-in-IP outer destination; -1 = not encapsulated *)
+let f_qseq = 9 (* queue seq claimed at transmit: the train element's key *)
+let f_next = 10 (* train or free-list link; -1 = end *)
+let stride = 11
+
+(* The header words a boundary packet carries through a mailbox:
+   [f_src .. f_odst]. *)
+let header_words = f_odst + 1
+
+type arena = {
+  mutable hdr : int array;
+  mutable time : float array;
+  mutable free : int;  (* free-list head; -1 = arena full *)
+  mutable live : int;  (* slots in use: packets in flight in this exec *)
+}
+
+let arena_create () = { hdr = [||]; time = [||]; free = -1; live = 0 }
+
+let[@inline] get a h f = a.hdr.((h * stride) + f)
+let[@inline] set a h f v = a.hdr.((h * stride) + f) <- v
+
+let arena_grow a =
+  let cap = Array.length a.time in
+  let ncap = Stdlib.max 64 (2 * cap) in
+  let hdr = Array.make (ncap * stride) (-1) in
+  Array.blit a.hdr 0 hdr 0 (cap * stride);
+  let time = Array.make ncap 0. in
+  Array.blit a.time 0 time 0 cap;
+  for h = cap to ncap - 2 do
+    hdr.((h * stride) + f_next) <- h + 1
+  done;
+  a.hdr <- hdr;
+  a.time <- time;
+  a.free <- cap
+
+let slot_alloc a =
+  if a.free < 0 then arena_grow a;
+  let h = a.free in
+  a.free <- get a h f_next;
+  a.live <- a.live + 1;
+  h
+
+let slot_free a h =
+  set a h f_next a.free;
+  a.free <- h;
+  a.live <- a.live - 1
+
+let[@inline] wire_bits a h =
+  (get a h f_ksz lsr 1) + if get a h f_odst >= 0 then Packet.outer_header_bits else 0
+
+(* The value-level view of a slot, for the tracer. *)
+let packet_view a h =
+  let odst = get a h f_odst in
+  let ksz = get a h f_ksz in
+  {
+    Packet.src = Int32.of_int (get a h f_src);
+    dst = Int32.of_int (get a h f_dst);
+    flow = get a h f_flow;
+    seq = get a h f_seq;
+    kind = (if ksz land 1 = 1 then Packet.Ack else Packet.Data);
+    size_bits = ksz lsr 1;
+    ttl = get a h f_ttl;
+    vf_tag = get a h f_tag = 1;
+    encap =
+      (if odst < 0 then None
+       else Some { Packet.outer_src = get a h f_osrc; outer_dst = odst });
+  }
+
 (* One event-loop execution context.  The serial engine is the
    singleton case ([execs = [|e0|]]); a sharded run owns one [exec] per
    shard, each with its own queue, clock, scratch counters and goodput
@@ -178,6 +268,8 @@ type counters = {
 type exec = {
   eshard : int;
   xq : event Eventq.t;
+  arena : arena;  (* the packets this exec owns *)
+  x_hdr : Engine.hdr;  (* scratch header the engine decides on *)
   xclk : float array;
       (* the shard clock IS its event queue's {!Eventq.time_cell}:
          every successful pop writes the popped time into [xclk.(0)]
@@ -191,6 +283,11 @@ type exec = {
   mutable x_drop_no_route : int;
   mutable x_encapsulated : int;
   mutable x_deflected : int;
+  mutable x_originated : int;  (* slots written by a sending host *)
+  mutable x_acks : int;  (* ACKs absorbed at their sender *)
+  mutable x_stray : int;
+      (* packets absorbed at a host that has no use for them: data for
+         a flow with no receiver there, an ACK for an unknown sender *)
   x_goodput : int Vec.t;
       (* delivered bits per series_interval bucket.  Integer on purpose:
          bit counts are exact integers far below 2^53, so summing the
@@ -216,7 +313,10 @@ type mailbox = {
   mb_seq : int Vec.t;  (* seq claimed from the source shard's queue *)
   mb_node : int Vec.t;
   mb_port : int Vec.t;
-  mb_pkt : Packet.t Vec.t;
+  mb_hdr : int Vec.t;
+      (* the packet's header words, [header_words] per packet: the
+         source frees its slot and the destination allocates one at the
+         barrier *)
 }
 
 type t = {
@@ -237,6 +337,7 @@ type t = {
   mutable last_epoch_time : float;
   mutable on_complete : (int -> unit) option;
   mutable tracer : (float -> int -> Packet.t -> Engine.action -> unit) option;
+      (* the view a tracer gets is built only when one is installed *)
 }
 
 let make_exec eshard =
@@ -244,6 +345,8 @@ let make_exec eshard =
   {
     eshard;
     xq;
+    arena = arena_create ();
+    x_hdr = Engine.header ();
     xclk = Eventq.time_cell xq;
     x_events = 0;
     x_delivered = 0;
@@ -253,6 +356,9 @@ let make_exec eshard =
     x_drop_no_route = 0;
     x_encapsulated = 0;
     x_deflected = 0;
+    x_originated = 0;
+    x_acks = 0;
+    x_stray = 0;
     x_goodput = Vec.create ();
     x_batch = Array.make 129 0;
     x_done_t = Vec.create ();
@@ -266,7 +372,7 @@ let make_mailbox () =
     mb_seq = Vec.create ();
     mb_node = Vec.create ();
     mb_port = Vec.create ();
-    mb_pkt = Vec.create ();
+    mb_hdr = Vec.create ();
   }
 
 let create ?(config = default_config) () =
@@ -333,10 +439,10 @@ let g_levels =
   Array.init Mifo_util.Wheel.levels (fun l ->
       Obs.gauge (Printf.sprintf "eventq.wheel.level%d.occupancy" l))
 
-(* Train memory footprint, sampled at daemon ticks: [resident] is the
-   backing capacity currently held across every port's train vecs,
-   [peak] its high-water mark.  The spread shows {!Mifo_util.Vec.trim}
-   releasing a deep backlog's arrays once the backlog drains. *)
+(* Packets in flight, sampled at daemon ticks: [resident] is the number
+   of live arena slots across every exec (queued on a link or in a
+   train), [peak] its high-water mark — what the arena's capacity
+   follows. *)
 let g_train_resident = Obs.gauge "packetsim.train.resident_elems"
 let g_train_peak = Obs.gauge "packetsim.train.peak_elems"
 
@@ -354,7 +460,8 @@ let add_router t ~as_id =
       chooser = None;
       last_egress = Vec.create ();
       switches = Vec.create ();
-      ibgp_peers = Hashtbl.create 8;
+      ibgp_peer = Vec.create ();
+      ibgp_port = Vec.create ();
     }
   in
   Vec.push t.nodes { kind = Router r; ports = Vec.create () };
@@ -364,6 +471,7 @@ let add_host t ~addr =
   let h =
     {
       addr;
+      key = Fib.key_of_addr addr;
       senders = Vec.create ();
       receivers = Vec.create ();
       udp_tx = Vec.create ();
@@ -385,6 +493,29 @@ let host_exn t id =
   | Host h -> h
   | Router _ -> invalid_arg "Packetsim: expected a host"
 
+(* Position of [peer] in router [r]'s iBGP session list, or its length
+   when there is no session. *)
+let ibgp_index r peer =
+  let n = Vec.length r.ibgp_peer in
+  let i = ref 0 in
+  while !i < n && Vec.get r.ibgp_peer !i <> peer do
+    incr i
+  done;
+  !i
+
+(* Router [r]'s port carrying its iBGP session to [peer], -1 for none. *)
+let ibgp_port r peer =
+  let i = ibgp_index r peer in
+  if i < Vec.length r.ibgp_peer then Vec.get r.ibgp_port i else -1
+
+let set_ibgp_port r peer p =
+  let i = ibgp_index r peer in
+  if i < Vec.length r.ibgp_peer then Vec.set r.ibgp_port i p
+  else begin
+    Vec.push r.ibgp_peer peer;
+    Vec.push r.ibgp_port p
+  end
+
 let connect t ~a ~b ~kind_ab ~kind_ba ~rate ?(delay = 50e-6) ?queue_bits () =
   if rate <= 0. then invalid_arg "Packetsim.connect: rate must be positive";
   let queue_limit = match queue_bits with Some q -> q | None -> t.cfg.queue_bits in
@@ -398,27 +529,16 @@ let connect t ~a ~b ~kind_ab ~kind_ba ~rate ?(delay = 50e-6) ?queue_bits () =
       carried_at_epoch = 0.;
     }
   in
-  let mk_port link self self_port peer peer_port kind =
-    {
-      link;
-      peer;
-      peer_port;
-      kind;
-      tr_time = Vec.create ();
-      tr_seq = Vec.create ();
-      tr_pkt = Vec.create ();
-      tr_head = 0;
-      tr_live = false;
-      tr_ev = Train { node = self; port = self_port };
-    }
+  let mk_port link peer peer_port kind =
+    { link; peer; peer_port; kind; tr_head = -1; tr_tail = -1; tr_live = false; tr_ev = None }
   in
   let na = node t a and nb = node t b in
   let pa = Vec.length na.ports and pb = Vec.length nb.ports in
-  Vec.push na.ports (mk_port (mk ()) a pa b pb kind_ab);
-  Vec.push nb.ports (mk_port (mk ()) b pb a pa kind_ba);
+  Vec.push na.ports (mk_port (mk ()) b pb kind_ab);
+  Vec.push nb.ports (mk_port (mk ()) a pa kind_ba);
   let note_ibgp n kind p =
     match (n.kind, kind) with
-    | Router r, Engine.Ibgp { peer_router } -> Hashtbl.replace r.ibgp_peers peer_router p
+    | Router r, Engine.Ibgp { peer_router } -> set_ibgp_port r peer_router p
     | _ -> ()
   in
   note_ibgp na kind_ab pa;
@@ -434,11 +554,11 @@ let port t id p = Vec.get (node t id).ports p
    next_free.  The clamp is a bare [if], not [Float.max]: an
    out-of-line float call boxes both arguments and the result, and
    this runs several times per simulated hop. *)
-let queue_bits_now (ex : exec) link =
+let[@inline] queue_bits_now (ex : exec) link =
   let b = (link.next_free -. ex.xclk.(0)) *. link.rate in
   if b > 0. then b else 0.
 
-let queue_ratio ex link = queue_bits_now ex link /. link.queue_limit_f
+let[@inline] queue_ratio ex link = queue_bits_now ex link /. link.queue_limit_f
 
 let spare_capacity t id p =
   let link = (port t id p).link in
@@ -455,17 +575,15 @@ let spare_capacity t id p =
    loop on a boxed float, several hundred ns per call at millions of
    events/sec. *)
 let sample_queue_health t =
-  let train_resident = ref 0 in
   for id = 0 to Vec.length t.nodes - 1 do
     let ex = exec_of t id in
     Vec.iter
-      (fun p ->
-        Obs.observe h_queue_ratio (queue_ratio ex p.link);
-        train_resident := !train_resident + Vec.capacity p.tr_time)
+      (fun p -> Obs.observe h_queue_ratio (queue_ratio ex p.link))
       (Vec.get t.nodes id).ports
   done;
-  Obs.set_gauge g_train_resident (float_of_int !train_resident);
-  Obs.max_gauge g_train_peak (float_of_int !train_resident);
+  let live = Array.fold_left (fun acc ex -> acc + ex.arena.live) 0 t.execs in
+  Obs.set_gauge g_train_resident (float_of_int live);
+  Obs.max_gauge g_train_peak (float_of_int live);
   Array.iter
     (fun ex ->
       let bc = ex.x_batch in
@@ -493,28 +611,39 @@ let sample_queue_health t =
   Obs.set_gauge g_ready (float_of_int !ready);
   Array.iteri (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n)) occupancy
 
-(* Transmit a packet out of a node's port: tail-drop FIFO queue, then
-   store-and-forward serialization and propagation.
+(* This port's cached [Train] event. *)
+let train_event pt id p =
+  match pt.tr_ev with
+  | Some ev -> ev
+  | None ->
+    let ev = Train { node = id; port = p } in
+    pt.tr_ev <- Some ev;
+    ev
 
-   With packet trains the arrival is appended to the port's train
-   instead of becoming its own queue entry; the element still claims a
-   queue seq via [alloc_seq] at exactly the point [Eventq.schedule]
-   would have, so the global (time, seq) event order — and therefore
-   the whole simulation — is bit-identical to per-packet scheduling. *)
-let transmit t (ex : exec) src_node p packet =
+(* Transmit packet [h] out of a node's port: tail-drop FIFO queue, then
+   store-and-forward serialization and propagation.  The arrival time
+   goes into the slot's [time] cell, from where the event queue reads
+   it without boxing.
+
+   With packet trains the slot is appended to the port's train instead
+   of becoming its own queue entry; the element still claims a queue
+   seq via [alloc_seq] at exactly the point [Eventq.schedule] would
+   have, so the global (time, seq) event order — and therefore the
+   whole simulation — is bit-identical to per-packet scheduling. *)
+let transmit t (ex : exec) src_node p h =
   let pt = port t src_node p in
   let link = pt.link in
-  let wire = float_of_int (Packet.wire_size_bits packet) in
+  let a = ex.arena in
+  let wire = float_of_int (wire_bits a h) in
   if queue_bits_now ex link +. wire > link.queue_limit_f then begin
     ex.x_drop_queue <- ex.x_drop_queue + 1;
     Obs.incr c_drop_queue;
     if Obs.trace_enabled () then
       Obs.event ~t:ex.xclk.(0) "queue_drop"
         [
-          ("node", Obs.Int src_node);
-          ("port", Obs.Int p);
-          ("flow", Obs.Int packet.Packet.flow);
-        ]
+          ("node", Obs.Int src_node); ("port", Obs.Int p); ("flow", Obs.Int (get a h f_flow));
+        ];
+    slot_free a h
   end
   else begin
     let now = ex.xclk.(0) in
@@ -522,40 +651,44 @@ let transmit t (ex : exec) src_node p packet =
     let done_tx = start +. (wire /. link.rate) in
     link.next_free <- done_tx;
     link.bits_carried <- link.bits_carried +. wire;
-    let arrival = done_tx +. link.delay in
+    a.time.(h) <- done_tx +. link.delay;
+    let seq = Eventq.alloc_seq ex.xq in
     if t.sharded && t.shard_of.(pt.peer) <> ex.eshard then begin
       (* Boundary crossing: the peer's state belongs to another shard,
-         so the arrival parks in the shard-pair mailbox until the next
-         window barrier.  The claimed seq is this shard's schedule
-         order — the mailbox merge sorts on (time, seq, source shard),
-         so two packets the same source sent at the same instant keep
-         their transmit order.  The conservative window guarantees
+         so the packet's header parks in the shard-pair mailbox until
+         the next window barrier, where the destination allocates its
+         slot.  The claimed seq is this shard's schedule order — the
+         mailbox merge sorts on (time, seq, source shard), so two
+         packets the same source sent at the same instant keep their
+         transmit order.  The conservative window guarantees
          [arrival >= window end]: [delay >= lookahead] on every cut
          link, so the destination shard has not simulated past it. *)
-      let seq = Eventq.alloc_seq ex.xq in
       let ns = Array.length t.execs in
       let mb = t.mboxes.((ex.eshard * ns) + t.shard_of.(pt.peer)) in
-      Vec.push mb.mb_time arrival;
+      Vec.push mb.mb_time a.time.(h);
       Vec.push mb.mb_seq seq;
       Vec.push mb.mb_node pt.peer;
       Vec.push mb.mb_port pt.peer_port;
-      Vec.push mb.mb_pkt packet
+      for f = 0 to header_words - 1 do
+        Vec.push mb.mb_hdr (get a h f)
+      done;
+      slot_free a h
     end
     else if t.cfg.packet_trains then begin
-      let seq = Eventq.alloc_seq ex.xq in
-      Vec.push pt.tr_time arrival;
-      Vec.push pt.tr_seq seq;
-      Vec.push pt.tr_pkt packet;
+      set a h f_qseq seq;
+      set a h f_next (-1);
+      if pt.tr_tail >= 0 then set a pt.tr_tail f_next h else pt.tr_head <- h;
+      pt.tr_tail <- h;
       if not pt.tr_live then begin
         pt.tr_live <- true;
-        Eventq.schedule_pre ex.xq ~time:arrival ~seq pt.tr_ev
+        Eventq.schedule_at ex.xq a.time h ~seq (train_event pt src_node p)
       end
       (* else: the queued entry is keyed by the train's head, whose
          (time, seq) is <= ours — FIFO order per link *)
     end
     else
-      Eventq.schedule ex.xq ~time:arrival
-        (Arrive { node = pt.peer; port = pt.peer_port; packet })
+      Eventq.schedule_at ex.xq a.time h ~seq
+        (Arrive { node = pt.peer; port = pt.peer_port; pkt = h })
   end
 
 let record_goodput t (ex : exec) bits =
@@ -573,8 +706,8 @@ let engine_env t (ex : exec) id r =
     next_hop_router =
       (fun p ->
         let pt = port t id p in
-        match (node t pt.peer).kind with Router _ -> Some pt.peer | Host _ -> None);
-    route_to_peer = (fun peer -> Hashtbl.find_opt r.ibgp_peers peer);
+        match (node t pt.peer).kind with Router _ -> pt.peer | Host _ -> -1);
+    route_to_peer = (fun peer -> ibgp_port r peer);
   }
 
 let note_egress r flow p =
@@ -588,7 +721,10 @@ let note_egress r flow p =
     end
   end
 
-let handle_router t (ex : exec) id r ~port:ingress packet =
+(* One router hop of packet [h]: load its header into the exec's
+   scratch [Engine.hdr], decide in place, write the rewritten fields
+   back and send it on — or count the drop and free the slot. *)
+let handle_router t (ex : exec) id r ~port:ingress h =
   let env =
     match r.r_env with
     | Some env -> env
@@ -599,38 +735,78 @@ let handle_router t (ex : exec) id r ~port:ingress packet =
       r.r_env <- Some env;
       env
   in
-  let action =
-    Engine.forward_from ~tag_check:t.cfg.tag_check ~ibgp_encap:t.cfg.ibgp_encap env
-      ~ingress packet
+  let a = ex.arena and hd = ex.x_hdr in
+  hd.Engine.dst <- get a h f_dst;
+  hd.flow <- get a h f_flow;
+  hd.ttl <- get a h f_ttl;
+  hd.tag <- get a h f_tag = 1;
+  hd.outer_src <- get a h f_osrc;
+  hd.outer_dst <- get a h f_odst;
+  let was_encap = hd.outer_dst >= 0 in
+  let tag_check = t.cfg.tag_check and ibgp_encap = t.cfg.ibgp_encap in
+  let verdict =
+    match t.tracer with
+    | None -> Engine.decide ~tag_check ~ibgp_encap env ~ingress hd
+    | Some f ->
+      let view = packet_view a h in
+      let v = Engine.decide ~tag_check ~ibgp_encap env ~ingress hd in
+      f ex.xclk.(0) id view (Engine.action view hd v);
+      v
   in
-  (match t.tracer with Some f -> f ex.xclk.(0) id packet action | None -> ());
-  match action with
-  | Engine.Drop { reason = Engine.Ttl_expired; _ } ->
+  match verdict with
+  | Engine.Drop_ttl ->
     ex.x_drop_ttl <- ex.x_drop_ttl + 1;
-    Obs.incr c_drop_ttl
-  | Engine.Drop { reason = Engine.Valley_violation; _ } ->
+    Obs.incr c_drop_ttl;
+    slot_free a h
+  | Engine.Drop_valley ->
     ex.x_drop_valley <- ex.x_drop_valley + 1;
-    Obs.incr c_drop_valley
-  | Engine.Drop { reason = Engine.No_route; _ } ->
+    Obs.incr c_drop_valley;
+    slot_free a h
+  | Engine.Drop_no_route ->
     ex.x_drop_no_route <- ex.x_drop_no_route + 1;
-    Obs.incr c_drop_no_route
-  | Engine.Send { port = out; packet = packet'; default_port } ->
+    Obs.incr c_drop_no_route;
+    slot_free a h
+  | Engine.Forward ->
+    set a h f_ttl hd.ttl;
+    set a h f_tag (if hd.tag then 1 else 0);
+    set a h f_osrc hd.outer_src;
+    set a h f_odst hd.outer_dst;
+    let out = hd.port and default_port = hd.default_port in
     (* A packet that arrived encapsulated and leaves still encapsulated
        is an in-transit tunnel routed on its outer header — not a
        deflection decision of this router.  [default_port] is the FIB
        default the engine already looked up ([-1] when it routed without
        one), so deflection accounting costs no second lookup. *)
-    let in_transit = packet.Packet.encap <> None && packet'.Packet.encap <> None in
-    if default_port >= 0 && out <> default_port && not in_transit then begin
+    let now_encap = hd.outer_dst >= 0 in
+    if default_port >= 0 && out <> default_port && not (was_encap && now_encap) then begin
       ex.x_deflected <- ex.x_deflected + 1;
       Obs.incr c_deflected;
-      if packet'.Packet.encap <> None && packet.Packet.encap = None then begin
+      if now_encap && not was_encap then begin
         ex.x_encapsulated <- ex.x_encapsulated + 1;
         Obs.incr c_encapsulated
       end
     end;
-    note_egress r packet'.Packet.flow out;
-    transmit t ex id out packet'
+    note_egress r hd.flow out;
+    transmit t ex id out h
+
+(* A fresh packet from a host: a new arena slot, untagged and
+   unencapsulated. *)
+let originate (ex : exec) ~src ~dst ~flow ~seq ~ksz =
+  let a = ex.arena in
+  let h = slot_alloc a in
+  set a h f_src src;
+  set a h f_dst dst;
+  set a h f_flow flow;
+  set a h f_seq seq;
+  set a h f_ksz ksz;
+  set a h f_ttl Packet.default_ttl;
+  set a h f_tag 0;
+  set a h f_osrc (-1);
+  set a h f_odst (-1);
+  ex.x_originated <- ex.x_originated + 1;
+  h
+
+let data_ksz t = t.cfg.mss_bits lsl 1
 
 (* Host-side TCP machinery.  [arm_timer] is lazy: it moves the logical
    deadline and only touches the event queue when no queued Timeout
@@ -639,37 +815,39 @@ let handle_router t (ex : exec) id r ~port:ingress packet =
    queue ([ex.xq]) and never cross the boundary — the RTO bookkeeping
    below is all shard-private state. *)
 let arm_timer (ex : exec) host_id (s : sender) =
+  let tm = s.timer in
   if Tcp.Sender.timer_needed s.tcp then begin
     let gen = Tcp.Sender.arm_timer s.tcp in
-    let deadline = ex.xclk.(0) +. Tcp.Sender.rto s.tcp in
+    tm.t_deadline <- ex.xclk.(0) +. Tcp.Sender.rto s.tcp;
     s.t_gen <- gen;
-    s.t_deadline <- deadline;
-    if deadline < s.t_min then begin
-      s.t_min <- deadline;
-      Eventq.schedule ex.xq ~time:deadline
+    if tm.t_deadline < tm.t_min then begin
+      tm.t_min <- tm.t_deadline;
+      Eventq.schedule ex.xq ~time:tm.t_deadline
         (Timeout { host = host_id; flow = s.frec.id; gen })
     end
   end
-  else s.t_deadline <- Float.infinity
+  else tm.t_deadline <- Float.infinity
 
 let send_segment t (ex : exec) host_id (s : sender) seq =
   s.send_times.(seq) <-
     (if s.send_times.(seq) = Float.neg_infinity then ex.xclk.(0) else Float.nan);
-  let packet =
-    Packet.make ~kind:Packet.Data ~seq ~size_bits:t.cfg.mss_bits ~src:s.frec.src_addr
-      ~dst:s.frec.dst_addr ~flow:s.frec.id ()
-  in
-  transmit t ex host_id 0 packet
+  let f = s.frec in
+  transmit t ex host_id 0
+    (originate ex ~src:f.src_key ~dst:f.dst_key ~flow:f.id ~seq ~ksz:(data_ksz t))
+
+(* Retransmit what [Tcp.Sender.on_ack]/[on_timeout] asked for.  The
+   empty case is tested first: the partial application below would be
+   a closure allocated on every ACK. *)
+let resend t ex host_id s = function
+  | [] -> ()
+  | rtx -> List.iter (send_segment t ex host_id s) rtx
 
 let pump t (ex : exec) host_id (s : sender) =
-  let rec go () =
-    let seq = Tcp.Sender.next_seq_hot s.tcp in
-    if seq >= 0 then begin
-      send_segment t ex host_id s seq;
-      go ()
-    end
-  in
-  go ();
+  let seq = ref (Tcp.Sender.next_seq_hot s.tcp) in
+  while !seq >= 0 do
+    send_segment t ex host_id s !seq;
+    seq := Tcp.Sender.next_seq_hot s.tcp
+  done;
   arm_timer ex host_id s
 
 let total_segments t bytes = ((bytes * 8) + t.cfg.mss_bits - 1) / t.cfg.mss_bits
@@ -683,8 +861,8 @@ let add_flow t ~src ~dst ~bytes ~start =
       id;
       src_host = src;
       dst_host = dst;
-      src_addr = hs.addr;
-      dst_addr = hd.addr;
+      src_key = hs.key;
+      dst_key = hd.key;
       bytes;
       start;
       finish = None;
@@ -701,8 +879,7 @@ let add_flow t ~src ~dst ~bytes ~start =
          tcp;
          send_times = Array.make total Float.neg_infinity;
          t_gen = 0;
-         t_deadline = Float.infinity;
-         t_min = Float.infinity;
+         timer = { t_deadline = Float.infinity; t_min = Float.infinity };
        });
   Vec.ensure hd.receivers (id + 1) None;
   Vec.set hd.receivers id (Some (Tcp.Receiver.create ()));
@@ -719,8 +896,8 @@ let add_udp_flow t ~src ~dst ~bytes ?(burst = 32) ~start () =
       id;
       src_host = src;
       dst_host = dst;
-      src_addr = hs.addr;
-      dst_addr = hd.addr;
+      src_key = hs.key;
+      dst_key = hd.key;
       bytes;
       start;
       finish = None;
@@ -745,11 +922,9 @@ let emit_burst t (ex : exec) host_id (u : udp_sender) =
   for _ = 1 to n do
     let seq = u.u_next_seg in
     u.u_next_seg <- seq + 1;
-    let packet =
-      Packet.make ~kind:Packet.Data ~seq ~size_bits:t.cfg.mss_bits
-        ~src:u.u_frec.src_addr ~dst:u.u_frec.dst_addr ~flow:u.u_frec.id ()
-    in
-    transmit t ex host_id 0 packet
+    let f = u.u_frec in
+    transmit t ex host_id 0
+      (originate ex ~src:f.src_key ~dst:f.dst_key ~flow:f.id ~seq ~ksz:(data_ksz t))
   done;
   if u.u_next_seg < u.u_total then begin
     (* [next_free] only fails to advance when every segment was
@@ -777,56 +952,60 @@ let finish_flow t (ex : exec) (frec : flow_rec) =
     end
     else f frec.id
 
-let handle_host t (ex : exec) id h ~port:_ packet =
-  match packet.Packet.kind with
-  | Packet.Data -> (
-    match slot h.receivers packet.Packet.flow with
+(* Packet [h] reaches a host, which absorbs it: its slot is freed first
+   (an ACK reply reuses it straight off the free list). *)
+let handle_host t (ex : exec) id hst h =
+  let a = ex.arena in
+  let flow = get a h f_flow and seq = get a h f_seq and ksz = get a h f_ksz in
+  let src = get a h f_src and dst = get a h f_dst in
+  slot_free a h;
+  if ksz land 1 = 0 then begin
+    match slot hst.receivers flow with
     | None ->
       (* no TCP receiver: maybe an open-loop (UDP) sink *)
-      let flow = packet.Packet.flow in
-      let got = if flow < Vec.length h.udp_rx then Vec.get h.udp_rx flow else -1 in
+      let got = if flow < Vec.length hst.udp_rx then Vec.get hst.udp_rx flow else -1 in
       if got >= 0 then begin
         ex.x_delivered <- ex.x_delivered + 1;
         Obs.incr c_delivered;
-        record_goodput t ex packet.Packet.size_bits;
+        record_goodput t ex (ksz lsr 1);
         let got = got + 1 in
-        Vec.set h.udp_rx flow got;
+        Vec.set hst.udp_rx flow got;
         let frec = Vec.get t.flows flow in
         if got = total_segments t frec.bytes then finish_flow t ex frec
       end
+      else ex.x_stray <- ex.x_stray + 1
     | Some rcv ->
       ex.x_delivered <- ex.x_delivered + 1;
       Obs.incr c_delivered;
-      record_goodput t ex packet.Packet.size_bits;
-      let ack = Tcp.Receiver.on_data rcv packet.Packet.seq in
-      let reply =
-        Packet.make ~kind:Packet.Ack ~seq:ack ~size_bits:t.cfg.ack_bits
-          ~src:packet.Packet.dst ~dst:packet.Packet.src ~flow:packet.Packet.flow ()
-      in
-      transmit t ex id 0 reply)
-  | Packet.Ack -> (
-    match slot h.senders packet.Packet.flow with
-    | None -> ()
+      record_goodput t ex (ksz lsr 1);
+      let ack = Tcp.Receiver.on_data rcv seq in
+      transmit t ex id 0
+        (originate ex ~src:dst ~dst:src ~flow ~seq:ack ~ksz:((t.cfg.ack_bits lsl 1) lor 1))
+  end
+  else begin
+    match slot hst.senders flow with
+    | None -> ex.x_stray <- ex.x_stray + 1
     | Some s ->
+      ex.x_acks <- ex.x_acks + 1;
       if s.frec.finish = None then begin
         let before = Tcp.Sender.snd_una s.tcp in
-        let ack = packet.Packet.seq in
+        let ack = seq in
         if ack > before then begin
           (* RTT sample from the newest segment this ACK covers.  Acked
              slots need no cleanup: once cumulative, they are never read
              again.  [neg_infinity] (never sent) and NaN (retransmitted,
-             Karn's rule) both fail [is_finite] and yield no sample. *)
+             Karn's rule) both fail the finiteness test ([t0 -. t0] is
+             NaN for both) and yield no sample. *)
           if ack - 1 < Array.length s.send_times then begin
             let t0 = s.send_times.(ack - 1) in
-            if Float.is_finite t0 then
-              Tcp.Sender.observe_rtt s.tcp (ex.xclk.(0) -. t0)
+            if t0 -. t0 = 0. then Tcp.Sender.observe_rtt s.tcp (ex.xclk.(0) -. t0)
           end
         end;
-        let rtx = Tcp.Sender.on_ack s.tcp packet.Packet.seq in
-        List.iter (send_segment t ex id s) rtx;
+        resend t ex id s (Tcp.Sender.on_ack s.tcp ack);
         if Tcp.Sender.is_done s.tcp then finish_flow t ex s.frec
         else pump t ex id s
-      end)
+      end
+  end
 
 let daemon_tick t ~now =
   for id = 0 to Vec.length t.nodes - 1 do
@@ -858,81 +1037,54 @@ let daemon_tick t ~now =
   done;
   t.last_epoch_time <- now
 
-let deliver t (ex : exec) id p packet =
+let deliver t (ex : exec) id p h =
   match (node t id).kind with
-  | Router r -> handle_router t ex id r ~port:p packet
-  | Host h -> handle_host t ex id h ~port:p packet
+  | Router r -> handle_router t ex id r ~port:p h
+  | Host hst -> handle_host t ex id hst h
 
 (* Drain a port's train.  The head element was just popped by the run
-   loop ([t.clk.(0)] set, counted); each following element is processed
+   loop ([ex.xclk.(0)] set, counted); each following element is processed
    inline as long as it is still globally next — i.e. its (time, seq)
    precedes the event queue's head — skipping a queue round-trip for
    the dominant back-to-back case.  The moment something else (an event
    another handler scheduled, or [until]) preempts, the train goes back
    into the queue keyed by its new head. *)
-(* A drained-empty train releases its backing arrays once they exceed
-   this many elements: a 44K-scale run's transient bufferbloat would
-   otherwise pin its ~600K-entry high-water in every deep port forever.
-   Small trains keep their arrays — re-growing an 8..1K-element array
-   on every idle period would churn for no memory win. *)
-let train_release_capacity = 1024
-
 let train_drain t (ex : exec) id p ~until =
   let pt = port t id p in
+  let a = ex.arena in
   pt.tr_live <- false;
   let batch = ref 0 in
   let continue = ref true in
   while !continue do
     let h = pt.tr_head in
-    let packet = Vec.get pt.tr_pkt h in
-    pt.tr_head <- h + 1;
+    (* unlink before delivering: the host side may free [h] and reuse
+       it for its reply *)
+    let next = get a h f_next in
+    pt.tr_head <- next;
+    if next < 0 then pt.tr_tail <- -1;
     incr batch;
-    deliver t ex pt.peer pt.peer_port packet;
-    if pt.tr_head >= Vec.length pt.tr_time then continue := false
+    deliver t ex pt.peer pt.peer_port h;
+    if next < 0 then continue := false
     else begin
-      let nt = Vec.get pt.tr_time pt.tr_head in
-      let ns = Vec.get pt.tr_seq pt.tr_head in
-      if nt <= until && Eventq.precedes_head ex.xq ~time:nt ~seq:ns then begin
-        ex.xclk.(0) <- nt;
+      let ns = get a next f_qseq in
+      if a.time.(next) <= until && Eventq.precedes_head_at ex.xq a.time next ~seq:ns
+      then begin
+        ex.xclk.(0) <- a.time.(next);
         ex.x_events <- ex.x_events + 1
       end
       else begin
         pt.tr_live <- true;
-        Eventq.schedule_pre ex.xq ~time:nt ~seq:ns pt.tr_ev;
+        Eventq.schedule_at ex.xq a.time next ~seq:ns (train_event pt id p);
         continue := false
       end
     end
   done;
-  (let b = !batch in
-   if b < Array.length ex.x_batch then ex.x_batch.(b) <- ex.x_batch.(b) + 1
-   else Obs.observe h_train_batch (float_of_int b));
-  if pt.tr_head >= Vec.length pt.tr_time then begin
-    Vec.clear pt.tr_time;
-    Vec.clear pt.tr_seq;
-    Vec.clear pt.tr_pkt;
-    pt.tr_head <- 0;
-    if Vec.capacity pt.tr_time >= train_release_capacity then begin
-      Vec.trim pt.tr_time;
-      Vec.trim pt.tr_seq;
-      Vec.trim pt.tr_pkt
-    end
-  end
-  else if pt.tr_head >= 256 && 2 * pt.tr_head >= Vec.length pt.tr_time then begin
-    (* Reclaim the consumed prefix so a long-lived busy port's train
-       stays bounded by its in-flight packets — but only once the
-       consumed prefix is at least half the vector, so each element is
-       moved at most once on average (compacting on a fixed threshold
-       re-blits a deep port's thousands of pending arrivals every 256
-       pops: quadratic exactly in the bufferbloat regime trains are
-       for). *)
-    Vec.drop_prefix pt.tr_time pt.tr_head;
-    Vec.drop_prefix pt.tr_seq pt.tr_head;
-    Vec.drop_prefix pt.tr_pkt pt.tr_head;
-    pt.tr_head <- 0
-  end
+  let b = !batch in
+  if b < Array.length ex.x_batch then ex.x_batch.(b) <- ex.x_batch.(b) + 1
+  else Obs.observe h_train_batch (float_of_int b)
 
 let handle t (ex : exec) = function
-  | Arrive { node = id; port = p; packet } -> deliver t ex id p packet
+  | Arrive { node = id; port = p; pkt } -> deliver t ex id p pkt
   | Train _ -> assert false (* dispatched by the run loop, needs [until] *)
   | Start_flow flow -> (
     let frec = Vec.get t.flows flow in
@@ -953,22 +1105,23 @@ let handle t (ex : exec) = function
     | None -> ()
     | Some s ->
       (* events fire in time order, so this was the earliest queued one *)
-      s.t_min <- Float.infinity;
+      let tm = s.timer in
+      tm.t_min <- Float.infinity;
       if s.frec.finish = None then begin
         let rtx = Tcp.Sender.on_timeout s.tcp ~gen in
         if rtx <> [] then begin
-          List.iter (send_segment t ex host s) rtx;
+          resend t ex host s rtx;
           arm_timer ex host s
         end
         else if
           Tcp.Sender.timer_needed s.tcp
-          && s.t_deadline >= ex.xclk.(0)
-          && s.t_deadline < Float.infinity
-          && s.t_min > s.t_deadline
+          && tm.t_deadline >= ex.xclk.(0)
+          && tm.t_deadline < Float.infinity
+          && tm.t_min > tm.t_deadline
         then begin
           (* stale early fire: keep the logical deadline covered *)
-          s.t_min <- s.t_deadline;
-          Eventq.schedule ex.xq ~time:s.t_deadline
+          tm.t_min <- tm.t_deadline;
+          Eventq.schedule ex.xq ~time:tm.t_deadline
             (Timeout { host; flow; gen = s.t_gen })
         end
       end)
@@ -987,19 +1140,14 @@ let run_serial ?(until = infinity) t =
     t.daemon_scheduled <- true;
     Eventq.schedule ex.xq ~time:t.cfg.daemon_period Daemon_tick
   end;
-  let rec loop () =
-    match Eventq.pop_before ex.xq ~until with
-    | None -> ()
-    | Some ev ->
-      (* the pop already advanced [ex.xclk.(0)] — it is the queue's
-         time cell *)
-      ex.x_events <- ex.x_events + 1;
-      (match ev with
-      | Train { node; port } -> train_drain t ex node port ~until
-      | ev -> handle t ex ev);
-      loop ()
-  in
-  loop ();
+  while Eventq.due ex.xq ~until do
+    (* the take advances [ex.xclk.(0)] — it is the queue's time cell *)
+    let ev = Eventq.take ex.xq in
+    ex.x_events <- ex.x_events + 1;
+    match ev with
+    | Train { node; port } -> train_drain t ex node port ~until
+    | ev -> handle t ex ev
+  done;
   sample_queue_health t
 
 (* ------------------------------------------------------------------ *)
@@ -1139,8 +1287,9 @@ let activate_shards t =
           | Start_flow f | Emit { flow = f } ->
             t.shard_of.((Vec.get t.flows f).src_host)
           | Timeout { host; _ } -> t.shard_of.(host)
-          | Arrive { node; _ } | Train { node; _ } -> t.shard_of.(node)
-          | Daemon_tick -> 0 (* cannot exist before the first run *)
+          | Arrive _ | Train _ | Daemon_tick ->
+            (* no packet or tick exists before the first run *)
+            assert false
         in
         Eventq.schedule execs.(home).xq ~time ev
     done;
@@ -1182,17 +1331,17 @@ let drain_mailboxes t =
             let c = Int.compare sa sb in
             if c <> 0 then c else Int.compare pa pb)
         keys;
-      let xq = t.execs.(d).xq in
+      let dst = t.execs.(d) in
       Array.iter
         (fun (time, _, s, i) ->
           let mb = t.mboxes.((s * ns) + d) in
-          Eventq.schedule xq ~time
-            (Arrive
-               {
-                 node = Vec.get mb.mb_node i;
-                 port = Vec.get mb.mb_port i;
-                 packet = Vec.get mb.mb_pkt i;
-               }))
+          let a = dst.arena in
+          let h = slot_alloc a in
+          for f = 0 to header_words - 1 do
+            set a h f (Vec.get mb.mb_hdr ((i * header_words) + f))
+          done;
+          Eventq.schedule dst.xq ~time
+            (Arrive { node = Vec.get mb.mb_node i; port = Vec.get mb.mb_port i; pkt = h }))
         keys;
       for s = 0 to ns - 1 do
         let mb = t.mboxes.((s * ns) + d) in
@@ -1200,7 +1349,7 @@ let drain_mailboxes t =
         Vec.clear mb.mb_seq;
         Vec.clear mb.mb_node;
         Vec.clear mb.mb_port;
-        Vec.clear mb.mb_pkt
+        Vec.clear mb.mb_hdr
       done
     end
   done
@@ -1252,14 +1401,15 @@ let do_tick t ~now =
    tick barrier marker. *)
 let shard_window t (ex : exec) ~until =
   let continue = ref true in
-  while !continue do
-    match Eventq.pop_before ex.xq ~until with
-    | None -> continue := false
-    | Some (Train { node; port }) ->
+  while !continue && Eventq.due ex.xq ~until do
+    match Eventq.take ex.xq with
+    | Train { node; port } ->
       ex.x_events <- ex.x_events + 1;
       train_drain t ex node port ~until
-    | Some Daemon_tick -> ex.x_hit_tick <- true; continue := false
-    | Some ev ->
+    | Daemon_tick ->
+      ex.x_hit_tick <- true;
+      continue := false
+    | ev ->
       ex.x_events <- ex.x_events + 1;
       handle t ex ev
   done
@@ -1367,6 +1517,19 @@ let counters t =
     }
     t.execs
 
+(* Packet conservation.  Every slot a host originates ends in exactly
+   one place: absorbed at a host (delivered data, an ACK at its sender,
+   or a stray), dropped (one counter per class), or still in flight — a
+   live arena slot or a header parked in a mailbox. *)
+let sum_execs t f = Array.fold_left (fun acc ex -> acc + f ex) 0 t.execs
+let originated t = sum_execs t (fun ex -> ex.x_originated)
+let acks_absorbed t = sum_execs t (fun ex -> ex.x_acks)
+let strays_absorbed t = sum_execs t (fun ex -> ex.x_stray)
+
+let in_flight t =
+  sum_execs t (fun ex -> ex.arena.live)
+  + Array.fold_left (fun acc mb -> acc + Vec.length mb.mb_seq) 0 t.mboxes
+
 let path_switches t =
   let totals = Vec.create () in
   for id = 0 to Vec.length t.nodes - 1 do
@@ -1410,7 +1573,8 @@ let port_peer t id p =
   let pt = port t id p in
   (pt.peer, pt.peer_port)
 
-let ibgp_route t id peer = Hashtbl.find_opt (router_exn t id).ibgp_peers peer
+let ibgp_route t id peer =
+  match ibgp_port (router_exn t id) peer with -1 -> None | p -> Some p
 
 let set_completion_hook t f = t.on_complete <- Some f
 let set_tracer t f = t.tracer <- Some f

@@ -12,7 +12,16 @@
     (otherwise alt ports stay as configured), add flows, then [run].
 
     Everything is deterministic; there is no randomness anywhere in the
-    simulator. *)
+    simulator.
+
+    {b Packets} are simulator-owned slots of a flat arena, one arena per
+    event loop: a host writes a slot once when it sends, every router
+    hop rewrites it in place through {!Mifo_core.Engine.decide}, and the
+    slot is freed when the packet is absorbed at a host or dropped.
+    Events and link trains carry slot handles, so the per-hop path
+    allocates nothing in steady state.  A link's pending departures form
+    its {e train}: an intrusive FIFO through the slots, entered in the
+    event queue once, keyed by its head (see [packet_trains]). *)
 
 type t
 type node_id = int
@@ -177,9 +186,36 @@ type counters = {
 }
 
 val counters : t -> counters
+
 val path_switches : t -> (int * int) list
 (** Per flow id, how many times its egress port changed at some router —
     the testbed view of Fig. 9's switch count. *)
+
+(** {1 Packet conservation}
+
+    Every packet a host originates ends in exactly one place, so at any
+    point of a run (between {!run} calls, or after one)
+    [originated = delivered_packets + acks_absorbed + strays_absorbed
+    + dropped_queue + dropped_ttl + dropped_valley + dropped_no_route
+    + in_flight]. *)
+
+val originated : t -> int
+(** Packets sent by hosts: data segments (first transmissions,
+    retransmissions, UDP) and ACKs. *)
+
+val acks_absorbed : t -> int
+(** ACKs absorbed at the sender of their flow. *)
+
+val strays_absorbed : t -> int
+(** Packets absorbed at a host with no use for them: data for a flow
+    with no receiver or sink there, an ACK for a flow it does not
+    send. *)
+
+val in_flight : t -> int
+(** Packets still in the network: live arena slots (queued on a link,
+    in a train or in an [Arrive] event) plus boundary packets parked in
+    a sharded run's mailboxes. *)
+
 
 (** {1 State export}
 
@@ -219,6 +255,8 @@ val set_tracer :
   t -> (float -> int -> Mifo_core.Packet.t -> Mifo_core.Engine.action -> unit) -> unit
 (** Install a per-hop trace hook: called with (time, router node, packet
     as received, engine action) for every packet a router processes.
-    Used by tests and debugging tools to reconstruct packet paths. *)
+    Used by tests and debugging tools to reconstruct packet paths.  The
+    [Packet.t] and the {!Mifo_core.Engine.action} are built from the
+    arena slot only while a tracer is installed. *)
 
 val clear_tracer : t -> unit

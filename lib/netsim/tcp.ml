@@ -1,15 +1,22 @@
 module Sender = struct
+  (* The float state lives in its own all-float record, stored flat, so
+     the per-ACK updates are in-place stores rather than fresh boxed
+     floats behind a write barrier. *)
+  type floats = {
+    mutable cwnd : float;  (* segments *)
+    mutable ssthresh : float;
+    mutable rto : float;
+    mutable srtt : float;  (* smoothed RTT; negative = no sample yet *)
+    mutable rttvar : float;
+  }
+
   type t = {
     total : int;
     mutable snd_una : int;
     mutable snd_nxt : int;
-    mutable cwnd : float;  (* segments *)
-    mutable ssthresh : float;
     mutable dup : int;
-    mutable rto : float;
     mutable gen : int;
-    mutable srtt : float;  (* smoothed RTT; negative = no sample yet *)
-    mutable rttvar : float;
+    f : floats;
   }
 
   let initial_cwnd = 10.
@@ -17,22 +24,24 @@ module Sender = struct
   let min_rto = 0.005
   let max_rto = 2.0
 
+  (* Float min/max written out: the generic ones go through a
+     polymorphic comparison on boxed arguments. *)
+  let[@inline] fmin (a : float) b = if a <= b then a else b
+  let[@inline] fmax (a : float) b = if a >= b then a else b
+
   let create ~total =
     if total <= 0 then invalid_arg "Tcp.Sender.create: total must be positive";
     {
       total;
       snd_una = 0;
       snd_nxt = 0;
-      cwnd = initial_cwnd;
-      ssthresh = initial_ssthresh;
       dup = 0;
-      rto = 0.05;
       gen = 0;
-      srtt = -1.;
-      rttvar = 0.;
+      f =
+        { cwnd = initial_cwnd; ssthresh = initial_ssthresh; rto = 0.05; srtt = -1.; rttvar = 0. };
     }
 
-  let window t = int_of_float t.cwnd
+  let window t = int_of_float t.f.cwnd
 
   let next_seq_hot t =
     if t.snd_nxt >= t.total then -1
@@ -48,21 +57,22 @@ module Sender = struct
     if seq < 0 then None else Some seq
 
   let on_ack t ack =
+    let f = t.f in
     if ack > t.snd_una then begin
       (* new data acknowledged *)
       t.snd_una <- ack;
       if t.snd_nxt < ack then t.snd_nxt <- ack;
       t.dup <- 0;
-      if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1. (* slow start *)
-      else t.cwnd <- t.cwnd +. (1. /. t.cwnd);
+      if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. 1. (* slow start *)
+      else f.cwnd <- f.cwnd +. (1. /. f.cwnd);
       []
     end
     else if ack = t.snd_una && t.snd_una < t.snd_nxt then begin
       t.dup <- t.dup + 1;
       if t.dup = 3 then begin
         (* fast retransmit / simplified fast recovery *)
-        t.ssthresh <- Stdlib.max 2. (t.cwnd /. 2.);
-        t.cwnd <- t.ssthresh;
+        f.ssthresh <- fmax 2. (f.cwnd /. 2.);
+        f.cwnd <- f.ssthresh;
         t.dup <- 0;
         [ t.snd_una ]
       end
@@ -73,32 +83,32 @@ module Sender = struct
   let on_timeout t ~gen =
     if gen <> t.gen || t.snd_una >= t.total || t.snd_una >= t.snd_nxt then []
     else begin
-      t.ssthresh <- Stdlib.max 2. (t.cwnd /. 2.);
-      t.cwnd <- 1.;
+      let f = t.f in
+      f.ssthresh <- fmax 2. (f.cwnd /. 2.);
+      f.cwnd <- 1.;
       (* go-back-N: the lost head is retransmitted here, everything after
          it will be resent by the window pump as cwnd regrows *)
       t.snd_nxt <- t.snd_una + 1;
       t.dup <- 0;
-      t.rto <- Stdlib.min max_rto (t.rto *. 2.);
+      f.rto <- fmin max_rto (f.rto *. 2.);
       [ t.snd_una ]
     end
 
   (* Jacobson/Karels estimator; the simulator feeds samples for segments
      that were transmitted exactly once (Karn's rule). *)
   let observe_rtt t sample =
+    let f = t.f in
     if sample > 0. then begin
-      if t.srtt < 0. then begin
-        t.srtt <- sample;
-        t.rttvar <- sample /. 2.
+      if f.srtt < 0. then begin
+        f.srtt <- sample;
+        f.rttvar <- sample /. 2.
       end
       else begin
-        let err = sample -. t.srtt in
-        t.srtt <- t.srtt +. (0.125 *. err);
-        t.rttvar <- t.rttvar +. (0.25 *. (Float.abs err -. t.rttvar))
+        let err = sample -. f.srtt in
+        f.srtt <- f.srtt +. (0.125 *. err);
+        f.rttvar <- f.rttvar +. (0.25 *. (Float.abs err -. f.rttvar))
       end;
-      t.rto <-
-        Stdlib.min max_rto
-          (Stdlib.max min_rto (t.srtt +. Stdlib.max (4. *. t.rttvar) 0.004))
+      f.rto <- fmin max_rto (fmax min_rto (f.srtt +. fmax (4. *. f.rttvar) 0.004))
     end
 
   let arm_timer t =
@@ -106,9 +116,9 @@ module Sender = struct
     t.gen
 
   let timer_needed t = t.snd_una < t.snd_nxt
-  let rto t = t.rto
-  let cwnd t = t.cwnd
-  let ssthresh t = t.ssthresh
+  let rto t = t.f.rto
+  let cwnd t = t.f.cwnd
+  let ssthresh t = t.f.ssthresh
   let is_done t = t.snd_una >= t.total
   let snd_una t = t.snd_una
 end

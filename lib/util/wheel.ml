@@ -62,6 +62,10 @@ type 'a t = {
   mutable r_len : int;
   mutable r_cursor : int;
   mutable cascades : int;
+  scratch : float array;
+      (* 1-cell staging slot: [schedule] and [precedes] take a boxed
+         float and hand it to the [_at] workers, which read times out of
+         flat float arrays so their callers never box one *)
 }
 
 let create ?(tick = 1e-6) () =
@@ -88,6 +92,7 @@ let create ?(tick = 1e-6) () =
     r_len = 0;
     r_cursor = 0;
     cascades = 0;
+    scratch = [| 0. |];
   }
 
 let length t = t.count
@@ -129,7 +134,8 @@ let grow_arena t payload =
   t.c_payload <- np;
   t.c_next <- nn
 
-let alloc_cell t time seq tk payload =
+(* A fresh cell keyed by [times.(i)]. *)
+let alloc_cell t times i seq tk payload =
   let c =
     if t.free >= 0 then begin
       let c = t.free in
@@ -143,7 +149,7 @@ let alloc_cell t time seq tk payload =
       c
     end
   in
-  t.c_time.(c) <- time;
+  t.c_time.(c) <- times.(i);
   t.c_seq.(c) <- seq;
   t.c_tick.(c) <- tk;
   t.c_payload.(c) <- payload;
@@ -215,18 +221,21 @@ let grow_run t payload =
   t.r_seq <- ns;
   t.r_payload <- np
 
-(* Insert into the unconsumed suffix [r_cursor, r_len) at the position
-   that keeps it sorted by (time, seq).  The common case — keys arrive
-   in order — appends without searching. *)
-let run_insert t time seq payload =
+(* Whether the key [(times.(i), seq)] sorts after run position [j]. *)
+let[@inline] after_run t times i seq j =
+  let c = Float.compare times.(i) t.r_time.(j) in
+  if c <> 0 then c > 0 else seq > t.r_seq.(j)
+
+(* Insert the key [(times.(i), seq)] into the unconsumed suffix
+   [r_cursor, r_len) at the position that keeps it sorted by
+   (time, seq).  The common case — keys arrive in order — appends
+   without searching.  The time is read out of [times] rather than
+   passed, so no float is boxed on the way in. *)
+let run_insert_at t times i seq payload =
   if t.r_len = Array.length t.r_time then grow_run t payload;
   let len = t.r_len in
-  let after i =
-    let c = Float.compare time t.r_time.(i) in
-    if c <> 0 then c > 0 else seq > t.r_seq.(i)
-  in
-  if len = t.r_cursor || after (len - 1) then begin
-    t.r_time.(len) <- time;
+  if len = t.r_cursor || after_run t times i seq (len - 1) then begin
+    t.r_time.(len) <- times.(i);
     t.r_seq.(len) <- seq;
     t.r_payload.(len) <- payload;
     t.r_len <- len + 1
@@ -235,13 +244,13 @@ let run_insert t time seq payload =
     let lo = ref t.r_cursor and hi = ref len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if after mid then lo := mid + 1 else hi := mid
+      if after_run t times i seq mid then lo := mid + 1 else hi := mid
     done;
     let j = !lo in
     Array.blit t.r_time j t.r_time (j + 1) (len - j);
     Array.blit t.r_seq j t.r_seq (j + 1) (len - j);
     Array.blit t.r_payload j t.r_payload (j + 1) (len - j);
-    t.r_time.(j) <- time;
+    t.r_time.(j) <- times.(i);
     t.r_seq.(j) <- seq;
     t.r_payload.(j) <- payload;
     t.r_len <- len + 1
@@ -252,7 +261,7 @@ let run_insert t time seq payload =
 let place_cell t c =
   let tk = t.c_tick.(c) in
   if tk <= t.cur then begin
-    run_insert t t.c_time.(c) t.c_seq.(c) t.c_payload.(c);
+    run_insert_at t t.c_time c t.c_seq.(c) t.c_payload.(c);
     free_cell t c
   end
   else begin
@@ -261,17 +270,22 @@ let place_cell t c =
     t.level_count.(l) <- t.level_count.(l) + 1
   end
 
-let schedule t ~time ~seq payload =
+let schedule_at t times i ~seq payload =
+  let time = times.(i) in
   if Float.is_nan time || time < 0. then invalid_arg "Wheel.schedule: bad time";
   t.count <- t.count + 1;
   let tk = quantize t time in
-  if tk <= t.cur then run_insert t time seq payload
+  if tk <= t.cur then run_insert_at t times i seq payload
   else begin
-    let c = alloc_cell t time seq tk payload in
+    let c = alloc_cell t times i seq tk payload in
     let l = level_of t tk in
     bucket_push t l ((tk lsr (l * bits)) land mask) c;
     t.level_count.(l) <- t.level_count.(l) + 1
   end
+
+let schedule t ~time ~seq payload =
+  t.scratch.(0) <- time;
+  schedule_at t t.scratch 0 ~seq payload
 
 (* ---- advancing --------------------------------------------------------- *)
 
@@ -300,7 +314,7 @@ let ensure_run t =
         while !c >= 0 do
           let nx = t.c_next.(!c) in
           t.level_count.(0) <- t.level_count.(0) - 1;
-          run_insert t t.c_time.(!c) t.c_seq.(!c) t.c_payload.(!c);
+          run_insert_at t t.c_time !c t.c_seq.(!c) t.c_payload.(!c);
           free_cell t !c;
           c := nx
         done
@@ -338,51 +352,37 @@ let peek t =
   if t.r_cursor >= t.r_len then None
   else Some (t.r_time.(t.r_cursor), t.r_seq.(t.r_cursor))
 
-(* Fused horizon-checked pop for the dispatch loop.  The popped time
-   goes into [cell.(0)] — a flat float-array store — instead of a
-   return value: without flambda, a float returned across a module
-   boundary is boxed, and this runs once per simulation event. *)
-let pop_before t ~until ~cell =
-  if t.count = 0 then None
-  else begin
+(* The dispatch loop's allocation-free pop: [due] positions the run on
+   the head and tests the horizon, [take] pops it and stores its time
+   into [cell.(0)] — a flat float-array store, where a returned float
+   would be boxed on every event. *)
+let due t ~until =
+  t.count > 0
+  && begin
     ensure_run t;
-    let i = t.r_cursor in
-    let time = t.r_time.(i) in
-    if time > until then None
-    else begin
-      t.r_cursor <- i + 1;
-      t.count <- t.count - 1;
-      cell.(0) <- time;
-      Some t.r_payload.(i)
-    end
+    t.r_time.(t.r_cursor) <= until
   end
 
-(* Allocation-free head access for the event-dispatch hot loop.  The
-   [head_*] accessors and [drop] require a nonempty wheel; [ensure_run]
-   is idempotent, so each is safe to call in any order after checking
-   {!is_empty}. *)
-
-let head_time t =
+let take t ~cell =
   ensure_run t;
-  t.r_time.(t.r_cursor)
+  let i = t.r_cursor in
+  t.r_cursor <- i + 1;
+  t.count <- t.count - 1;
+  cell.(0) <- t.r_time.(i);
+  t.r_payload.(i)
 
-let head_payload t =
-  ensure_run t;
-  t.r_payload.(t.r_cursor)
+let pop_before t ~until ~cell = if due t ~until then Some (take t ~cell) else None
 
-let drop t =
-  ensure_run t;
-  if t.r_cursor < t.r_len then begin
-    t.r_cursor <- t.r_cursor + 1;
-    t.count <- t.count - 1
-  end
-
-let precedes t ~time ~seq =
+let precedes_at t times i ~seq =
   ensure_run t;
   t.r_cursor >= t.r_len
   ||
-  let c = Float.compare time t.r_time.(t.r_cursor) in
+  let c = Float.compare times.(i) t.r_time.(t.r_cursor) in
   c < 0 || (c = 0 && seq < t.r_seq.(t.r_cursor))
+
+let precedes t ~time ~seq =
+  t.scratch.(0) <- time;
+  precedes_at t t.scratch 0 ~seq
 
 let clear t =
   Array.fill t.heads 0 (levels * size) (-1);

@@ -47,23 +47,16 @@ val schedule : 'a t -> time:float -> seq:int -> 'a -> unit
     event, increasing in insertion order for FIFO-on-ties semantics).
     @raise Invalid_argument on NaN or negative time. *)
 
+val schedule_at : 'a t -> float array -> int -> seq:int -> 'a -> unit
+(** [schedule_at t times i ~seq p] is [schedule t ~time:times.(i) ~seq p]
+    with the time read out of a flat float array: a caller that keeps
+    its times unboxed (a packet arena) schedules without boxing one. *)
+
 val pop : 'a t -> (float * int * 'a) option
 (** Remove and return the minimum-[(time, seq)] event. *)
 
 val peek : 'a t -> (float * int) option
 (** Key of the next event without removing it. *)
-
-val head_time : 'a t -> float
-(** Time of the next event, without removing it or allocating.
-    Undefined (may raise) on an empty wheel — check {!is_empty} first. *)
-
-val head_payload : 'a t -> 'a
-(** Payload of the next event, same contract as {!head_time}. *)
-
-val drop : 'a t -> unit
-(** Remove the next event without returning it (no-op when empty) — the
-    allocation-free counterpart of {!pop} for callers that already read
-    the head via {!head_time}/{!head_payload}. *)
 
 val pop_before : 'a t -> until:float -> cell:float array -> 'a option
 (** Pop the head event only if its time is [<= until]; on success the
@@ -72,10 +65,21 @@ val pop_before : 'a t -> until:float -> cell:float array -> 'a option
     returned.  [None] when empty or the head is beyond [until].  The
     dispatch-loop fast path: one [Some] is its only allocation. *)
 
+val due : 'a t -> until:float -> bool
+(** Whether the wheel is nonempty and its head's time is [<= until]. *)
+
+val take : 'a t -> cell:float array -> 'a
+(** Pop the head event, writing its time to [cell.(0)]; call only after
+    {!due} (or on a nonempty wheel).  With {!due}, the allocation-free
+    form of {!pop_before}. *)
+
 val precedes : 'a t -> time:float -> seq:int -> bool
 (** Whether [(time, seq)] strictly precedes the wheel's head key (true
     on an empty wheel), without allocating.  Used by batched callers to
     test if an element may be processed ahead of the queue. *)
+
+val precedes_at : 'a t -> float array -> int -> seq:int -> bool
+(** {!precedes} with the time read from [times.(i)], as {!schedule_at}. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -700,6 +700,19 @@ let prop_resilience_matches_full =
       && sweep.Report.stats.Report.failed_links
          = !protectable + sweep.Report.stats.Report.unprotectable_links)
 
+(* [Props.parse_props] answers [Error _] on anything it cannot read —
+   it never raises — and an [Ok] list is nonempty and duplicate-free. *)
+let prop_parse_props_fuzz =
+  QCheck2.Test.make ~name:"parse_props: garbage is an Error, never an exception"
+    ~count:2000 ~print:(Printf.sprintf "%S")
+    (Parser_fuzz.gen ~alphabet:"loopsdelivrychtan, LD_-"
+       ~samples:[ "loops,delivery,stretch,resilience"; "loops"; "stretch,loops,stretch" ])
+    (fun s ->
+      match Props.parse_props s with
+      | Ok props -> props <> [] && List.length (List.sort_uniq compare props) = List.length props
+      | Error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "mifo_analysis"
     [
@@ -732,6 +745,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_delivery_matches_stranding;
           QCheck_alcotest.to_alcotest prop_parallel_matches_serial;
           QCheck_alcotest.to_alcotest prop_resilience_matches_full;
+          QCheck_alcotest.to_alcotest prop_parse_props_fuzz;
         ] );
       ( "net_check",
         [

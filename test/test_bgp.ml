@@ -34,6 +34,18 @@ let prefix_rejects s () =
   | exception Invalid_argument _ -> ()
   | p -> Alcotest.failf "%s accepted as %s" s (Prefix.to_string p)
 
+(* [Prefix.of_string] either returns or raises its documented
+   [Invalid_argument]; nothing else escapes on garbage or truncations. *)
+let prop_prefix_of_string_fuzz =
+  QCheck2.Test.make ~name:"prefix of_string: garbage raises only Invalid_argument"
+    ~count:2000 ~print:(Printf.sprintf "%S")
+    (Parser_fuzz.gen ~alphabet:"0123456789./x_-+ a"
+       ~samples:[ "10.1.2.0/24"; "255.255.255.255/32"; "0.0.0.0/0"; "192.168.0.1/16" ])
+    (fun s ->
+      match Prefix.of_string s with
+      | _ -> true
+      | exception Invalid_argument _ -> true)
+
 let test_prefix_contains () =
   let p = Prefix.of_string "10.1.2.0/24" in
   Alcotest.(check bool) "inside" true (Prefix.contains p (Prefix.addr_of_string "10.1.2.77"));
@@ -527,6 +539,7 @@ let () =
           Alcotest.test_case "rejects a hex byte" `Quick (prefix_rejects "0x0a.0.0.1/8");
           Alcotest.test_case "rejects a '_' in a byte" `Quick (prefix_rejects "1_0.0.0.0/8");
           Alcotest.test_case "rejects a hex length" `Quick (prefix_rejects "10.0.0.0/0x10");
+          QCheck_alcotest.to_alcotest prop_prefix_of_string_fuzz;
           Alcotest.test_case "contains" `Quick test_prefix_contains;
           Alcotest.test_case "masks host bits" `Quick test_prefix_masks_host_bits;
           Alcotest.test_case "of_as encoding" `Quick test_of_as;

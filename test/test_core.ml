@@ -427,7 +427,7 @@ let test_fib_lazy_levels_isolated () =
 let make_env ?(alt_kind = Engine.Ebgp { neighbor_as = 9; rel = Relationship.Peer })
     ?(upstream_kind = Engine.Ebgp { neighbor_as = 8; rel = Relationship.Customer })
     ?(congested = fun _ -> false) ?(deflect_buckets = 0) ?(alt = Some 1)
-    ?(next_hop_router = fun _ -> None) ?(route_to_peer = fun _ -> None) () =
+    ?(next_hop_router = fun _ -> -1) ?(route_to_peer = fun _ -> -1) () =
   let fib = Fib.create () in
   let dst_prefix = Prefix.of_as 2 in
   Fib.insert fib dst_prefix ~out_port:0 ?alt_port:alt ();
@@ -503,7 +503,7 @@ let test_engine_tag_check_drops_tunneled_packet () =
   let env =
     make_env
       ~upstream_kind:(Engine.Ibgp { peer_router = 55 })
-      ~next_hop_router:(fun p -> if p = 0 then Some 55 else None)
+      ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
       ()
   in
   (* arrives tunneled from router 55 with the tag clear; the alternative
@@ -551,7 +551,7 @@ let test_engine_receives_deflected_packet () =
     make_env
       ~alt_kind:(Engine.Ebgp { neighbor_as = 9; rel = Relationship.Customer })
       ~upstream_kind:(Engine.Ibgp { peer_router = 55 })
-      ~next_hop_router:(fun p -> if p = 0 then Some 55 else None)
+      ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
       ()
   in
   let p = Packet.encapsulate (Packet.with_tag (packet ()) true) ~outer_src:55 ~outer_dst:100 in
@@ -580,7 +580,7 @@ let test_engine_transit_tunnel () =
   let env =
     make_env ~deflect_buckets:Fib.buckets
       ~alt_kind:(Engine.Ebgp { neighbor_as = 9; rel = Relationship.Customer })
-      ~route_to_peer:(fun r -> if r = 77 then Some 5 else None)
+      ~route_to_peer:(fun r -> if r = 77 then 5 else -1)
       ()
   in
   let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:77 in
@@ -617,7 +617,7 @@ let test_engine_drop_counters () =
   let env =
     make_env
       ~upstream_kind:(Engine.Ibgp { peer_router = 55 })
-      ~next_hop_router:(fun p -> if p = 0 then Some 55 else None)
+      ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
       ()
   in
   let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:100 in
@@ -724,8 +724,8 @@ let test_engine_local_delivery () =
       fib;
       port_kind = (fun _ -> Engine.Local);
       is_congested = (fun _ -> false);
-      next_hop_router = (fun _ -> None);
-      route_to_peer = (fun _ -> None);
+      next_hop_router = (fun _ -> -1);
+      route_to_peer = (fun _ -> -1);
     }
   in
   match Engine.forward env ~ingress:None (packet ()) with
@@ -733,6 +733,74 @@ let test_engine_local_delivery () =
     Alcotest.(check int) "host port" 3 port;
     Alcotest.(check bool) "source tag" true p.Packet.vf_tag
   | Engine.Drop _ -> Alcotest.fail "dropped"
+
+(* The in-place entry point allocates nothing.  On warmed FIBs with
+   tracing off, one round decides every branch of Algorithm 1 — default
+   forward, eBGP deflection, IP-in-IP encapsulation toward an iBGP
+   peer, a terminating tunnel (decap) bounced to the alternative, a
+   transit tunnel routed on its outer header or (no session) on the
+   FIB, a valley drop, a no-route drop and a TTL drop — and the second
+   round must cost 0 minor words. *)
+let test_engine_decide_allocates_nothing () =
+  Alcotest.(check bool) "tracing off" false (Obs.trace_enabled ());
+  let quiet = make_env () in
+  let ebgp =
+    make_env ~deflect_buckets:Fib.buckets
+      ~alt_kind:(Engine.Ebgp { neighbor_as = 9; rel = Relationship.Customer })
+      ~route_to_peer:(fun r -> if r = 77 then 5 else -1)
+      ()
+  in
+  let ibgp =
+    make_env ~deflect_buckets:Fib.buckets ~alt_kind:(Engine.Ibgp { peer_router = 55 }) ()
+  in
+  let bounced =
+    make_env
+      ~upstream_kind:(Engine.Ibgp { peer_router = 55 })
+      ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
+      ()
+  in
+  let h = Engine.header () in
+  let known = Fib.key_of_addr (Prefix.host_of_as 2 1) in
+  let unknown = Fib.key_of_addr (Prefix.host_of_as 999 1) in
+  let decide env ~dst ~ttl ~outer_dst flow =
+    h.Engine.dst <- dst;
+    h.flow <- flow;
+    h.ttl <- ttl;
+    h.tag <- false;
+    h.outer_src <- (if outer_dst >= 0 then 55 else -1);
+    h.outer_dst <- outer_dst;
+    Engine.decide ~tag_check:true ~ibgp_encap:true env ~ingress:2 h
+  in
+  let cases =
+    [|
+      (quiet, known, 64, -1, Engine.Forward, 0);
+      (ebgp, known, 64, -1, Engine.Forward, 1);
+      (ibgp, known, 64, -1, Engine.Forward, 1);
+      (ebgp, known, 64, 77, Engine.Forward, 5);
+      (ebgp, known, 64, 78, Engine.Forward, 0);
+      (bounced, known, 64, 100, Engine.Drop_valley, -1);
+      (quiet, unknown, 64, -1, Engine.Drop_no_route, -1);
+      (quiet, known, 1, -1, Engine.Drop_ttl, -1);
+    |]
+  in
+  Array.iter
+    (fun (env, dst, ttl, outer_dst, verdict, port) ->
+      Alcotest.(check bool) "expected verdict" true (decide env ~dst ~ttl ~outer_dst 7 = verdict);
+      if verdict = Engine.Forward then Alcotest.(check int) "expected port" port h.Engine.port)
+    cases;
+  let round () =
+    for flow = 0 to 99 do
+      for i = 0 to Array.length cases - 1 do
+        let env, dst, ttl, outer_dst, _, _ = cases.(i) in
+        ignore (decide env ~dst ~ttl ~outer_dst flow : Engine.verdict)
+      done
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 800 decisions" 0. (w1 -. w0)
 
 (* Property: over random engine environments and packets, the engine
    preserves its structural invariants - TTL decremented exactly once,
@@ -767,7 +835,7 @@ let prop_engine_invariants =
           ~congested:(fun p -> congested && p = 0)
           ~deflect_buckets:buckets
           ~alt:(if has_alt then Some 1 else None)
-          ~next_hop_router:(fun _ -> None)
+          ~next_hop_router:(fun _ -> -1)
           ()
       in
       let base =
@@ -1146,6 +1214,8 @@ let () =
           Alcotest.test_case "k=2 ECMP spread across ranked slots" `Quick
             test_engine_k2_spreads_buckets;
           Alcotest.test_case "local delivery" `Quick test_engine_local_delivery;
+          Alcotest.test_case "in-place decisions allocate nothing" `Quick
+            test_engine_decide_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_engine_invariants;
           QCheck_alcotest.to_alcotest prop_engine_k1_matches_single_alt;
         ] );

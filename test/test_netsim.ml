@@ -863,6 +863,74 @@ let test_packetsim_engines_bit_identical () =
         (run trains = heap_oracle_fingerprint))
     [ false; true ]
 
+(* Packet conservation: every packet a host originated is delivered,
+   absorbed as an ACK or a stray, dropped, or still in flight. *)
+let conserved sim =
+  let c = Packetsim.counters sim in
+  Packetsim.originated sim
+  = c.Packetsim.delivered_packets + Packetsim.acks_absorbed sim
+    + Packetsim.strays_absorbed sim + c.dropped_queue + c.dropped_ttl + c.dropped_valley
+    + c.dropped_no_route + Packetsim.in_flight sim
+
+(* Step [sim] one daemon period at a time up to [until], counting the
+   steps after which conservation does not hold. *)
+let step_conserved sim ~until =
+  let period = (Packetsim.config sim).Packetsim.daemon_period in
+  let broken = ref 0 in
+  let steps = int_of_float (Float.ceil (until /. period)) in
+  for k = 1 to steps do
+    Packetsim.run ~until:(Float.min until (float_of_int k *. period)) sim;
+    if not (conserved sim) then incr broken
+  done;
+  !broken
+
+(* The lossy line network of the end-to-end eventq test, stepped one
+   daemon period at a time: conservation holds at every step, nothing
+   is left in flight at the end, and the stepped run still matches the
+   pinned fingerprint. *)
+let test_packetsim_conservation_lossy_line () =
+  List.iter
+    (fun trains ->
+      let config =
+        { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
+      in
+      let sim, h1, h2 = line_network ~config ~rate:1e8 () in
+      let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
+      let _ = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0.002 () in
+      let label = Printf.sprintf "trains=%b" trains in
+      Alcotest.(check int) (label ^ ": periods violating conservation") 0
+        (step_conserved sim ~until:30.);
+      Alcotest.(check int) (label ^ ": nothing in flight") 0 (Packetsim.in_flight sim);
+      Alcotest.(check bool) (label ^ ": ACKs absorbed") true (Packetsim.acks_absorbed sim > 0);
+      Alcotest.(check bool) (label ^ ": stepping keeps the pinned run") true
+        (pkt_fingerprint sim = heap_oracle_fingerprint))
+    [ false; true ]
+
+(* Misrouted packets are absorbed as strays, not lost: r1 sends AS1's
+   traffic to h3, so h1's ACKs-to-be (from h2) and h2's UDP blast to h1
+   both end at a host with no sender or sink for them. *)
+let test_packetsim_strays_counted () =
+  let sim = Packetsim.create () in
+  let h1 = Packetsim.add_host sim ~addr:(Prefix.host_of_as 1 1) in
+  let h2 = Packetsim.add_host sim ~addr:(Prefix.host_of_as 2 1) in
+  let h3 = Packetsim.add_host sim ~addr:(Prefix.host_of_as 3 1) in
+  let r1 = Packetsim.add_router sim ~as_id:1 in
+  let local = Engine.Local in
+  let attach h = snd (Packetsim.connect sim ~a:h ~b:r1 ~kind_ab:local ~kind_ba:local ~rate:1e9 ()) in
+  let _ = attach h1 in
+  let r1_h2 = attach h2 in
+  let r1_h3 = attach h3 in
+  Fib.insert (Packetsim.fib sim r1) (Prefix.of_as 2) ~out_port:r1_h2 ();
+  Fib.insert (Packetsim.fib sim r1) (Prefix.of_as 1) ~out_port:r1_h3 ();
+  let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:8_000 ~start:0. in
+  let _ = Packetsim.add_udp_flow sim ~src:h2 ~dst:h1 ~bytes:80_000 ~start:0. () in
+  Alcotest.(check int) "periods violating conservation" 0 (step_conserved sim ~until:1.);
+  let c = Packetsim.counters sim in
+  Alcotest.(check bool) "data reached h2" true (c.Packetsim.delivered_packets > 0);
+  Alcotest.(check int) "no ACK reached its sender" 0 (Packetsim.acks_absorbed sim);
+  Alcotest.(check bool) "the UDP blast and the ACKs are strays" true
+    (Packetsim.strays_absorbed sim >= 10 + c.Packetsim.delivered_packets)
+
 let test_packetsim_ttl_on_routing_loop () =
   (* misconfigured FIBs that point at each other: packets must die by TTL,
      not hang the simulator *)
@@ -1187,6 +1255,26 @@ let dumbbell_network ?config ~n_l ~n_r () =
   let hosts arr = Array.map (fun (_, h, _, _, _) -> h) arr in
   (sim, hosts left, hosts right)
 
+(* A two-shard dumbbell with queue drops and a UDP blast, stepped one
+   daemon period at a time: boundary packets in mailboxes count as in
+   flight, and conservation holds at every barrier and at the end. *)
+let test_packetsim_sharded_conservation () =
+  Mifo_util.Parallel.set_default_jobs 2;
+  let config =
+    { Packetsim.default_config with Packetsim.domains = 2; queue_bits = 100_000 }
+  in
+  let sim, lh, rh = dumbbell_network ~config ~n_l:2 ~n_r:2 () in
+  ignore (Packetsim.add_flow sim ~src:lh.(0) ~dst:rh.(0) ~bytes:300_000 ~start:0.);
+  ignore (Packetsim.add_flow sim ~src:rh.(1) ~dst:lh.(1) ~bytes:200_000 ~start:0.001);
+  ignore (Packetsim.add_udp_flow sim ~src:lh.(1) ~dst:rh.(1) ~bytes:300_000 ~start:0.002 ());
+  Alcotest.(check int) "periods violating conservation" 0 (step_conserved sim ~until:5.);
+  let st = Packetsim.shard_stats sim in
+  Alcotest.(check int) "two shards" 2 st.Packetsim.shards;
+  Alcotest.(check bool) "a cut link" true (st.Packetsim.cut_links > 0);
+  Alcotest.(check bool) "queue drops" true
+    ((Packetsim.counters sim).Packetsim.dropped_queue > 0);
+  Alcotest.(check int) "nothing in flight" 0 (Packetsim.in_flight sim)
+
 let shard_obs_keys =
   [
     "packetsim.delivered";
@@ -1326,6 +1414,10 @@ let () =
             test_packetsim_tunnel_transit;
           Alcotest.test_case "ranked chooser drives epoch_ranked" `Quick
             test_packetsim_ranked_chooser;
+          Alcotest.test_case "conservation every period, lossy line" `Quick
+            test_packetsim_conservation_lossy_line;
+          Alcotest.test_case "misrouted packets absorbed as strays" `Quick
+            test_packetsim_strays_counted;
         ] );
       ( "packetsim_sharded",
         [
@@ -1335,6 +1427,8 @@ let () =
             test_packetsim_shard_validation;
           Alcotest.test_case "mailbox drain order on an exact tie" `Quick
             test_packetsim_mailbox_tie_order;
+          Alcotest.test_case "two-shard dumbbell conserves packets" `Quick
+            test_packetsim_sharded_conservation;
           QCheck_alcotest.to_alcotest prop_packetsim_sharded_identical;
         ] );
     ]

@@ -99,6 +99,72 @@ let test_encap_ablation_breaks_cycling () =
   Alcotest.(check bool) "TTL deaths without encapsulation" true
     (r.Testbed.counters.Packetsim.dropped_ttl > 0)
 
+(* Packet conservation, checked between [Packetsim.run ~until] steps of
+   one daemon period: every packet a host originated is delivered,
+   absorbed as an ACK or a stray, dropped, or still in flight.  The
+   ablation leg (no IP-in-IP: deflected packets cycle between Rd and Ra)
+   exercises TTL and queue drops. *)
+let conserved sim =
+  let c = Packetsim.counters sim in
+  Packetsim.originated sim
+  = c.Packetsim.delivered_packets + Packetsim.acks_absorbed sim
+    + Packetsim.strays_absorbed sim + c.dropped_queue + c.dropped_ttl + c.dropped_valley
+    + c.dropped_no_route + Packetsim.in_flight sim
+
+let test_conservation_every_period () =
+  let config = { small_config with Testbed.flow_bytes = 10_000_000 } in
+  List.iter
+    (fun (label, config, drops) ->
+      let net = Testbed.build config Testbed.Mifo_routing in
+      let sim = net.Testbed.sim in
+      let bytes = config.Testbed.flow_bytes in
+      ignore (Packetsim.add_flow sim ~src:net.Testbed.s1 ~dst:net.Testbed.d1 ~bytes ~start:0.);
+      ignore (Packetsim.add_flow sim ~src:net.Testbed.s2 ~dst:net.Testbed.d2 ~bytes ~start:0.);
+      let period = (Packetsim.config sim).Packetsim.daemon_period in
+      let finished () =
+        Array.for_all
+          (fun (r : Packetsim.flow_result) -> r.Packetsim.finish <> None)
+          (Packetsim.flow_results sim)
+      in
+      let steps = ref 0 and broken = ref 0 in
+      while !steps < 4000 && not (finished () && Packetsim.in_flight sim = 0) do
+        incr steps;
+        Packetsim.run ~until:(float_of_int !steps *. period) sim;
+        if not (conserved sim) then incr broken
+      done;
+      Alcotest.(check bool) (label ^ ": flows finished") true (finished ());
+      Packetsim.run sim;
+      Alcotest.(check int) (label ^ ": periods violating conservation") 0 !broken;
+      Alcotest.(check bool) (label ^ ": conserved at the end") true (conserved sim);
+      Alcotest.(check int) (label ^ ": nothing left in flight") 0 (Packetsim.in_flight sim);
+      Alcotest.(check bool) (label ^ ": traffic originated") true (Packetsim.originated sim > 0);
+      let c = Packetsim.counters sim in
+      Alcotest.(check bool) (label ^ ": drops exercised") drops
+        (c.Packetsim.dropped_ttl > 0 && c.Packetsim.dropped_queue > 0))
+    [
+      ("MIFO", config, false);
+      ( "MIFO without IP-in-IP",
+        { config with Testbed.sim = { config.Testbed.sim with Packetsim.ibgp_encap = false } },
+        true );
+    ]
+
+(* Allocation gate for the per-packet path: after a warm-up run, the
+   MIFO testbed — every hop through [Engine.decide], the link trains,
+   IP-in-IP tunnels and the hosts' TCP — allocates at most 150 minor
+   words per delivered packet (build, daemon and results included). *)
+let test_mifo_run_allocation_gate () =
+  let config = { Testbed.default_config with Testbed.flows_per_source = 1 } in
+  ignore (Testbed.run ~config Testbed.Mifo_routing);
+  let w0 = Gc.minor_words () in
+  let r = Testbed.run ~config Testbed.Mifo_routing in
+  let words = Gc.minor_words () -. w0 in
+  let delivered = r.Testbed.counters.Packetsim.delivered_packets in
+  Alcotest.(check bool) "tunnels exercised" true (r.Testbed.counters.Packetsim.encapsulated > 0);
+  let per_pkt = words /. float_of_int delivered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per delivered packet <= 150" per_pkt)
+    true (per_pkt <= 150.)
+
 let () =
   Alcotest.run "mifo_testbed"
     [
@@ -113,6 +179,10 @@ let () =
           Alcotest.test_case "MIFO tunnels over iBGP" `Quick test_mifo_run_uses_alternative;
           Alcotest.test_case "MIFO beats BGP" `Slow test_mifo_beats_bgp;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "packet conservation every daemon period" `Quick
+            test_conservation_every_period;
+          Alcotest.test_case "allocation gate: <= 150 words per packet" `Quick
+            test_mifo_run_allocation_gate;
           Alcotest.test_case "MIFO run matches the pinned k=1 outputs" `Quick
             test_mifo_run_pinned;
           Alcotest.test_case "encap ablation: cycling dies by TTL" `Quick

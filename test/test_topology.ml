@@ -331,6 +331,23 @@ let as_rel_rejects bad () =
   | Some (line, _) -> Alcotest.(check int) "offending line" 2 line
   | None -> Alcotest.failf "%S accepted" bad
 
+(* [As_rel_io.parse_string] either returns or raises its documented
+   [Parse_error]; no stray stdlib exception escapes on garbage,
+   truncated or corrupted files. *)
+let prop_as_rel_fuzz =
+  QCheck2.Test.make ~name:"as_rel_io: garbage raises only Parse_error" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    (Parser_fuzz.gen ~alphabet:"0123456789|-\n# x_+"
+       ~samples:
+         [
+           "# comment\n1|2|-1\n2|3|-1\n1|3|0\n";
+           "100|200|-1\n200|300|0\n4294967295|1|-1\n";
+         ])
+    (fun s ->
+      match As_rel_io.parse_string s with
+      | _ -> true
+      | exception As_rel_io.Parse_error _ -> true)
+
 let test_as_rel_max_asn () =
   let loaded = As_rel_io.parse_string "4294967295|0|0\n" in
   Alcotest.(check (array int)) "largest 32-bit ASN kept" [| 4294967295; 0 |]
@@ -509,6 +526,7 @@ let () =
           Alcotest.test_case "rejects +7|2|0" `Quick (as_rel_rejects "+7|2|0");
           Alcotest.test_case "rejects 1|2|-0x1" `Quick (as_rel_rejects "1|2|-0x1");
           Alcotest.test_case "rejects 4294967296|1|0" `Quick (as_rel_rejects "4294967296|1|0");
+          QCheck_alcotest.to_alcotest prop_as_rel_fuzz;
         ] );
       ( "topo_stats",
         [

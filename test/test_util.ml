@@ -538,6 +538,24 @@ let test_obs_snapshot_parses () =
       (List.sort compare names) names
   | _ -> Alcotest.fail "no counters object"
 
+(* [Obs.Json.parse] either returns or raises its documented [Failure];
+   no stray stdlib exception (Not_found, Invalid_argument, an index out
+   of bounds) escapes on garbage or truncated documents. *)
+let prop_json_parse_fuzz =
+  QCheck2.Test.make ~name:"json parse: garbage raises only Failure" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    (Parser_fuzz.gen ~alphabet:"{}[]\",:-+.0123456789eEtrufalsn \\/ubx"
+       ~samples:
+         [
+           "{\"a\": [1, -2.5e3, true, false, null], \"b\": {\"c\": \"x\\\"y\\u0041\"}}";
+           "[[], {}, \"\", 0, 1e-7]";
+           "{\"counters\": {\"x\": 3}}";
+         ])
+    (fun s ->
+      match Obs.Json.parse s with
+      | _ -> true
+      | exception Failure _ -> true)
+
 let test_obs_json_roundtrip () =
   let open Obs.Json in
   let j =
@@ -775,6 +793,7 @@ let () =
           Alcotest.test_case "trace ring buffer" `Quick test_obs_trace_ring;
           Alcotest.test_case "snapshot is valid sorted JSON" `Quick test_obs_snapshot_parses;
           Alcotest.test_case "json round trip + rejection" `Quick test_obs_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_parse_fuzz;
           Alcotest.test_case "phase timing" `Quick test_obs_time_phase;
         ] );
       ( "parallel",
