@@ -1,6 +1,6 @@
 (* mifo-lint: determinism and domain-safety gate, stdlib only.
 
-   Three rule families, enforced over every .ml file under the given
+   Rule families, enforced over every .ml file under the given
    directories (default: lib bin test examples):
 
    - Determinism: the simulators must be bit-reproducible from their
@@ -20,6 +20,11 @@
      inner loops and fragile (it would traverse whole records if a
      comparator's argument type drifted).  Use the monomorphic
      [Float.compare] / [Int.compare] (identical orders on those types).
+
+   - One model of the Tag-Check: in lib/, only the engine (per packet),
+     the two static checkers and the chooser filter may call [Policy]'s
+     predicates; anything else that needs the rule drives
+     [Engine.decide], as [Loop_walk] does.
 
    A finding can be waived for one line with a [lint:allow] marker.  A
    marker must earn its place: one on a line where no rule fires is a
@@ -70,6 +75,21 @@ let no_stdout_prints =
     ("print_endline", "stdout print in lib/; report through Report/Obs.Json");
   ]
 
+(* The Tag-Check predicates of [Policy] and the lib/ files that may call
+   them: [Engine.decide] applies the rule to every packet, [Automaton]
+   and [Net_check] enumerate it statically, and [Alt_select] filters
+   chooser candidates by it.  A call anywhere else in lib/ is a second
+   model of the rule that no static/dynamic agreement gate would
+   cover. *)
+let policy_predicates =
+  [
+    ("Policy.check", "Tag-Check outside its models; drive Engine.decide instead");
+    ("Policy.deflection_allowed", "Tag-Check outside its models; drive Engine.decide instead");
+    ("Policy.tag_of_upstream", "Tag-Check outside its models; drive Engine.decide instead");
+  ]
+
+let policy_callers = [ "engine.ml"; "automaton.ml"; "net_check.ml"; "alt_select.ml" ]
+
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -113,6 +133,12 @@ let report path line_no line msg =
   incr findings;
   Printf.printf "%s:%d: %s\n  %s\n" path line_no msg (String.trim line)
 
+let in_lib path =
+  let prefix = "lib" ^ Filename.dir_sep in
+  let n = String.length prefix in
+  (String.length path >= n && String.sub path 0 n = prefix)
+  || contains ~sub:(Filename.dir_sep ^ prefix) path
+
 let lint_file path =
   let ic = open_in path in
   let lines = ref [] in
@@ -129,12 +155,8 @@ let lint_file path =
     && not (List.mem (Filename.basename path) no_hashtbl_exempt))
     || List.mem (Filename.basename path) no_hashtbl_files
   in
-  let in_lib =
-    let prefix = "lib" ^ Filename.dir_sep in
-    let n = String.length prefix in
-    (String.length path >= n && String.sub path 0 n = prefix)
-    || contains ~sub:(Filename.dir_sep ^ prefix) path
-  in
+  let in_lib = in_lib path in
+  let policy_restricted = in_lib && not (List.mem (Filename.basename path) policy_callers) in
   (* The messages of every rule that fires on [line]. *)
   let rule_hits line =
     let substring_hits table =
@@ -155,6 +177,7 @@ let lint_file path =
             representations (or waive a cold path with lint:allow)";
          ]
        else [])
+    @ (if policy_restricted then substring_hits policy_predicates else [])
     @ if in_lib then substring_hits no_stdout_prints else []
   in
   Array.iteri
@@ -173,10 +196,9 @@ let lint_file path =
     end
   end
 
-(* Basenames of the linted files under [no_hashtbl_dirs] or named in
-   [no_hashtbl_files], to check that every entry of either list still
-   names one of them. *)
-let seen_no_hashtbl = ref []
+(* Basenames of the linted files under lib/, to check that every entry
+   of the file lists above still names one of them. *)
+let seen_lib = ref []
 
 let rec walk path =
   if Sys.is_directory path then
@@ -188,10 +210,7 @@ let rec walk path =
     Filename.check_suffix path ".ml" && Filename.basename path <> "mifo_lint.ml"
     (* the rule table above would match itself *)
   then begin
-    if
-      List.mem (Filename.basename (Filename.dirname path)) no_hashtbl_dirs
-      || List.mem (Filename.basename path) no_hashtbl_files
-    then seen_no_hashtbl := Filename.basename path :: !seen_no_hashtbl;
+    if in_lib path then seen_lib := Filename.basename path :: !seen_lib;
     lint_file path
   end
 
@@ -202,17 +221,18 @@ let () =
     | _ -> [ "lib"; "bin"; "test"; "examples" ]
   in
   List.iter (fun d -> if Sys.file_exists d then walk d) dirs;
-  (* Only meaningful when the walk covered the directories the list is
-     about; a run over test/ alone sees none of them. *)
-  if !seen_no_hashtbl <> [] then
+  (* Only meaningful when the walk covered lib/; a run over test/ alone
+     sees none of the named files. *)
+  if !seen_lib <> [] then
     List.iter
       (fun (list, name) ->
-        if not (List.mem name !seen_no_hashtbl) then begin
+        if not (List.mem name !seen_lib) then begin
           incr findings;
           Printf.printf "%s: stale entry %S names no linted file\n" list name
         end)
       (List.map (fun f -> ("no_hashtbl_exempt", f)) no_hashtbl_exempt
-      @ List.map (fun f -> ("no_hashtbl_files", f)) no_hashtbl_files);
+      @ List.map (fun f -> ("no_hashtbl_files", f)) no_hashtbl_files
+      @ List.map (fun f -> ("policy_callers", f)) policy_callers);
   if !findings > 0 then begin
     Printf.printf "mifo-lint: %d finding(s)\n" !findings;
     exit 1

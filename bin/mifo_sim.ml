@@ -397,7 +397,7 @@ let check_cmd =
       & info [ "k" ] ~docv:"K"
           ~doc:
             "Verify the k-alternative data plane: deflections bounded to the first \
-             $(docv) RIB alternatives, automaton state widened to (AS, tag, slot).  \
+             $(docv) RIB alternatives (the automaton keeps its (AS, tag) states).  \
              0 (the default) = the unbounded automaton.")
   in
   let no_tag_t =

@@ -25,24 +25,18 @@ type loop_result = { counterexample : counterexample option; states_explored : i
 type frame = {
   v : int;
   tag : bool;
-  slot : int;  (* ranked slot the packet entered this AS by; 0 = default *)
   entered_by : move option;  (* the move taken at the parent frame *)
   mutable rest : (move * int * bool) list;
 }
 
 let find_loop_in auto =
   (* Exhaustive DFS over the product automaton from every source root
-     [(v, source_tag, 0)].  The transition relation, state encoding and
+     [(v, source_tag)].  The transition relation, state encoding and
      overlay live in {!Automaton}; this function owns only the cycle
      search and counterexample extraction. *)
   let n = As_graph.n (Automaton.graph auto) in
   let dest = Automaton.dest auto in
   let enc = Automaton.enc auto in
-  let slot_of entered_by =
-    match entered_by with
-    | None -> 0
-    | Some m -> Automaton.slot_of_move auto m
-  in
   let color = Array.make (Automaton.n_states auto) 0 in
   (* index of the state's frame in the current DFS path, bottom-first *)
   let pos = Array.make (Automaton.n_states auto) (-1) in
@@ -51,19 +45,18 @@ let find_loop_in auto =
   let path = ref [] (* top of the DFS path first *) in
   let depth = ref 0 in
   let push v tag entered_by =
-    let slot = slot_of entered_by in
-    let s = enc v tag slot in
+    let s = enc v tag in
     color.(s) <- 1;
     pos.(s) <- !depth;
     incr depth;
     incr explored;
-    path := { v; tag; slot; entered_by; rest = Automaton.edges auto v tag } :: !path
+    path := { v; tag; entered_by; rest = Automaton.edges auto v tag } :: !path
   in
   let pop () =
     match !path with
     | [] -> ()
     | f :: rest ->
-      let s = enc f.v f.tag f.slot in
+      let s = enc f.v f.tag in
       color.(s) <- 2;
       pos.(s) <- -1;
       decr depth;
@@ -109,7 +102,7 @@ let find_loop_in auto =
         | [] -> pop ()
         | (m, w, wtag) :: rest ->
           f.rest <- rest;
-          let s = enc w wtag (slot_of (Some m)) in
+          let s = enc w wtag in
           if color.(s) = 1 then result := Some (extract m pos.(s))
           else if color.(s) = 0 then push w wtag (Some m));
         dfs ()
@@ -118,7 +111,7 @@ let find_loop_in auto =
      which carries the source tag (it may use any of its RIB routes). *)
   let v = ref 0 in
   while Option.is_none !result && !v < n do
-    if !v <> dest && color.(enc !v Policy.source_tag 0) = 0 then begin
+    if !v <> dest && color.(enc !v Policy.source_tag) = 0 then begin
       push !v Policy.source_tag None;
       dfs ()
     end;
@@ -131,25 +124,15 @@ let find_loop ?(tag_check = true) ?k g rt =
 
 let replay ?(tag_check = true) g rt cx =
   let moves = Array.of_list (cx.entry_moves @ cx.cycle_moves) in
-  let total = Array.length moves in
-  let cyc_len = List.length cx.cycle_moves in
-  if cyc_len = 0 then invalid_arg "As_check.replay: counterexample has an empty cycle";
-  let i = ref 0 in
-  let decide ~as_id:_ ~upstream:_ ~entries:_ =
-    let m =
-      if !i < total then moves.(!i)
-      else moves.(total - cyc_len + ((!i - total) mod cyc_len))
-    in
-    incr i;
-    if m.deflected then Loop_walk.Deflect m.via else Loop_walk.Default
-  in
+  let cycle = List.length cx.cycle_moves in
+  if cycle = 0 then invalid_arg "As_check.replay: counterexample has an empty cycle";
   let src =
     match cx.entry with v :: _ -> v | [] -> List.hd cx.cycle
   in
   (* Generous budget: the walk revisits an (AS, upstream) state within
      one extra turn of the cycle, well inside this bound. *)
-  let max_hops = 2 * (total + cyc_len) + 8 in
-  Loop_walk.walk ~tag_check ~max_hops g rt ~decide ~src
+  let max_hops = 2 * (Array.length moves + cycle) + 8 in
+  Loop_walk.walk ~tag_check ~max_hops g rt ~decide:(Automaton.script ~cycle moves) ~src
 
 (* The valley audit, chain-first.  A RIB path at [v] via entry [e] is
    [v :: default_path (e.via)], so both its hop count and its

@@ -9,7 +9,9 @@
     Loop-freedom of the data plane (the paper's Theorem, Section III-A3)
     is exactly acyclicity of this automaton from every source state —
     checked here exhaustively, with a concrete counterexample on
-    failure that replays through the dynamic walker. *)
+    failure that replays through the dynamic walker, hop by hop through
+    the production {!Mifo_core.Engine.decide}.  The transition function
+    and the state encoding are {!Automaton}'s. *)
 
 type move = Automaton.move = {
   at : int;  (** the AS making the decision *)
@@ -48,13 +50,15 @@ val find_loop :
     Fig. 2(a) gadget.
 
     [?k] models the k-alternative data plane: deflections are bounded
-    to the first [k] RIB alternatives (the pool
+    to the first [k] RIB alternatives — the pool
     {!Mifo_core.Alt_select.ranked_alternatives} draws from, so the
-    bounded check soundly over-approximates every runtime ranked set)
-    and the automaton state widens from [(AS, tag)] to the k-way choice
-    [(AS, tag, slot)] where [slot] is the ranked slot the packet
-    entered by.  Omitted = the unbounded legacy automaton, bit-identical
-    to the historical checker.  O(states + transitions) = O(k·V + E). *)
+    bounded check soundly over-approximates every ranked set it
+    returns.  Choosers that scan the whole RIB (the packet networks'
+    [As_network.greedy_chooser]) are covered by the unbounded check
+    only.  The states stay [(AS, tag)] at every [k]; counterexample
+    moves name the RIB index of each hop ([move.slot]).  Omitted = the
+    unbounded automaton, bit-identical to the historical checker.
+    O(states + transitions) = O(V + E). *)
 
 val replay :
   ?tag_check:bool ->
@@ -63,7 +67,7 @@ val replay :
   counterexample ->
   Mifo_core.Loop_walk.outcome
 (** Drive {!Mifo_core.Loop_walk.walk} with the counterexample's decision
-    script (cycling its cycle moves).  A genuine counterexample must
+    script ({!Automaton.script}, cycling its cycle moves).  A genuine counterexample must
     come back [Looped] — the machine check the ablation harness and the
     tests assert.
     @raise Invalid_argument on an empty cycle. *)

@@ -1,6 +1,7 @@
 module As_graph = Mifo_topology.As_graph
 module Routing = Mifo_bgp.Routing
 module Policy = Mifo_core.Policy
+module Alt_select = Mifo_core.Alt_select
 
 type move = { at : int; tag : bool; via : int; slot : int; deflected : bool }
 
@@ -46,17 +47,14 @@ let fail_link rt ~u ~v =
   let link_enabled ~at ~via = not ((at = u && via = v) || (at = v && via = u)) in
   (* At most one endpoint loses its default (the default graph is a tree
      toward the destination, so u->v and v->u cannot both be default
-     hops); that endpoint promotes RIB slot 1 — vias are distinct
-     neighbors, so slot 1 always survives the mask. *)
-  let needs_repair w x =
-    (match Routing.next_hop rt w with Some nh -> nh = x | None -> false)
-    && Routing.rib_size rt w >= 2
+     hops); that endpoint repairs locally onto its first RIB alternative
+     over a live link — slot 1, as vias are distinct neighbors. *)
+  let repaired w =
+    match Alt_select.local_repair rt w ~link_up:(fun via -> link_enabled ~at:w ~via) with
+    | s when s > 0 -> Some (w, s)
+    | _ -> None
   in
-  let repair =
-    if needs_repair u v then Some (u, 1)
-    else if needs_repair v u then Some (v, 1)
-    else None
-  in
+  let repair = match repaired u with Some r -> Some r | None -> repaired v in
   { deflection_enabled; link_enabled; repair }
 
 type t = {
@@ -64,7 +62,6 @@ type t = {
   rt : Routing.t;
   tag_check : bool;
   max_alt : int;
-  slots : int;
   n : int;
   dest : int;
   overlay : overlay;
@@ -72,122 +69,65 @@ type t = {
 
 let create ?(tag_check = true) ?(overlay = default_overlay) ?k g rt =
   let max_alt = match k with None -> Stdlib.max_int | Some kk -> kk in
-  let slots = match k with None -> 1 | Some kk -> kk + 1 in
-  { g; rt; tag_check; max_alt; slots; n = As_graph.n g; dest = Routing.dest rt; overlay }
+  { g; rt; tag_check; max_alt; n = As_graph.n g; dest = Routing.dest rt; overlay }
 
-let n_states t = 2 * t.n * t.slots
-let n_cstates t = 2 * t.n
-let slots t = t.slots
+let n_states t = 2 * t.n
 let dest t = t.dest
 let routing t = t.rt
 let graph t = t.g
+let enc _t v tag = (2 * v) + if tag then 1 else 0
 
-let enc t v tag slot = (((2 * v) + (if tag then 1 else 0)) * t.slots) + slot
-let cenc _t v tag = (2 * v) + if tag then 1 else 0
-let slot_of_move t (m : move) = if t.slots = 1 then 0 else m.slot
-
-(* Outgoing transitions of product state (v, tag): the default route is
-   always available and never checked; every other RIB entry is a
-   deflection gated by the exit-point Tag-Check and by the overlay
-   ([deflection_enabled] models withdrawn RIB alternatives,
-   [link_enabled] a failed physical link, [repair] the post-failure
-   promoted default).  Iterates the RIB through the packed accessors —
-   no boxed entries materialise, which is what keeps the 44K product DFS
-   inside the CSR arena.  The tag after the hop [v -> via] is rewritten
-   at [via]'s entering point to "the upstream neighbor is my customer";
-   the stored relationship is [via]'s role relative to [v], so the
-   upstream role is its inverse.
+(* The transition function.  Outgoing transitions of product state
+   (v, tag): the default route is always available and never checked;
+   every other RIB entry is a deflection gated by the exit-point
+   Tag-Check and by the overlay ([deflection_enabled] models withdrawn
+   RIB alternatives, [link_enabled] a failed physical link, [repair] the
+   post-failure promoted default).  [max_alt] caps the deflectable RIB
+   indices at the first k alternatives, which over-approximates a
+   chooser that draws from that pool (Alt_select.ranked_alternatives);
+   the packet networks' As_network.greedy_chooser scans the whole RIB,
+   so only the unbounded automaton covers it.  Iterates the RIB through
+   the packed accessors — no boxed entries materialise, which is what
+   keeps the 44K product DFS inside the CSR arena.  The tag after the
+   hop [v -> via] is rewritten at [via]'s entering point to "the
+   upstream neighbor is my customer"; the stored relationship is [via]'s
+   role relative to [v], so the upstream role is its inverse.
 
    Successor order is load-bearing: the (possibly repaired) default edge
    first, then deflections by ascending RIB index — [As_check.find_loop]
    counterexamples are bit-identical to the historical checker because
    this order is. *)
-let edges t v tag =
-  let rt = t.rt in
-  if v = t.dest then []
-  else begin
-    let k = Routing.rib_size rt v in
-    if k = 0 then []
-    else begin
-      let default_slot =
-        match t.overlay.repair with Some (u, s) when u = v -> s | _ -> 0
-      in
-      let edge i deflected =
-        let via = Routing.rib_via rt v i in
-        let rel = Routing.rib_rel_at rt v i in
-        ( { at = v; tag; via; slot = i; deflected },
-          via,
-          Policy.tag_of_upstream (Mifo_topology.Relationship.inverse rel) )
-      in
-      (* [max_alt] caps the deflectable RIB indices: a k-limited data
-         plane only ever installs the first k RIB alternatives
-         (Alt_select pool-caps in preference order), so admitting
-         exactly indices 1..k soundly over-approximates it. *)
-      let rec alts i acc =
-        if i < 1 then acc
-        else begin
-          let via = Routing.rib_via rt v i in
-          let acc =
-            if
-              i <> default_slot
-              && ((not t.tag_check)
-                 || Policy.check ~tag ~downstream:(Routing.rib_rel_at rt v i))
-              && t.overlay.deflection_enabled ~at:v ~via
-              && t.overlay.link_enabled ~at:v ~via
-            then edge i true :: acc
-            else acc
-          in
-          alts (i - 1) acc
-        end
-      in
-      let tail = alts (Stdlib.min t.max_alt (k - 1)) [] in
-      if
-        default_slot < k
-        && t.overlay.link_enabled ~at:v ~via:(Routing.rib_via rt v default_slot)
-      then edge default_slot false :: tail
-      else tail
-    end
-  end
-
-(* Allocation-light successor iteration in exactly [edges]'s order, for
-   the forward/co-reachability traversals that visit millions of states
-   per 44K destination. *)
 let iter_succ t v tag ~f =
   let rt = t.rt in
-  if v <> t.dest then begin
-    let k = Routing.rib_size rt v in
-    if k > 0 then begin
-      let default_slot =
-        match t.overlay.repair with Some (u, s) when u = v -> s | _ -> 0
-      in
-      let emit i deflected =
-        let via = Routing.rib_via rt v i in
-        let rel = Routing.rib_rel_at rt v i in
-        f
-          { at = v; tag; via; slot = i; deflected }
-          via
-          (Policy.tag_of_upstream (Mifo_topology.Relationship.inverse rel))
-      in
-      if
-        default_slot < k
-        && t.overlay.link_enabled ~at:v ~via:(Routing.rib_via rt v default_slot)
-      then emit default_slot false;
-      let hi = Stdlib.min t.max_alt (k - 1) in
-      for i = 1 to hi do
-        if
-          i <> default_slot
-          && ((not t.tag_check)
-             || Policy.check ~tag ~downstream:(Routing.rib_rel_at rt v i))
-          && t.overlay.deflection_enabled ~at:v ~via:(Routing.rib_via rt v i)
-          && t.overlay.link_enabled ~at:v ~via:(Routing.rib_via rt v i)
-        then emit i true
-      done
-    end
-  end
+  let k = if v = t.dest then 0 else Routing.rib_size rt v in
+  let default_slot = match t.overlay.repair with Some (u, s) when u = v -> s | _ -> 0 in
+  let emit i deflected =
+    let via = Routing.rib_via rt v i in
+    if
+      t.overlay.link_enabled ~at:v ~via
+      && ((not deflected) || t.overlay.deflection_enabled ~at:v ~via)
+    then
+      f
+        { at = v; tag; via; slot = i; deflected }
+        via
+        (Policy.tag_of_upstream (Mifo_topology.Relationship.inverse (Routing.rib_rel_at rt v i)))
+  in
+  if default_slot < k then emit default_slot false;
+  for i = 1 to Stdlib.min t.max_alt (k - 1) do
+    if
+      i <> default_slot
+      && ((not t.tag_check) || Policy.check ~tag ~downstream:(Routing.rib_rel_at rt v i))
+    then emit i true
+  done
+
+let edges t v tag =
+  let acc = ref [] in
+  iter_succ t v tag ~f:(fun m w wtag -> acc := (m, w, wtag) :: !acc);
+  List.rev !acc
 
 (* Epoch-stamped scratch: an int-per-state map whose clear is O(1) (bump
    the epoch), so per-destination and per-failed-link rounds at 44K
-   never memset the 2n(k+1) arrays.  Unstamped cells read 0. *)
+   never memset the 2n-cell arrays.  Unstamped cells read 0. *)
 module Scratch = struct
   type t = { mutable epoch : int; mutable stamp : int array; mutable data : int array }
 
@@ -208,14 +148,13 @@ module Scratch = struct
     t.data.(s) <- x
 end
 
-(* Memoized co-reachability of the destination over the collapsed
-   (AS, tag) space — transitions do not depend on the entering slot, so
-   delivery is slot-independent and 2n cells suffice at any k.  Exact on
-   an acyclic automaton (run the loop check first): the iterative DFS
-   three-colors states, and a gray revisit would need a cycle.  Memo
-   values in [scratch]: 0 unknown, 1 in progress, 2 delivers, 3 dead. *)
+(* Memoized co-reachability of the destination over the (AS, tag)
+   space.  Exact on an acyclic automaton (run the loop check first): the
+   iterative DFS three-colors states, and a gray revisit would need a
+   cycle.  Memo values in [scratch]: 0 unknown, 1 in progress, 2
+   delivers, 3 dead. *)
 let co_reach t ~scratch v0 tag0 =
-  let c0 = cenc t v0 tag0 in
+  let c0 = enc t v0 tag0 in
   match Scratch.get scratch c0 with
   | 2 -> true
   | 3 -> false
@@ -225,7 +164,7 @@ let co_reach t ~scratch v0 tag0 =
       match !stack with
       | [] -> ()
       | (v, tag) :: rest ->
-        let c = cenc t v tag in
+        let c = enc t v tag in
         (match Scratch.get scratch c with
         | 2 | 3 -> stack := rest
         | 0 ->
@@ -237,49 +176,48 @@ let co_reach t ~scratch v0 tag0 =
             Scratch.set scratch c 1;
             (* push unknown successors; settle on the revisit *)
             iter_succ t v tag ~f:(fun _m w wtag ->
-                if w = t.dest then Scratch.set scratch (cenc t w wtag) 2
-                else if Scratch.get scratch (cenc t w wtag) = 0 then
+                if w = t.dest then Scratch.set scratch (enc t w wtag) 2
+                else if Scratch.get scratch (enc t w wtag) = 0 then
                   stack := (w, wtag) :: !stack)
           end
         | _ ->
           (* in progress: every successor is settled (acyclicity), fold *)
           let delivers = ref false in
           iter_succ t v tag ~f:(fun _m w wtag ->
-              if Scratch.get scratch (cenc t w wtag) = 2 then delivers := true);
+              if Scratch.get scratch (enc t w wtag) = 2 then delivers := true);
           Scratch.set scratch c (if !delivers then 2 else 3);
           stack := rest)
     done;
     Scratch.get scratch c0 = 2
 
-(* Region cycle scan: DFS over the widened state space from every
-   (seed, tag, slot) state; true iff a cycle is reachable from the
-   seeds.  The resilience sweep seeds it with the endpoints of a
-   failed-then-repaired link — a NEW cycle must run through a changed
-   edge, so a clean scan certifies the whole automaton without
-   re-walking it.  Starts a fresh scratch round itself. *)
+(* Region cycle scan: DFS from every (seed, tag) state; true iff a
+   cycle is reachable from the seeds.  The resilience sweep seeds it
+   with the endpoints of a failed-then-repaired link — a NEW cycle must
+   run through a changed edge, so a clean scan certifies the whole
+   automaton without re-walking it.  Starts a fresh scratch round
+   itself. *)
 let cycle_from t ~scratch ~seeds =
   Scratch.round scratch ~states:(n_states t);
   let explored = ref 0 in
   let found = ref false in
   let stack = Stack.create () in
-  let push v tag slot =
-    Scratch.set scratch (enc t v tag slot) 1;
+  let push v tag =
+    Scratch.set scratch (enc t v tag) 1;
     incr explored;
-    Stack.push (v, tag, slot, ref (edges t v tag)) stack
+    Stack.push (v, tag, ref (edges t v tag)) stack
   in
   let drive () =
     while (not !found) && not (Stack.is_empty stack) do
-      let v, tag, slot, rest = Stack.top stack in
+      let v, tag, rest = Stack.top stack in
       match !rest with
       | [] ->
-        Scratch.set scratch (enc t v tag slot) 2;
+        Scratch.set scratch (enc t v tag) 2;
         ignore (Stack.pop stack)
-      | (m, w, wtag) :: tl -> (
+      | (_m, w, wtag) :: tl -> (
         rest := tl;
-        let s = enc t w wtag (slot_of_move t m) in
-        match Scratch.get scratch s with
+        match Scratch.get scratch (enc t w wtag) with
         | 1 -> found := true
-        | 0 -> push w wtag (slot_of_move t m)
+        | 0 -> push w wtag
         | _ -> ())
     done
   in
@@ -287,25 +225,22 @@ let cycle_from t ~scratch ~seeds =
     (fun v ->
       List.iter
         (fun tag ->
-          for slot = 0 to t.slots - 1 do
-            if (not !found) && Scratch.get scratch (enc t v tag slot) = 0 then begin
-              push v tag slot;
-              drive ()
-            end
-          done)
+          if (not !found) && Scratch.get scratch (enc t v tag) = 0 then begin
+            push v tag;
+            drive ()
+          end)
         [ false; true ])
     seeds;
   (!found, !explored)
 
-(* Forward reachability from every source root (v, source_tag) over the
-   collapsed space, calling [f v tag entering_move] once per state in
+(* Forward reachability from every source root (v, source_tag), calling [f v tag entering_move] once per state in
    first-visit order.  [entering_move] is [None] at roots, otherwise the
    move by which the DFS first reached the state — a parent pointer from
    which concrete decision scripts are rebuilt. *)
 let iter_reachable t ~scratch ~f =
   let pending = ref [] in
   let visit v tag m =
-    let c = cenc t v tag in
+    let c = enc t v tag in
     if Scratch.get scratch c = 0 then begin
       Scratch.set scratch c 1;
       f v tag m;
@@ -327,3 +262,14 @@ let iter_reachable t ~scratch ~f =
       drain ()
     end
   done
+
+let script ?(cycle = 0) moves =
+  let total = Array.length moves in
+  let i = ref 0 in
+  fun ~as_id:_ ~upstream:_ ~entries:_ ->
+    let j = !i in
+    incr i;
+    let j = if j < total || cycle = 0 then j else total - cycle + ((j - total) mod cycle) in
+    if j >= total then Mifo_core.Loop_walk.Default
+    else if moves.(j).deflected then Mifo_core.Loop_walk.Deflect moves.(j).via
+    else Mifo_core.Loop_walk.Default

@@ -1,12 +1,12 @@
 (** The deflection product automaton, factored out of {!As_check}.
 
     For one destination, the reachable forwarding behaviours of MIFO's
-    data plane form a finite automaton over product states
-    [(AS, tag, slot)]: from every AS the packet may follow the default
-    route (never checked) or deflect onto another admissible RIB route,
-    gated by the exit-point Tag-Check; the tag is rewritten at each
-    entering point ({!Mifo_core.Policy}).  This module owns the
-    transition relation (iterated through the packed CSR accessors, so
+    data plane form a finite automaton over product states [(AS, tag)]:
+    from every AS the packet may follow the default route (never
+    checked) or deflect onto another admissible RIB route, gated by the
+    exit-point Tag-Check; the tag is rewritten at each entering point
+    ({!Mifo_core.Policy}).  This module owns the one transition function
+    ({!iter_succ}, iterated through the packed CSR accessors, so
     traversals at 44K never leave the arena), the packed state encoding,
     the overlay hooks the checkers compose (withdrawn deflections,
     failed links, local repair), epoch-stamped scratch, and the
@@ -43,8 +43,8 @@ val default_overlay : overlay
 val fail_link : Mifo_bgp.Routing.t -> u:int -> v:int -> overlay
 (** The single-link-failure model for the failed default-tree link
     [(u, v = next_hop u)]: both directions of the link masked, [u]'s
-    first surviving RIB alternative (slot 1 — RIB vias are distinct
-    neighbors) promoted to an unchecked default when [rib_size u >= 2],
+    default repaired by {!Mifo_core.Alt_select.local_repair} (slot 1 —
+    RIB vias are distinct neighbors) when [rib_size u >= 2],
     and every RIB alternative whose recorded route runs through [u]
     (i.e. whose via sits in [u]'s default subtree) withdrawn everywhere
     — those advertisements are broken by the failure.  Below
@@ -65,45 +65,47 @@ val create :
   Mifo_topology.As_graph.t ->
   Mifo_bgp.Routing.t ->
   t
-(** [?k] bounds deflections to the first [k] RIB alternatives and widens
-    the state to [(AS, tag, slot)] ([slot] = entering ranked slot);
-    omitted = the unbounded automaton with the slot collapsed to 0 —
-    exactly {!As_check.find_loop}'s two regimes. *)
+(** [?k] bounds deflections to the first [k] RIB alternatives; omitted =
+    every RIB alternative is admissible.  The state space is [(AS, tag)]
+    either way: transitions never depend on how a packet entered an AS,
+    so the bound only removes edges.  [move.slot] still records the RIB
+    index of each hop, so counterexamples name the ranked alternative
+    they use. *)
 
 val n_states : t -> int
-(** [2 * n * slots] — size of the widened state space. *)
+(** [2 * n] — size of the [(AS, tag)] state space, at every [k]. *)
 
-val n_cstates : t -> int
-(** [2 * n] — size of the collapsed [(AS, tag)] space.  Transitions do
-    not depend on the entering slot, so slot-independent analyses
-    (delivery, stretch) run over this space at any [k]. *)
-
-val slots : t -> int
 val dest : t -> int
 val routing : t -> Mifo_bgp.Routing.t
 val graph : t -> Mifo_topology.As_graph.t
 
-val enc : t -> int -> bool -> int -> int
-(** [enc t v tag slot] — packed widened-state index. *)
+val enc : t -> int -> bool -> int
+(** [enc t v tag] — packed state index, in \[0, {!n_states}). *)
 
-val cenc : t -> int -> bool -> int
-(** [cenc t v tag] — packed collapsed-state index. *)
-
-val slot_of_move : t -> move -> int
-(** The slot a packet entering by [move] occupies: [move.slot], or 0
-    when the automaton is unbounded (slot collapsed). *)
-
-val edges : t -> int -> bool -> (move * int * bool) list
-(** Outgoing transitions of [(v, tag)] as
-    [(move, successor AS, successor tag)].  Order is load-bearing and
+val iter_succ : t -> int -> bool -> f:(move -> int -> bool -> unit) -> unit
+(** The transition function: calls [f move successor successor_tag] for
+    every outgoing transition of [(v, tag)].  Order is load-bearing and
     stable: the (possibly repaired) default edge first, then deflections
     by ascending RIB index — {!As_check.find_loop} counterexamples are
     bit-identical to the historical checker because this order is.
-    Empty at the destination and at RIB-less nodes. *)
+    Nothing at the destination and at RIB-less nodes. *)
 
-val iter_succ : t -> int -> bool -> f:(move -> int -> bool -> unit) -> unit
-(** [edges] without the list: same transitions, same order, no
-    allocation beyond the [move] records. *)
+val edges : t -> int -> bool -> (move * int * bool) list
+(** {!iter_succ}'s transitions collected into a list, in its order. *)
+
+val script :
+  ?cycle:int ->
+  move array ->
+  as_id:int ->
+  upstream:int option ->
+  entries:Mifo_bgp.Routing.rib_entry list ->
+  Mifo_core.Loop_walk.decision
+(** A decision script for {!Mifo_core.Loop_walk.walk}: the [i]-th call
+    plays move [i] ([Deflect via] for a deflection, [Default] for the
+    default route).  Past the end it repeats the last [cycle] moves
+    forever when [cycle > 0] (a loop counterexample), else it takes
+    defaults (delivery and stretch witnesses).  Stateful: one script per
+    walk. *)
 
 (** Epoch-stamped per-state scratch: an int map whose clear is O(1)
     (bump the epoch), so per-destination / per-failed-link rounds never
@@ -124,14 +126,14 @@ end
 val co_reach : t -> scratch:Scratch.t -> int -> bool -> bool
 (** [co_reach t ~scratch v tag] — can state [(v, tag)] reach the
     destination?  Memoized in [scratch] (call {!Scratch.round} with
-    {!n_cstates} cells once per automaton, then share the scratch across
+    {!n_states} cells once per automaton, then share the scratch across
     queries).  Exact only on an acyclic automaton — run the loop check
     first; on a cyclic one, states on a cycle conservatively read as not
     delivering. *)
 
 val cycle_from : t -> scratch:Scratch.t -> seeds:int list -> bool * int
 (** [cycle_from t ~scratch ~seeds] — is a cycle reachable from any state
-    [(seed, tag, slot)]?  Returns the verdict and the states explored.
+    [(seed, tag)]?  Returns the verdict and the states explored.
     Sound as a {e delta} certificate: when the automaton was acyclic
     before a change and every added edge touches a seed node, a [false]
     answer proves the whole automaton still acyclic (a new cycle must
@@ -141,7 +143,7 @@ val cycle_from : t -> scratch:Scratch.t -> seeds:int list -> bool * int
 
 val iter_reachable :
   t -> scratch:Scratch.t -> f:(int -> bool -> move option -> unit) -> unit
-(** Forward reachability over the collapsed space from every source root
+(** Forward reachability from every source root
     [(v, source_tag)]: calls [f v tag entering_move] once per reachable
     state in first-visit order.  [entering_move] is [None] at roots,
     else the move by which the traversal first reached the state — a

@@ -179,12 +179,10 @@ let find_loops sim ~routing =
               let alt_edges =
                 (* One edge per ranked slot — the bucket→slot spread can
                    place a deflected packet onto any live alternative.
-                   The router-level state is deliberately NOT widened by
-                   slot: the entering slot does not constrain later
-                   moves, so the collapsed automaton is
-                   verdict-equivalent (slot-distinct multi-edges between
-                   the same states change nothing for cycle
-                   detection). *)
+                   As in the AS-level automaton, the state does not
+                   record the entering slot: it does not constrain later
+                   moves (slot-distinct multi-edges between the same
+                   states change nothing for cycle detection). *)
                 let rec slot_edges i acc =
                   if i < 0 then acc
                   else begin

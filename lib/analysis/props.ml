@@ -50,22 +50,22 @@ type stranded = { s_at : int; s_path : int list; s_moves : Automaton.move list }
 
 (* Root-reachable states that cannot co-reach the destination, with a
    concrete entry script per stranding.  [can_scratch] must already hold
-   a fresh round over the collapsed space; it is left warm so the
-   stretch pass reuses the memo.  Returns the number of collapsed states
+   a fresh round over the (AS, tag) space; it is left warm so the
+   stretch pass reuses the memo.  Returns the number of states
    the forward sweep visited, and the strandings in state-index order
    (deterministic at any domain count). *)
 let stranded_scan auto ~reach_scratch ~can_scratch =
   let rt = Automaton.routing auto in
   let n = As_graph.n (Automaton.graph auto) in
   let dest = Automaton.dest auto in
-  Scratch.round reach_scratch ~states:(Automaton.n_cstates auto);
-  let parents = Array.make (Automaton.n_cstates auto) None in
+  Scratch.round reach_scratch ~states:(Automaton.n_states auto);
+  let parents = Array.make (Automaton.n_states auto) None in
   let visited = ref 0 in
   Automaton.iter_reachable auto ~scratch:reach_scratch ~f:(fun v tag m ->
       incr visited;
-      parents.(Automaton.cenc auto v tag) <- m);
+      parents.(Automaton.enc auto v tag) <- m);
   let rec build v tag path moves =
-    match parents.(Automaton.cenc auto v tag) with
+    match parents.(Automaton.enc auto v tag) with
     | None -> (v :: path, moves)
     | Some (m : Automaton.move) -> build m.at m.tag (v :: path) (m :: moves)
   in
@@ -75,7 +75,7 @@ let stranded_scan auto ~reach_scratch ~can_scratch =
       List.iter
         (fun tag ->
           if
-            Scratch.get reach_scratch (Automaton.cenc auto v tag) <> 0
+            Scratch.get reach_scratch (Automaton.enc auto v tag) <> 0
             && not (Automaton.co_reach auto ~scratch:can_scratch v tag)
           then begin
             let path, moves = build v tag [] [] in
@@ -94,8 +94,8 @@ let stranded_scan auto ~reach_scratch ~can_scratch =
    {!Automaton.co_reach} memo.  Only called on delivering states. *)
 let worst_dist auto ~can_scratch ~dist_scratch v0 tag0 =
   let dest = Automaton.dest auto in
-  let get v tag = Scratch.get dist_scratch (Automaton.cenc auto v tag) in
-  let set v tag x = Scratch.set dist_scratch (Automaton.cenc auto v tag) x in
+  let get v tag = Scratch.get dist_scratch (Automaton.enc auto v tag) in
+  let set v tag x = Scratch.set dist_scratch (Automaton.enc auto v tag) x in
   let stack = ref [ (v0, tag0) ] in
   while !stack <> [] do
     match !stack with
@@ -132,7 +132,7 @@ let worst_dist auto ~can_scratch ~dist_scratch v0 tag0 =
    destination after exactly [dist] hops. *)
 let worst_path auto ~can_scratch ~dist_scratch v0 tag0 =
   let dest = Automaton.dest auto in
-  let get v tag = Scratch.get dist_scratch (Automaton.cenc auto v tag) in
+  let get v tag = Scratch.get dist_scratch (Automaton.enc auto v tag) in
   let path = ref [ v0 ] and moves = ref [] in
   let v = ref v0 and tag = ref tag0 in
   while !v <> dest do
@@ -204,7 +204,7 @@ let verify_dest ?(tag_check = true) ?k ?(stretch_bound = default_stretch_bound)
   let can_scratch = Scratch.create () in
   let reach_scratch = Scratch.create () in
   if acyclic && (has Delivery || has Stretch) then begin
-    Scratch.round can_scratch ~states:(Automaton.n_cstates auto);
+    Scratch.round can_scratch ~states:(Automaton.n_states auto);
     if has Delivery then begin
       let visited, stranded =
         stranded_scan auto ~reach_scratch ~can_scratch
@@ -226,7 +226,7 @@ let verify_dest ?(tag_check = true) ?k ?(stretch_bound = default_stretch_bound)
     end;
     if has Stretch then begin
       let dist_scratch = Scratch.create () in
-      Scratch.round dist_scratch ~states:(Automaton.n_cstates auto);
+      Scratch.round dist_scratch ~states:(Automaton.n_states auto);
       for v = 0 to n - 1 do
         if
           v <> dest
@@ -317,7 +317,7 @@ let verify_dest ?(tag_check = true) ?k ?(stretch_bound = default_stretch_bound)
                      cycle = cx.As_check.cycle;
                    })
             | None ->
-              Scratch.round can_scratch ~states:(Automaton.n_cstates fauto);
+              Scratch.round can_scratch ~states:(Automaton.n_states fauto);
               let touched_ok =
                 List.for_all
                   (fun (w, tag) ->
@@ -366,32 +366,18 @@ let verify_dest ?(tag_check = true) ?k ?(stretch_bound = default_stretch_bound)
 
 (* ---- dynamic replays ---------------------------------------------------- *)
 
-let link_up_of = function
-  | None -> fun _ _ -> true
-  | Some (u, v) -> fun a b -> not ((a = u && b = v) || (a = v && b = u))
-
-let replay_moves ?(tag_check = true) g rt ~moves ~src ~failed_link =
-  let moves = Array.of_list moves in
-  let total = Array.length moves in
-  let i = ref 0 in
-  let decide ~as_id:_ ~upstream:_ ~entries:_ =
-    if !i >= total then Loop_walk.Default
-    else begin
-      let (m : Automaton.move) = moves.(!i) in
-      incr i;
-      if m.deflected then Loop_walk.Deflect m.via else Loop_walk.Default
-    end
+let replay_moves ?(tag_check = true) ~fn g rt ~path ~moves ~failed_link =
+  let src = match path with src :: _ -> src | [] -> invalid_arg ("Props." ^ fn ^ ": empty path") in
+  let link_up a b =
+    match failed_link with None -> true | Some (u, v) -> not ((a = u && b = v) || (a = v && b = u))
   in
-  Loop_walk.walk ~tag_check ~link_up:(link_up_of failed_link)
-    ~max_hops:(2 * (total + As_graph.n g) + 8)
-    g rt ~decide ~src
+  let moves = Array.of_list moves in
+  Loop_walk.walk ~tag_check ~link_up
+    ~max_hops:(2 * (Array.length moves + As_graph.n g) + 8)
+    g rt ~decide:(Automaton.script moves) ~src
 
 let replay_stranded ?tag_check g rt ~path ~moves ~failed_link =
-  match path with
-  | [] -> invalid_arg "Props.replay_stranded: empty path"
-  | src :: _ -> replay_moves ?tag_check g rt ~moves ~src ~failed_link
+  replay_moves ?tag_check ~fn:"replay_stranded" g rt ~path ~moves ~failed_link
 
 let replay_stretch ?tag_check g rt ~path ~moves =
-  match path with
-  | [] -> invalid_arg "Props.replay_stretch: empty path"
-  | src :: _ -> replay_moves ?tag_check g rt ~moves ~src ~failed_link:None
+  replay_moves ?tag_check ~fn:"replay_stretch" g rt ~path ~moves ~failed_link:None

@@ -71,7 +71,8 @@ val verify_dest :
 
     The machine check that a static counterexample is real: drive
     {!Mifo_core.Loop_walk.walk} with the violation's decision script
-    (and its failure overlay as [?link_up]). *)
+    ({!Automaton.script}: the moves, then defaults) and its failure
+    overlay as [?link_up]. *)
 
 val replay_stranded :
   ?tag_check:bool ->

@@ -72,7 +72,7 @@ type stats = {
   states_explored : int;  (** product-automaton states visited *)
   paths_checked : int;  (** RIB paths audited for valleys/lengths *)
   fib_entries_checked : int;
-  delivery_states : int;  (** collapsed states examined by the delivery check *)
+  delivery_states : int;  (** (AS, tag) states examined by the delivery check *)
   stranded_states : int;  (** root-reachable states that cannot deliver *)
   stretch_states : int;  (** states with a finite worst-path length *)
   max_stretch : int;  (** worst observed stretch; {!add_stats} takes the max *)

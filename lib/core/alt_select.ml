@@ -50,3 +50,8 @@ let ranked_alternatives rt ~src_as ~upstream ~spare ~k =
       let c = Float.compare (spare b.via) (spare a.via) in
       if c <> 0 then c else Int.compare a.via b.via)
     pool
+
+let local_repair rt v ~link_up =
+  let k = Routing.rib_size rt v in
+  let rec first i = if i >= k then -1 else if link_up (Routing.rib_via rt v i) then i else first (i + 1) in
+  first 0

@@ -56,3 +56,9 @@ val ranked_alternatives :
     that admits deflections onto the first k RIB alternatives soundly
     over-approximates every set this function can return.  All entries
     are next-hop-disjoint from the default route. *)
+
+val local_repair : Mifo_bgp.Routing.t -> int -> link_up:(int -> bool) -> int
+(** Local repair: the RIB index [v] forwards on when [link_up nb] tells
+    which of its links are up — [0] while the default's link is up,
+    else the first RIB alternative whose link is up (the new default,
+    taken without a Tag-Check), [-1] when none survives. *)

@@ -54,8 +54,11 @@ val epoch_ranked :
 (** One daemon tick over ranked sets.  [port_utilization p] is the
     smoothed utilization of egress port [p] in \[0, 1\];
     [choose_alts prefix entry] returns the ranked alternative ports for
-    [prefix] (best first, truncated at {!Fib.max_alts}), typically via
-    {!Alt_select.ranked_alternatives} plus the router's port map. *)
+    [prefix] (best first, truncated at {!Fib.max_alts}) — for example
+    {!Alt_select.ranked_alternatives} plus the router's port map, or the
+    packet networks' [As_network.greedy_chooser], which scans every RIB
+    alternative.  A chooser that is not capped to the first [k] RIB
+    alternatives is covered only by the unbounded static check. *)
 
 val is_congested : ?config:config -> float -> bool
 (** The congestion predicate on a utilization sample, shared with the

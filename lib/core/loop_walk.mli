@@ -6,14 +6,24 @@
     the valley-free check, or caught in a loop.  The property-based tests
     verify the theorem with it (with the check on, no strategy can loop a
     packet), and the ablation bench reproduces the Fig. 2(a) loop with
-    the check off. *)
+    the check off.
+
+    The walk has no forwarding rule of its own: every hop is decided by
+    the production {!Engine.decide}.  Each AS is one replay router whose
+    port [i] is its [i]-th neighbour ({!Mifo_topology.As_graph.neighbors})
+    over an eBGP session, with a one-entry FIB toward the destination.
+    The strategy's choice is installed there — the default route as the
+    entry's default port and a deflection as a one-slot ranked set with
+    every bucket deflected — and the egress is whatever the engine
+    returns, so the walk's decisions are counted under the [engine.*]
+    metrics like any packet's. *)
 
 type decision =
   | Default  (** follow the default next hop *)
   | Deflect of int  (** deflect to this RIB neighbor *)
 
 type drop_reason =
-  | Valley  (** deflection rejected by the Tag-Check *)
+  | Valley  (** deflection refused by the engine's Tag-Check *)
   | No_route  (** deflection toward a neighbor that exported no route *)
   | Dead_end  (** a node with an empty RIB *)
   | Link_down
@@ -50,17 +60,18 @@ val walk :
     [Routing.dest rt].  At every transit AS, [decide] picks the default
     route or a deflection among the RIB [entries] (the full sorted RIB;
     its head is the default).  A [Deflect] to a neighbor that exported no
-    route is answered with [Dropped No_route].  With [tag_check] (the
-    default), a deflection violating the valley-free rule yields
-    [Dropped Valley] — exactly the engine's behaviour; with
-    [tag_check:false] the deflection proceeds unchecked, which is the
-    legacy multi-path data plane the theorem shows can loop.
+    route is answered with [Dropped No_route]; a [Deflect] onto the
+    default route's neighbour is the default hop.  With [tag_check] (the
+    default), a deflection the engine's Tag-Check refuses falls back to
+    the default port, and the walk reports that as [Dropped Valley];
+    with [tag_check:false] the deflection proceeds unchecked, which is
+    the legacy multi-path data plane the theorem shows can loop.
 
     [?link_up u v] (default: everything up) masks failed physical
-    links: a default hop over a down link repairs locally onto the
-    first surviving RIB route (unconditionally — it is the new
-    default), or strands the packet with [Dropped Link_down] when none
-    survives; a [Deflect] over a down link strands it directly.  This
+    links: a default hop over a down link repairs locally
+    ({!Alt_select.local_repair}), or strands the packet with
+    [Dropped Link_down] when no route survives; a [Deflect] over a down
+    link strands it directly.  This
     is the dynamic counterpart of the static failure model
     ({!Mifo_analysis}'s resilience and delivery checks replay their
     counterexamples through it).

@@ -19,15 +19,6 @@ let make ?(kind = Data) ?(seq = 0) ?(ttl = default_ttl) ?(size_bits = 8000) ~src
     ~flow () =
   { src; dst; flow; seq; kind; size_bits; ttl; vf_tag = false; encap = None }
 
-let with_tag t tag = { t with vf_tag = tag }
-
-let encapsulate t ~outer_src ~outer_dst =
-  if t.encap <> None then invalid_arg "Packet.encapsulate: already encapsulated";
-  { t with encap = Some { outer_src; outer_dst } }
-
-let decapsulate t = { t with encap = None }
-let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
-
 let outer_header_bits = 160 (* a minimal 20-byte outer IPv4 header *)
 
 let wire_size_bits t =

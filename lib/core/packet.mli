@@ -39,15 +39,6 @@ val make :
 (** A fresh, untagged, unencapsulated packet.  [size_bits] defaults to
     8000 (the paper's 1 KB data packets). *)
 
-val with_tag : t -> bool -> t
-val encapsulate : t -> outer_src:int -> outer_dst:int -> t
-(** @raise Invalid_argument if already encapsulated (MIFO never nests
-    tunnels). *)
-
-val decapsulate : t -> t
-val decrement_ttl : t -> t option
-(** [None] when the TTL reaches zero. *)
-
 val outer_header_bits : int
 (** 160: the minimal 20-byte outer IPv4 header an IP-in-IP tunnel adds. *)
 

@@ -151,6 +151,19 @@ let test_k2_gadget () =
       | Loop_walk.Looped _ -> ()
       | _ -> Alcotest.fail "k=2 replay did not loop"))
 
+(* One (AS, tag) state space at every bound: [?k] only removes
+   deflection edges. *)
+let test_k_states () =
+  let g = Generator.k2_gadget () in
+  let rt = Routing.compute g 0 in
+  List.iter
+    (fun k ->
+      Alcotest.(check int) (Printf.sprintf "n_states at k=%d" k) (2 * As_graph.n g)
+        (Automaton.n_states (Automaton.create ~k g rt)))
+    [ 1; 2; 4 ];
+  Alcotest.(check int) "n_states unbounded" (2 * As_graph.n g)
+    (Automaton.n_states (Automaton.create g rt))
+
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
@@ -728,6 +741,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_static_matches_dynamic;
           Alcotest.test_case "k2 gadget: clean at k=1, loops at k=2" `Quick
             test_k2_gadget;
+          Alcotest.test_case "one (AS, tag) state space at every k" `Quick test_k_states;
           QCheck_alcotest.to_alcotest prop_ranked_static_matches_dynamic;
         ] );
       ( "report",

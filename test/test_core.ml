@@ -75,26 +75,17 @@ let test_policy () =
 let mk_packet ?ttl () =
   Packet.make ?ttl ~src:(Prefix.host_of_as 1 1) ~dst:(Prefix.host_of_as 2 1) ~flow:5 ()
 
+(* An IP-in-IP copy of [p], built with a record update: the engine
+   rewrites headers in place, so [Packet] has no copying helpers. *)
+let encap p ~outer_src ~outer_dst = { p with Packet.encap = Some { Packet.outer_src; outer_dst } }
+
 let test_packet_encap () =
   let p = mk_packet () in
-  let e = Packet.encapsulate p ~outer_src:3 ~outer_dst:4 in
-  Alcotest.(check bool) "encapsulated" true (e.Packet.encap <> None);
+  let e = encap p ~outer_src:3 ~outer_dst:4 in
   Alcotest.(check int) "outer header on the wire" (p.Packet.size_bits + 160)
     (Packet.wire_size_bits e);
-  let d = Packet.decapsulate e in
-  Alcotest.(check bool) "decapsulated" true (d.Packet.encap = None);
-  Alcotest.(check bool) "no nested tunnels" true
-    (match Packet.encapsulate e ~outer_src:1 ~outer_dst:2 with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
-
-let test_packet_ttl () =
-  let p = mk_packet ~ttl:2 () in
-  (match Packet.decrement_ttl p with
-   | Some p' -> Alcotest.(check int) "decremented" 1 p'.Packet.ttl
-   | None -> Alcotest.fail "should survive");
-  let p1 = mk_packet ~ttl:1 () in
-  Alcotest.(check bool) "expires at 1" true (Packet.decrement_ttl p1 = None)
+  Alcotest.(check int) "no outer header unencapsulated" p.Packet.size_bits
+    (Packet.wire_size_bits p)
 
 (* ---------- Fib ---------- *)
 
@@ -508,7 +499,7 @@ let test_engine_tag_check_drops_tunneled_packet () =
   in
   (* arrives tunneled from router 55 with the tag clear; the alternative
      is an eBGP peer, so the check fails *)
-  let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:100 in
+  let p = encap (packet ()) ~outer_src:55 ~outer_dst:100 in
   match Engine.forward env ~ingress:(Some 2) p with
   | Engine.Drop { reason = Engine.Valley_violation; _ } -> ()
   | _ -> Alcotest.fail "expected valley drop for the tunneled packet"
@@ -554,7 +545,7 @@ let test_engine_receives_deflected_packet () =
       ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
       ()
   in
-  let p = Packet.encapsulate (Packet.with_tag (packet ()) true) ~outer_src:55 ~outer_dst:100 in
+  let p = encap { (packet ()) with Packet.vf_tag = true } ~outer_src:55 ~outer_dst:100 in
   match Engine.forward env ~ingress:(Some 2) p with
   | Engine.Send { port; packet = p'; _ } ->
     Alcotest.(check int) "took the alternative" 1 port;
@@ -564,7 +555,7 @@ let test_engine_receives_deflected_packet () =
 let test_engine_foreign_tunnel_passthrough () =
   (* a tunnel addressed to ANOTHER router is forwarded as-is *)
   let env = make_env () in
-  let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:77 in
+  let p = encap (packet ()) ~outer_src:55 ~outer_dst:77 in
   match Engine.forward env ~ingress:(Some 2) p with
   | Engine.Send { packet = p'; _ } ->
     Alcotest.(check bool) "still encapsulated" true (p'.Packet.encap <> None)
@@ -583,7 +574,7 @@ let test_engine_transit_tunnel () =
       ~route_to_peer:(fun r -> if r = 77 then 5 else -1)
       ()
   in
-  let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:77 in
+  let p = encap (packet ()) ~outer_src:55 ~outer_dst:77 in
   (match Engine.forward env ~ingress:(Some 2) p with
    | Engine.Send { port; packet = p'; _ } ->
      Alcotest.(check int) "routed toward the tunnel endpoint" 5 port;
@@ -602,7 +593,7 @@ let test_engine_transit_never_deflected () =
       ~alt_kind:(Engine.Ebgp { neighbor_as = 9; rel = Relationship.Customer })
       ()
   in
-  let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:77 in
+  let p = encap (packet ()) ~outer_src:55 ~outer_dst:77 in
   match Engine.forward env ~ingress:(Some 2) p with
   | Engine.Send { port; packet = p'; _ } ->
     Alcotest.(check int) "default port, never the eBGP alternative" 0 port;
@@ -620,7 +611,7 @@ let test_engine_drop_counters () =
       ~next_hop_router:(fun p -> if p = 0 then 55 else -1)
       ()
   in
-  let p = Packet.encapsulate (packet ()) ~outer_src:55 ~outer_dst:100 in
+  let p = encap (packet ()) ~outer_src:55 ~outer_dst:100 in
   (match Engine.forward env ~ingress:(Some 2) p with
    | Engine.Drop { reason = Engine.Valley_violation; _ } -> ()
    | _ -> Alcotest.fail "expected valley drop");
@@ -841,7 +832,7 @@ let prop_engine_invariants =
       let base =
         Packet.make ~src:(Prefix.host_of_as 1 1) ~dst:(Prefix.host_of_as 2 1) ~flow ()
       in
-      let p = if encapped then Packet.encapsulate base ~outer_src:7 ~outer_dst:99 else base in
+      let p = if encapped then encap base ~outer_src:7 ~outer_dst:99 else base in
       match Engine.forward env ~ingress:(Some 2) p with
       | Engine.Send { port; packet = p'; _ } ->
         (* TTL decremented exactly once *)
@@ -887,7 +878,7 @@ let prop_engine_k1_matches_single_alt =
       let base =
         Packet.make ~src:(Prefix.host_of_as 1 1) ~dst:(Prefix.host_of_as 2 1) ~flow ()
       in
-      let p = if encapped then Packet.encapsulate base ~outer_src:7 ~outer_dst:99 else base in
+      let p = if encapped then encap base ~outer_src:7 ~outer_dst:99 else base in
       Engine.forward (mk ~ranked:false) ~ingress:(Some 2) p
       = Engine.forward (mk ~ranked:true) ~ingress:(Some 2) p
       && Engine.forward ~tag_check:false (mk ~ranked:false) ~ingress:(Some 2) p
@@ -1107,6 +1098,24 @@ let test_walk_gadget_loops_without_check () =
   | Loop_walk.Dropped { reason = Loop_walk.Valley; _ } -> ()
   | _ -> Alcotest.fail "expected a valley drop with the check"
 
+(* The walker's egress is the production engine's: a Fig. 2(a) valley
+   deflection (AS 1 deflects to its peer 2, which then tries its peer 3)
+   is refused by [Engine.decide]'s Tag-Check, whose fallback counter
+   moves by exactly that one refusal. *)
+let test_walk_valley_through_engine () =
+  let g, rt = Lazy.force gadget_rt in
+  let decide ~as_id ~upstream:_ ~entries:_ =
+    match as_id with 1 -> Loop_walk.Deflect 2 | 2 -> Loop_walk.Deflect 3 | _ -> Loop_walk.Default
+  in
+  let fallback0 = Obs.counter_value "engine.tag_check.fallback" in
+  (match Loop_walk.walk ~tag_check:true g rt ~decide ~src:1 with
+   | Loop_walk.Dropped { path; at; reason = Loop_walk.Valley } ->
+     Alcotest.(check (list int)) "path up to the refusal" [ 1; 2 ] path;
+     Alcotest.(check int) "refused at the peer" 2 at
+   | _ -> Alcotest.fail "expected a valley drop");
+  Alcotest.(check int) "one engine Tag-Check fallback" 1
+    (Obs.counter_value "engine.tag_check.fallback" - fallback0)
+
 let test_walk_rejects_unknown_neighbor () =
   let g, rt = Lazy.force gadget_rt in
   let decide ~as_id:_ ~upstream:_ ~entries:_ = Loop_walk.Deflect 99 in
@@ -1164,7 +1173,6 @@ let () =
       ( "packet",
         [
           Alcotest.test_case "encap/decap" `Quick test_packet_encap;
-          Alcotest.test_case "ttl" `Quick test_packet_ttl;
         ] );
       ( "fib",
         [
@@ -1248,6 +1256,8 @@ let () =
             test_walk_no_congestion_delivers;
           Alcotest.test_case "fig2a: loop without check, drop with" `Quick
             test_walk_gadget_loops_without_check;
+          Alcotest.test_case "fig2a valley deflection refused by the engine" `Quick
+            test_walk_valley_through_engine;
           Alcotest.test_case "rejects unknown neighbor" `Quick test_walk_rejects_unknown_neighbor;
           QCheck_alcotest.to_alcotest prop_theorem_no_loops;
         ] );
