@@ -653,11 +653,16 @@ let paths_cmd =
   let k_t =
     Arg.(
       value
-      & opt int (Mifo_core.Fib.default_k ())
+      & opt int Mifo_core.Fib.max_alts
       & info [ "k" ] ~docv:"K"
+          ~env:
+            (Cmd.Env.info "MIFO_K_ALT"
+               ~doc:"Same as $(b,-k); the flag wins when both are given.")
           ~doc:
-            "Ranked alternatives considered per hop (default: the $(b,MIFO_K_ALT) \
-             environment knob, else 4).")
+            (Printf.sprintf
+               "Ranked alternatives considered per hop, in 1..%d (the FIB's ranked \
+                slots)."
+               Mifo_core.Fib.max_alts))
   in
   let run obs ctx src dst limit max_paths early_stop k =
     let g = Context.graph ctx in
@@ -667,6 +672,8 @@ let paths_cmd =
     in
     check_as "--dst" dst;
     Option.iter (check_as "--src") src;
+    if k < 1 || k > Mifo_core.Fib.max_alts then
+      usage_error "-k (or MIFO_K_ALT) must be in 1..%d (got %d)" Mifo_core.Fib.max_alts k;
     with_obs obs @@ fun () ->
     let rt = Mifo_bgp.Routing_table.get ctx.Context.table dst in
     let show path = String.concat " -> " (List.map string_of_int path) in

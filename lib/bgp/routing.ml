@@ -39,42 +39,93 @@ type t = {
 
 let dest t = t.dest
 
-(* Pick the neighbor minimizing (advertised length, id) among candidates
-   that actually have a route ([route_len nb < 0] = none). *)
-let best_via candidates route_len =
+(* Per-domain work arrays for [compute], grown to the largest graph seen
+   and then reused, so the [t] it returns is all a call allocates.  A
+   call uses only [0, n) and resets there whatever it reads before
+   writing it.  Domain-local, so the workers of a parallel precompute
+   never share one. *)
+type scratch = {
+  dist_cust : int array;  (* customer-route length; -1 = none *)
+  export_len : int array;  (* length advertised to customers; -1 = none *)
+  next : int array;  (* default next hop; -1 = none *)
+  head : int array;  (* first child in the selected-route tree; -1 = leaf *)
+  sibling : int array;  (* next child of the same parent *)
+  work : int array;  (* the BFS queue, then the DFS stack *)
+}
+
+let make_scratch n =
+  let a () = Array.make n (-1) in
+  {
+    dist_cust = a ();
+    export_len = a ();
+    next = a ();
+    head = a ();
+    sibling = a ();
+    work = a ();
+  }
+
+let scratch_key = Domain.DLS.new_key (fun () -> make_scratch 0)
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.next >= n then s
+  else begin
+    let s = make_scratch n in
+    Domain.DLS.set scratch_key s;
+    s
+  end
+
+(* The neighbor in [cands] minimizing (advertised length, id) among those
+   that advertise a route ([adv.(nb) < 0] = none), or [-1]. *)
+let best_via cands (adv : int array) =
   let best = ref (-1) and best_len = ref max_int in
-  Array.iter
-    (fun nb ->
-      let l = route_len nb in
-      if l >= 0 && (l < !best_len || (l = !best_len && nb < !best)) then begin
-        best := nb;
-        best_len := l
-      end)
-    candidates;
+  for i = 0 to Array.length cands - 1 do
+    let nb = cands.(i) in
+    let l = adv.(nb) in
+    if l >= 0 && (l < !best_len || (l = !best_len && nb < !best)) then begin
+      best := nb;
+      best_len := l
+    end
+  done;
   !best
 
-(* Packed DFS times over the selected-route tree rooted at [d]. *)
-let build_tree n next d =
-  let children = Array.make n [] in
+(* Packed DFS times over the selected-route tree rooted at [d].  Children
+   are threaded through [head]/[sibling], latest-linked (= highest id)
+   first; the stack holds [2v] (enter v) and [2v+1] (exit v), and pushing
+   children highest id first visits them lowest id first.  A node's exit
+   code takes its enter code's slot, so the stack never holds more than
+   [n] codes. *)
+let build_tree s n d =
+  let next = s.next and head = s.head and sibling = s.sibling and stack = s.work in
+  Array.fill head 0 n (-1);
   for v = 0 to n - 1 do
     let p = next.(v) in
-    if p >= 0 then children.(p) <- v :: children.(p)
+    if p >= 0 then begin
+      sibling.(v) <- head.(p);
+      head.(p) <- v
+    end
   done;
   let tree = Array.make n (-1) in
-  let clock = ref 0 in
-  (* iterative DFS: (node, Enter | Exit); the exit stamp completes the
-     entry stamp already written in the high half *)
-  let stack = Stack.create () in
-  Stack.push (d, true) stack;
-  while not (Stack.is_empty stack) do
-    let v, entering = Stack.pop stack in
-    if entering then begin
+  let clock = ref 0 and sp = ref 1 in
+  stack.(0) <- 2 * d;
+  while !sp > 0 do
+    decr sp;
+    let code = stack.(!sp) in
+    let v = code lsr 1 in
+    if code land 1 = 0 then begin
       tree.(v) <- !clock lsl 32;
       incr clock;
-      Stack.push (v, false) stack;
-      List.iter (fun c -> Stack.push (c, true) stack) children.(v)
+      stack.(!sp) <- code lor 1;
+      incr sp;
+      let c = ref head.(v) in
+      while !c >= 0 do
+        stack.(!sp) <- 2 * !c;
+        incr sp;
+        c := sibling.(!c)
+      done
     end
     else begin
+      (* the exit stamp completes the entry stamp in the high half *)
       tree.(v) <- tree.(v) lor !clock;
       incr clock
     end
@@ -85,121 +136,136 @@ let[@inline] tree_ancestor tree ~node x =
   let a = tree.(node) and b = tree.(x) in
   a >= 0 && b >= 0 && b lsr 32 <= a lsr 32 && a land 0xFFFFFFFF <= b land 0xFFFFFFFF
 
+(* Routes [v] accepts from [nbrs]: a live advertisement the BGP loop
+   filter keeps, i.e. [v] is not on the neighbor's selected path. *)
+let count_admissible tree v nbrs (adv : int array) =
+  let c = ref 0 in
+  for i = 0 to Array.length nbrs - 1 do
+    let nb = nbrs.(i) in
+    if adv.(nb) >= 0 && not (tree_ancestor tree ~node:nb v) then incr c
+  done;
+  !c
+
+(* Writes the cells [count_admissible] counts from [cells.(p)] on, in
+   [nbrs] order; returns the next free cell. *)
+let push_admissible cells p tree v rank nbrs (adv : int array) =
+  let p = ref p in
+  for i = 0 to Array.length nbrs - 1 do
+    let nb = nbrs.(i) in
+    let l = adv.(nb) in
+    if l >= 0 && not (tree_ancestor tree ~node:nb v) then begin
+      cells.(!p) <- (rank lsl 60) lor ((1 + l) lsl 32) lor nb;
+      incr p
+    end
+  done;
+  !p
+
+(* In-place heapsort of [a.(base) .. a.(base + len - 1)] in ascending
+   int order. *)
+let rec sift (a : int array) base i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(base + l + 1) > a.(base + l) then l + 1 else l in
+    let x = a.(base + i) and y = a.(base + c) in
+    if y > x then begin
+      a.(base + i) <- y;
+      a.(base + c) <- x;
+      sift a base c len
+    end
+  end
+
+let sort_segment (a : int array) base len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a base i len
+  done;
+  for hi = len - 1 downto 1 do
+    let top = a.(base) in
+    a.(base) <- a.(base + hi);
+    a.(base + hi) <- top;
+    sift a base 0 hi
+  done
+
 let compute g d =
   let n = As_graph.n g in
   if d < 0 || d >= n then invalid_arg "Routing.compute: destination out of range";
-  (* Phase arrays: temporaries, not retained — the CSR arena built from
-     them encodes every route they describe. *)
-  let dist_cust = Array.make n (-1) in
-  let peer_len = Array.make n (-1) in
-  let prov_len = Array.make n (-1) in
-  let export_len = Array.make n (-1) in
-  let next = Array.make n (-1) in
+  let s = scratch n in
+  let dist_cust = s.dist_cust and export_len = s.export_len and next = s.next in
+  Array.fill dist_cust 0 n (-1);
   (* Phase 1 — customer routes: BFS from the destination along
      customer->provider edges; an AS has a customer route iff some chain of
      successive customers leads down to d. *)
+  let queue = s.work in
   dist_cust.(d) <- 0;
-  let queue = Queue.create () in
-  Queue.add d queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Array.iter
-      (fun p ->
-        if dist_cust.(p) < 0 then begin
-          dist_cust.(p) <- dist_cust.(v) + 1;
-          Queue.add p queue
-        end)
-      (As_graph.providers g v)
+  queue.(0) <- d;
+  let qhead = ref 0 and qtail = ref 1 in
+  while !qhead < !qtail do
+    let v = queue.(!qhead) in
+    incr qhead;
+    let ps = As_graph.providers g v in
+    for i = 0 to Array.length ps - 1 do
+      let p = ps.(i) in
+      if dist_cust.(p) < 0 then begin
+        dist_cust.(p) <- dist_cust.(v) + 1;
+        queue.(!qtail) <- p;
+        incr qtail
+      end
+    done
   done;
-  (* Phase 2 — peer routes: usable iff the peer's best route is a customer
-     route (export policy), i.e. iff the peer has a customer route. *)
-  let via_customer nb = dist_cust.(nb) in
-  for v = 0 to n - 1 do
-    if v <> d then begin
-      let nb = best_via (As_graph.peers g v) via_customer in
-      if nb >= 0 then peer_len.(v) <- 1 + dist_cust.(nb)
+  (* Phases 2 and 3 — the selected route and default next hop of every
+     AS, in provider-before-customer order: the best neighbor of the best
+     class.  A customer exports to its provider, and a peer to its peer,
+     only customer routes, so a peer route is usable iff the peer has a
+     customer route.  A provider advertises its selected route to
+     customers, whatever its class, so export_len is fixed top-down. *)
+  for i = 0 to n - 1 do
+    let v = As_graph.topological_at g i in
+    if v = d then begin
+      export_len.(v) <- 0;
+      next.(v) <- -1
+    end
+    else if dist_cust.(v) >= 0 then begin
+      export_len.(v) <- dist_cust.(v);
+      next.(v) <- best_via (As_graph.customers g v) dist_cust
+    end
+    else begin
+      let nb = best_via (As_graph.peers g v) dist_cust in
+      if nb >= 0 then begin
+        export_len.(v) <- 1 + dist_cust.(nb);
+        next.(v) <- nb
+      end
+      else begin
+        let nb = best_via (As_graph.providers g v) export_len in
+        export_len.(v) <- (if nb >= 0 then 1 + export_len.(nb) else -1);
+        next.(v) <- nb
+      end
     end
   done;
-  (* Phase 3 — provider routes, in provider-before-customer order: a
-     provider advertises its selected best route to customers, whatever its
-     class, so export_len must be fixed top-down. *)
-  let via_provider nb = export_len.(nb) in
-  Array.iter
-    (fun v ->
-      if v <> d then begin
-        let nb = best_via (As_graph.providers g v) via_provider in
-        if nb >= 0 then prov_len.(v) <- 1 + export_len.(nb);
-        export_len.(v) <-
-          (if dist_cust.(v) >= 0 then dist_cust.(v)
-           else if peer_len.(v) >= 0 then peer_len.(v)
-           else prov_len.(v))
-      end
-      else export_len.(v) <- 0)
-    (As_graph.topological_order g);
-  (* Default next hops from the final class decision: the best neighbor
-     of the best class (a customer exports to its provider, and a peer
-     to its peer, only customer routes). *)
-  for v = 0 to n - 1 do
-    if v <> d then
-      next.(v) <-
-        (if dist_cust.(v) >= 0 then best_via (As_graph.customers g v) via_customer
-         else if peer_len.(v) >= 0 then best_via (As_graph.peers g v) via_customer
-         else if prov_len.(v) >= 0 then best_via (As_graph.providers g v) via_provider
-         else -1)
-  done;
-  let tree = build_tree n next d in
+  let tree = build_tree s n d in
   (* Admissibility: a customer or peer neighbor advertises its best
      customer route, a provider its selected route, and the BGP loop
      filter drops routes whose AS path runs through us (an ancestor query
      on the route tree). *)
   let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    if v <> d then begin
-      let c = ref 0 in
-      let count_class nbrs advertised =
-        Array.iter
-          (fun nb -> if advertised.(nb) >= 0 && not (tree_ancestor tree ~node:nb v) then incr c)
-          nbrs
-      in
-      count_class (As_graph.customers g v) dist_cust;
-      count_class (As_graph.peers g v) dist_cust;
-      count_class (As_graph.providers g v) export_len;
-      off.(v + 1) <- !c
-    end
-  done;
-  let max_deg = ref 0 in
-  for v = 0 to n - 1 do
-    max_deg := Stdlib.max !max_deg off.(v + 1);
-    off.(v + 1) <- off.(v + 1) + off.(v)
+    off.(v + 1) <-
+      off.(v)
+      + (if v = d then 0
+         else
+           count_admissible tree v (As_graph.customers g v) dist_cust
+           + count_admissible tree v (As_graph.peers g v) dist_cust
+           + count_admissible tree v (As_graph.providers g v) export_len)
   done;
   let cells = Array.make off.(n) 0 in
-  let scratch = Array.make !max_deg 0 in
   for v = 0 to n - 1 do
     if v <> d then begin
-      let p = ref off.(v) in
-      let push_class rank nbrs advertised =
-        Array.iter
-          (fun nb ->
-            let adv = advertised.(nb) in
-            if adv >= 0 && not (tree_ancestor tree ~node:nb v) then begin
-              cells.(!p) <- (rank lsl 60) lor ((1 + adv) lsl 32) lor nb;
-              incr p
-            end)
-          nbrs
-      in
-      push_class 0 (As_graph.customers g v) dist_cust;
-      push_class 1 (As_graph.peers g v) dist_cust;
-      push_class 2 (As_graph.providers g v) export_len;
+      let p = push_admissible cells off.(v) tree v 0 (As_graph.customers g v) dist_cust in
+      let p = push_admissible cells p tree v 1 (As_graph.peers g v) dist_cust in
+      ignore (push_admissible cells p tree v 2 (As_graph.providers g v) export_len : int);
       (* Sort the segment: ascending packed ints = RIB order.  The
          classes were pushed in rank order, so only (len, via) within
          each class is out of order; the heapsort is O(k log k) even
          on tier-1 hubs with thousands of entries. *)
-      let k = !p - off.(v) in
-      if k > 1 then begin
-        Array.blit cells off.(v) scratch 0 k;
-        Mifo_util.Sort.sort_prefix ~cmp:Int.compare scratch k;
-        Array.blit scratch 0 cells off.(v) k
-      end
+      sort_segment cells off.(v) (off.(v + 1) - off.(v))
     end
   done;
   let t = { graph = g; dest = d; csr_off = off; csr_cells = cells; tree } in

@@ -7,20 +7,6 @@ let g_entries = Obs.gauge "fib.entries"
 
 let max_alts = 4
 
-(* The MIFO_K_ALT knob: how many ranked alternative slots the daemon and
-   the tools fill, clamped to [1, max_alts].  The FIB itself always has
-   max_alts slots; the knob only caps how many get used. *)
-let default_k =
-  let v =
-    match Sys.getenv_opt "MIFO_K_ALT" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> Stdlib.min k max_alts
-      | Some _ | None -> max_alts)
-    | None -> max_alts
-  in
-  fun () -> v
-
 (* Flat store for one prefix length: an open-addressed index (linear
    probing, power-of-two capacity, backward-shift deletion) over a
    slot-stable arena of unboxed fields.  Arena ids survive index growth,

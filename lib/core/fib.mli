@@ -44,12 +44,6 @@ val buckets : int
 val max_alts : int
 (** Number of ranked alternative slots per entry (4). *)
 
-val default_k : unit -> int
-(** The [MIFO_K_ALT] knob: how many ranked slots the daemon and the
-    command-line tools fill, clamped to \[1, {!max_alts}\]; defaults to
-    {!max_alts} when unset or unparsable.  The FIB itself always has
-    {!max_alts} slots — this only caps how many get used. *)
-
 val create : unit -> t
 (** An empty table.  A prefix length's storage is allocated on its first
     [insert]: a table holding only /24s carries one level, not 33. *)

@@ -128,6 +128,7 @@ let level t v = t.level.(v)
 let max_level t = Array.fold_left Stdlib.max 0 t.level
 
 let topological_order t = Array.copy t.topo
+let topological_at t i = t.topo.(i)
 let is_stub t v = Array.length t.customers.(v) = 0
 
 let fold_edges t ~init ~f =

@@ -61,7 +61,12 @@ val level : t -> int -> int
 val max_level : t -> int
 
 val topological_order : t -> int array
-(** ASes ordered so that every provider precedes all of its customers. *)
+(** ASes ordered so that every provider precedes all of its customers.
+    A fresh copy on every call. *)
+
+val topological_at : t -> int -> int
+(** [topological_at g i] is [(topological_order g).(i)] without the
+    copy, for per-destination loops that walk the order once. *)
 
 val is_stub : t -> int -> bool
 (** An AS with no customers. *)

@@ -373,6 +373,72 @@ let test_memory_layout () =
         Alcotest.failf "dest %d: %d words beyond the graph, bound %d" d own bound)
     [ 0; 17; 1_999 ]
 
+(* Words this domain has allocated so far: minor words plus direct
+   major allocations, less promotions (already counted as minor
+   words).  [Gc.minor_words] rather than the minor counter of
+   [Gc.counters]/[Gc.allocated_bytes], which on OCaml 5.1 only advances
+   at minor collections; the major counter catches arrays over 256
+   words, which skip the minor heap and so escape a minor-words gate. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* One [compute] on a warmed graph allocates its result and nothing
+   else: the offsets [(n + 1)], the cells, the packed tree [n], their
+   three headers and the five-field record.  The slack covers the
+   [routing.peak_words] gauge's [Gc.quick_stat] record and the
+   measurement itself.  A closure per node or one per-call phase array
+   ([n] words) is far outside it. *)
+let test_compute_allocates_arena () =
+  let g = graph () in
+  let n = As_graph.n g in
+  ignore (Routing.compute g 0);
+  List.iter
+    (fun d ->
+      Gc.minor ();
+      let w0 = allocated_words () in
+      let rt = Routing.compute g d in
+      let w1 = allocated_words () in
+      let cells = ref 0 in
+      for v = 0 to n - 1 do
+        cells := !cells + Routing.rib_size rt v
+      done;
+      let arena = (n + 1 + 1) + (!cells + 1) + (n + 1) + 6 in
+      let slack = 64 in
+      let used = int_of_float (w1 -. w0) in
+      if used > arena + slack then
+        Alcotest.failf "dest %d: %d words allocated, arena %d + slack %d" d used arena slack)
+    [ 0; 17; 999; 1_999 ]
+
+(* The per-domain scratch is sized by the largest graph seen and reused
+   across graphs: a 60-AS computation between two 2,000-AS ones must
+   leave nothing stale behind.  Each result must be bit-identical (all
+   of its arrays, via [Marshal]) to one computed on a fresh domain,
+   whose scratch starts empty. *)
+let test_scratch_reuse_across_graphs () =
+  let big = graph () in
+  let small =
+    (Generator.generate ~params:{ Generator.default_params with Generator.ases = 60 }
+       ~seed:5 ())
+      .Generator.graph
+  in
+  let fresh g d = Domain.join (Domain.spawn (fun () -> Routing.compute g d)) in
+  let bits rt = Marshal.to_string rt [] in
+  let sequence =
+    [ (big, 1_234, "2,000 ASes"); (small, 7, "60 ASes"); (big, 42, "2,000 ASes again") ]
+  in
+  let reused =
+    Domain.join
+      (Domain.spawn (fun () -> List.map (fun (g, d, _) -> Routing.compute g d) sequence))
+  in
+  List.iter2
+    (fun (g, d, what) rt ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, dest %d: equals a fresh computation" what d)
+        true
+        (bits rt = bits (fresh g d)))
+    sequence reused
+
 (* The CSR build records its heap high-water mark. *)
 let test_peak_words_gauge () =
   let g = graph () in
@@ -510,6 +576,10 @@ let test_precompute_parallel_determinism () =
   Array.iter
     (fun d ->
       let rs = Routing_table.get serial d and rp = Routing_table.get parallel d in
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical state at d=%d" d)
+        true
+        (Marshal.to_string rs [] = Marshal.to_string rp []);
       for v = 0 to n - 1 do
         Alcotest.(check bool)
           (Printf.sprintf "identical RIB at (d=%d, v=%d)" d v)
@@ -563,6 +633,10 @@ let () =
             test_derived_unreachable;
           Alcotest.test_case "memory layout pinned" `Quick test_memory_layout;
           Alcotest.test_case "peak-words gauge exposed" `Quick test_peak_words_gauge;
+          Alcotest.test_case "allocation gate: compute allocates only its arena" `Quick
+            test_compute_allocates_arena;
+          Alcotest.test_case "scratch reuse across graph sizes" `Quick
+            test_scratch_reuse_across_graphs;
         ] );
       ( "path_count",
         [

@@ -234,9 +234,7 @@ let test_fib_ranked_slots () =
   Fib.set_alts e [ 4 ];
   for flow = 0 to 99 do
     Alcotest.(check int) "k=1: always slot 0" 4 (Fib.alt_for_flow e ~flow)
-  done;
-  let k = Fib.default_k () in
-  Alcotest.(check bool) "default_k within bounds" true (k >= 1 && k <= Fib.max_alts)
+  done
 
 let test_fib_deflects () =
   let fib = Fib.create () in
