@@ -1,4 +1,4 @@
-.PHONY: all build test fmt-check metrics-smoke lint static-check ci clean
+.PHONY: all build test fmt-check metrics-smoke lint static-check examples ci clean
 
 all: build
 
@@ -104,11 +104,22 @@ static-check:
 	*) echo "static-check: k=2 ablation failed without a loop counterexample"; exit 1;; \
 	esac
 
+# Run the five examples end to end (about 7 s); each exits non-zero on
+# an uncaught error.  testbed_demo drives the Section V testbed through
+# Packetsim's event loop.
+EXAMPLES = quickstart content_provider testbed_demo loop_demo bgp_convergence
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "examples: $$e"; \
+		dune exec examples/$$e.exe >/dev/null || exit 1; \
+	done
+
 # Tier-1 gate: everything compiles, the whole suite passes (perfbench
 # smoke included), formatting is clean (when ocamlformat is available),
-# the metrics surface works, the sources pass the determinism lint and
-# the static verifier gate holds.
-ci: build test fmt-check metrics-smoke lint static-check
+# the metrics surface works, the sources pass the determinism lint, the
+# static verifier gate holds and the examples run.
+ci: build test fmt-check metrics-smoke lint static-check examples
 
 clean:
 	dune clean

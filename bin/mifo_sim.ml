@@ -126,7 +126,13 @@ let make_context seed ases topo_file flows rate dests =
     Context.of_graph ~scale ~seed topo
   | None -> Context.of_graph ~scale ~seed (generate_topology ~seed ases)
 
-let context_t = Term.(const make_context $ seed_t $ ases_t $ topo_file_t $ flows_t $ rate_t $ dests_t)
+(* Lazy, so a subcommand rejects its own bad flags before the topology
+   and its routes are built. *)
+let context_t =
+  Term.(
+    const (fun seed ases topo_file flows rate dests ->
+        lazy (make_context seed ases topo_file flows rate dests))
+    $ seed_t $ ases_t $ topo_file_t $ flows_t $ rate_t $ dests_t)
 
 let csv_t =
   Arg.(
@@ -198,6 +204,7 @@ let cmd_of name ~doc f =
     Term.(
       const (fun jobs obs ctx ->
           apply_jobs jobs;
+          let ctx = Lazy.force ctx in
           with_obs obs (fun () -> run_and_print (f ctx)))
       $ jobs_t $ obs_t $ context_t)
 
@@ -205,6 +212,7 @@ let cmd_of name ~doc f =
 let fig_cmd name ~doc f =
   let run jobs obs ctx csv =
     apply_jobs jobs;
+    let ctx = Lazy.force ctx in
     with_obs obs @@ fun () ->
     let rendered, files = f ctx in
     print_string rendered;
@@ -435,6 +443,14 @@ let check_cmd =
     let module Report = Mifo_analysis.Report in
     let module Props = Mifo_analysis.Props in
     let tag_check = not no_tag in
+    let fail_link =
+      Option.map
+        (fun s ->
+          match List.map Mifo_util.Decimal.of_string_opt (String.split_on_char ':' s) with
+          | [ Some u; Some v ] -> (u, v)
+          | _ -> usage_error "--fail-link %s: want U:V with decimal AS ids" s)
+        fail_link
+    in
     let g =
       if gadget then Generator.fig2a_gadget ()
       else if k2_gadget then Generator.k2_gadget ()
@@ -446,14 +462,6 @@ let check_cmd =
         | None -> (generate_topology ~seed ases).Generator.graph
     in
     let n = Mifo_topology.As_graph.n g in
-    let fail_link =
-      Option.map
-        (fun s ->
-          match List.map Mifo_util.Decimal.of_string_opt (String.split_on_char ':' s) with
-          | [ Some u; Some v ] -> (u, v)
-          | _ -> usage_error "--fail-link %s: want U:V with decimal AS ids" s)
-        fail_link
-    in
     (match fail_link with
     | Some (u, v) when u >= n || v >= n ->
       usage_error "--fail-link %d:%d names an AS outside 0..%d" u v (n - 1)
@@ -665,6 +673,9 @@ let paths_cmd =
                Mifo_core.Fib.max_alts))
   in
   let run obs ctx src dst limit max_paths early_stop k =
+    if k < 1 || k > Mifo_core.Fib.max_alts then
+      usage_error "-k (or MIFO_K_ALT) must be in 1..%d (got %d)" Mifo_core.Fib.max_alts k;
+    let ctx = Lazy.force ctx in
     let g = Context.graph ctx in
     let n = Mifo_topology.As_graph.n g in
     let check_as flag v =
@@ -672,8 +683,6 @@ let paths_cmd =
     in
     check_as "--dst" dst;
     Option.iter (check_as "--src") src;
-    if k < 1 || k > Mifo_core.Fib.max_alts then
-      usage_error "-k (or MIFO_K_ALT) must be in 1..%d (got %d)" Mifo_core.Fib.max_alts k;
     with_obs obs @@ fun () ->
     let rt = Mifo_bgp.Routing_table.get ctx.Context.table dst in
     let show path = String.concat " -> " (List.map string_of_int path) in

@@ -11,11 +11,6 @@ type route_class = Customer_route | Peer_route | Provider_route
 
 let class_rank = function Customer_route -> 0 | Peer_route -> 1 | Provider_route -> 2
 
-let class_to_string = function
-  | Customer_route -> "customer"
-  | Peer_route -> "peer"
-  | Provider_route -> "provider"
-
 type rib_entry = { via : int; rel : Relationship.t; len : int }
 
 type t = {

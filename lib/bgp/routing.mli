@@ -45,7 +45,6 @@
 type route_class = Customer_route | Peer_route | Provider_route
 
 val class_rank : route_class -> int
-val class_to_string : route_class -> string
 
 type t
 (** Routing state toward one destination. *)

@@ -2,12 +2,15 @@
 
     Keyed by simulated time with a monotonic sequence number, so
     simultaneous events pop in insertion order (determinism matters:
-    every run must be reproducible).  Backed by a {!Mifo_util.Wheel}
-    hierarchical timing wheel — near-O(1) for the near-present events
-    that dominate packet simulation, with far-future timers cascading
-    down on demand.  Pops follow the exact [(time, seq)]-lexicographic
-    order; see the determinism contract in {!Mifo_util.Wheel}.  The test
-    suite pins that order against a binary-heap reference queue. *)
+    every run must be reproducible).  A binary min-heap over
+    [(time, seq)] in parallel flat arrays — times unboxed in a
+    [float array], seqs in an [int array], and the int index of a
+    payload cell that never moves — so scheduling and popping allocate
+    nothing once the arrays have grown.  Packet trains keep it shallow
+    (a few hundred pending events at most), so a pop is a handful of
+    comparisons.  Pops follow the exact [(time, seq)]-lexicographic
+    order; the test suite pins it against a boxed binary-heap reference
+    queue. *)
 
 type 'a t
 
@@ -79,6 +82,3 @@ val peek_key : 'a t -> (float * int) option
 
 val peak_length : 'a t -> int
 (** High-water mark of {!length} since creation or {!clear}. *)
-
-val wheel_stats : 'a t -> Mifo_util.Wheel.stats
-(** Occupancy/cascade statistics of the backing wheel. *)

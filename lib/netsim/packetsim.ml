@@ -432,12 +432,6 @@ let h_train_batch =
 
 (* Event-queue health, sampled at daemon ticks (and at end of run). *)
 let g_peak_len = Obs.gauge "eventq.peak_len"
-let g_cascades = Obs.gauge "eventq.wheel.cascades"
-let g_ready = Obs.gauge "eventq.wheel.ready"
-
-let g_levels =
-  Array.init Mifo_util.Wheel.levels (fun l ->
-      Obs.gauge (Printf.sprintf "eventq.wheel.level%d.occupancy" l))
 
 (* Packets in flight, sampled at daemon ticks: [resident] is the number
    of live arena slots across every exec (queued on a link or in a
@@ -595,21 +589,11 @@ let sample_queue_health t =
         end
       done)
     t.execs;
-  (* queue gauges: the high-water over all shards, occupancy summed *)
-  let peak = ref 0 and cascades = ref 0 and ready = ref 0 in
-  let occupancy = Array.make Mifo_util.Wheel.levels 0 in
-  Array.iter
-    (fun ex ->
-      peak := Stdlib.max !peak (Eventq.peak_length ex.xq);
-      let st = Eventq.wheel_stats ex.xq in
-      cascades := !cascades + st.Mifo_util.Wheel.cascades;
-      ready := !ready + st.Mifo_util.Wheel.ready;
-      Array.iteri (fun l n -> occupancy.(l) <- occupancy.(l) + n) st.Mifo_util.Wheel.occupancy)
-    t.execs;
-  Obs.set_gauge g_peak_len (float_of_int !peak);
-  Obs.set_gauge g_cascades (float_of_int !cascades);
-  Obs.set_gauge g_ready (float_of_int !ready);
-  Array.iteri (fun l n -> Obs.set_gauge g_levels.(l) (float_of_int n)) occupancy
+  (* queue gauge: the high-water over all shards *)
+  let peak =
+    Array.fold_left (fun m ex -> Stdlib.max m (Eventq.peak_length ex.xq)) 0 t.execs
+  in
+  Obs.set_gauge g_peak_len (float_of_int peak)
 
 (* This port's cached [Train] event. *)
 let train_event pt id p =
@@ -1578,4 +1562,3 @@ let ibgp_route t id peer =
 
 let set_completion_hook t f = t.on_complete <- Some f
 let set_tracer t f = t.tracer <- Some f
-let clear_tracer t = t.tracer <- None

@@ -258,5 +258,3 @@ val set_tracer :
     Used by tests and debugging tools to reconstruct packet paths.  The
     [Packet.t] and the {!Mifo_core.Engine.action} are built from the
     arena slot only while a tracer is installed. *)
-
-val clear_tracer : t -> unit

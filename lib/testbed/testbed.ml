@@ -21,8 +21,6 @@ let default_config =
     sim = Packetsim.default_config;
   }
 
-let paper_config = { default_config with flow_bytes = 100_000_000 }
-
 type result = {
   protocol : protocol;
   aggregate_series : (float * float) array;

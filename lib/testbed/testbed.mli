@@ -26,8 +26,6 @@ type config = {
 }
 
 val default_config : config
-val paper_config : config
-(** 30 x 100 MB flows, as in the paper (minutes of simulated packets). *)
 
 type result = {
   protocol : protocol;

@@ -125,8 +125,6 @@ let rel t u v =
 let rel_exn t u v = match rel t u v with Some r -> r | None -> raise Not_found
 let level t v = t.level.(v)
 
-let max_level t = Array.fold_left Stdlib.max 0 t.level
-
 let topological_order t = Array.copy t.topo
 let topological_at t i = t.topo.(i)
 let is_stub t v = Array.length t.customers.(v) = 0
@@ -153,7 +151,3 @@ let path_is_valley_free t path =
     | u :: (v :: _ as rest) -> hop_of t u v :: hops rest
   in
   Relationship.valley_free (hops path)
-
-let pp_stats ppf t =
-  Format.fprintf ppf "ASes=%d links=%d (P/C=%d peering=%d) max-level=%d" t.n
-    (edge_count t) t.pc_edges t.peer_edges (max_level t)

@@ -58,8 +58,6 @@ val level : t -> int -> int
     (tier-1); otherwise 1 + max level of its providers.  Strictly
     increases along every provider→customer link. *)
 
-val max_level : t -> int
-
 val topological_order : t -> int array
 (** ASes ordered so that every provider precedes all of its customers.
     A fresh copy on every call. *)
@@ -82,5 +80,3 @@ val hop_of : t -> int -> int -> Relationship.hop
 val path_is_valley_free : t -> int list -> bool
 (** Whether an AS-level path (list of adjacent ASes) is valley-free.
     @raise Not_found if consecutive ASes are not adjacent. *)
-
-val pp_stats : Format.formatter -> t -> unit

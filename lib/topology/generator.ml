@@ -37,8 +37,6 @@ let paper_scale_params =
 
 type t = { graph : As_graph.t; roles : role array; content : int array }
 
-let role_to_string = function Tier1 -> "tier1" | Transit -> "transit" | Stub -> "stub"
-
 let validate p =
   if p.ases < 4 then invalid_arg "Generator: need at least 4 ASes";
   if p.tier1 < 2 || p.tier1 >= p.ases then invalid_arg "Generator: bad tier1 size";

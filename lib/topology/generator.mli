@@ -45,8 +45,6 @@ val generate : ?params:params -> seed:int -> unit -> t
 
     @raise Invalid_argument on nonsensical parameters. *)
 
-val role_to_string : role -> string
-
 val fig2a_gadget : unit -> As_graph.t
 (** The 4-AS topology of the paper's Fig. 2(a): ASes 1, 2, 3 peering
     pairwise, AS 0 a customer of all three.  Node 0 is the customer.

@@ -64,10 +64,6 @@ let histogram ?(bins = 10) ~lo ~hi samples =
 
 let histogram_counts h = Array.copy h.counts
 
-let histogram_fractions h =
-  let n = Stdlib.max 1 h.total in
-  Array.map (fun c -> float_of_int c /. float_of_int n) h.counts
-
 let bin_bounds h i =
   let bins = Array.length h.counts in
   if i < 0 || i >= bins then invalid_arg "Dist.bin_bounds";

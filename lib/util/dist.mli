@@ -36,7 +36,6 @@ val histogram : ?bins:int -> lo:float -> hi:float -> float array -> histogram
     clamped into the first/last bin.  Default 10 bins. *)
 
 val histogram_counts : histogram -> int array
-val histogram_fractions : histogram -> float array
 val bin_bounds : histogram -> int -> float * float
 
 val counts_of_ints : max_value:int -> int array -> int array

@@ -51,12 +51,8 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let top_exn t =
-  if t.size = 0 then invalid_arg "Heap.top_exn: empty heap";
-  t.data.(0)
-
 (* Remove the top without returning it: lets hot paths that already
-   read it via [top_exn] pop with no [Some] allocation. *)
+   read it via [peek] pop with no second [Some] allocation. *)
 let drop t =
   if t.size > 0 then begin
     t.size <- t.size - 1;

@@ -13,14 +13,10 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 
-val top_exn : 'a t -> 'a
-(** The minimum element without removing it, no allocation.
-    @raise Invalid_argument on an empty heap. *)
-
 val drop : 'a t -> unit
 (** Remove the top element (no-op when empty) without returning it —
     the allocation-free counterpart of {!pop} for callers that already
-    read the top via {!top_exn}. *)
+    read the top via {!peek}. *)
 
 val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a

@@ -55,13 +55,6 @@ let swap_remove t i =
   t.data.(i) <- t.data.(t.size);
   x
 
-let drop_prefix t n =
-  if n < 0 || n > t.size then invalid_arg "Vec.drop_prefix";
-  if n > 0 then begin
-    Array.blit t.data n t.data 0 (t.size - n);
-    t.size <- t.size - n
-  end
-
 let capacity t = Array.length t.data
 
 let trim t =

@@ -21,13 +21,6 @@ val swap_remove : 'a t -> int -> 'a
 (** Remove index [i] in O(1) by moving the last element into its slot;
     returns the removed element. *)
 
-val drop_prefix : 'a t -> int -> unit
-(** [drop_prefix t n] removes the first [n] elements, shifting the rest
-    to the front in O(length - n) with no allocation.  Lets a consumer
-    that reads a vec front-to-back (packet trains) reclaim the consumed
-    prefix without churning the backing array.
-    @raise Invalid_argument if [n] is negative or exceeds the length. *)
-
 val capacity : 'a t -> int
 (** Length of the backing array — the memory actually held, as opposed
     to {!length}, the elements in use.  The spread between the two is

@@ -1,5 +1,5 @@
 (* The original event-queue backend, kept as the oracle for
-   Mifo_netsim.Eventq's timing wheel: a binary heap over
+   Mifo_netsim.Eventq's flat heap: a generic binary heap over boxed
    (time, seq, payload) items ordered by (time, seq). *)
 
 module Heap = Mifo_util.Heap
@@ -13,11 +13,18 @@ let cmp a b =
 
 let create () = { heap = Heap.create ~cmp (); next_seq = 0 }
 
-let schedule t ~time payload =
-  if Float.is_nan time || time < 0. then invalid_arg "Heap_queue.schedule: bad time";
+let alloc_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let schedule_seq t ~time ~seq payload =
+  if Float.is_nan time || time < 0. then invalid_arg "Heap_queue.schedule: bad time";
   Heap.push t.heap { time; seq; payload }
+
+let schedule t ~time payload =
+  let seq = alloc_seq t in
+  schedule_seq t ~time ~seq payload
 
 let next t =
   match Heap.pop t.heap with None -> None | Some it -> Some (it.time, it.payload)

@@ -89,6 +89,28 @@ let test_eventq_clear_resets_seq () =
    | None -> Alcotest.fail "empty after schedule");
   Alcotest.(check int) "peak length reset" 1 (Eventq.peak_length q)
 
+(* A cleared queue reuses its arrays: refill it past the size it had,
+   and every event still pops in (time, seq) order with its own
+   payload. *)
+let test_eventq_clear_reuses_storage () =
+  let q = Eventq.create () in
+  let fill n =
+    for k = 0 to n - 1 do
+      Eventq.schedule q ~time:(float_of_int (k * 37 mod 50)) k
+    done
+  in
+  fill 100;
+  for _ = 1 to 50 do ignore (Eventq.next q) done;
+  Eventq.clear q;
+  fill 150;
+  let expect = List.sort compare (List.init 150 (fun k -> (k * 37 mod 50, k))) in
+  let got =
+    List.init 150 (fun _ ->
+        match Eventq.next q with Some (t, k) -> (int_of_float t, k) | None -> (-1, -1))
+  in
+  Alcotest.(check (list (pair int int))) "(time, seq) order with payloads" expect got;
+  Alcotest.(check bool) "drained" true (Eventq.is_empty q)
+
 let test_eventq_pop_before_time_cell () =
   let q = Eventq.create () in
   let cell = Eventq.time_cell q in
@@ -102,10 +124,25 @@ let test_eventq_pop_before_time_cell () =
     (Eventq.pop_before q ~until:Float.infinity);
   check_float "shared cell tracks pops" 9e-6 cell.(0)
 
-(* The timing wheel against the binary-heap reference queue
-   (Mifo_oracle.Heap_queue): any interleaving of schedules, pops and
-   horizon-bounded pops — duplicate times, sub-tick spacings, far-future
-   outliers including +inf — pops bit-identically, keys included. *)
+let test_eventq_precedes () =
+  let q = Eventq.create () in
+  let precedes time seq = Eventq.precedes_head_at q [| time |] 0 ~seq in
+  Alcotest.(check bool) "empty precedes" true (precedes 1e3 0);
+  for _ = 1 to 7 do ignore (Eventq.alloc_seq q : int) done;
+  Eventq.schedule_at q [| 5e-6 |] 0 ~seq:(Eventq.alloc_seq q) ();
+  Alcotest.(check bool) "earlier time" true (precedes 1e-6 99);
+  Alcotest.(check bool) "same time lower seq" true (precedes 5e-6 3);
+  Alcotest.(check bool) "same key is not strict" false (precedes 5e-6 7);
+  Alcotest.(check bool) "same time higher seq" false (precedes 5e-6 8);
+  Alcotest.(check bool) "later time" false (precedes 6e-6 0)
+
+(* The flat heap against the boxed binary-heap reference queue
+   (Mifo_oracle.Heap_queue): any interleaving of schedules, pops,
+   horizon-bounded pops, claimed-then-scheduled seqs (the packet-train
+   discipline, scheduled out of claim order) and the allocation-free
+   [due]/[take] pair — duplicate times, far-future outliers including
+   +inf — pops bit-identically, keys and the time cell included, and
+   [precedes_head_at] agrees with the oracle's head after every step. *)
 let eventq_time_gen =
   QCheck2.Gen.(
     frequency
@@ -116,11 +153,14 @@ let eventq_time_gen =
       ])
 
 let prop_eventq_engines_agree =
-  QCheck2.Test.make ~name:"eventq: heap and wheel pop identical sequences" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 250) (pair (int_bound 3) eventq_time_gen))
+  QCheck2.Test.make ~name:"eventq: pops match the heap oracle" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 250) (pair (int_bound 5) eventq_time_gen))
     (fun ops ->
       let qh = Heap_queue.create () in
       let qw = Eventq.create () in
+      let cell = Eventq.time_cell qw in
+      let times = [| 0. |] in
+      let claimed = ref [] in
       let i = ref 0 and agree = ref true in
       let same popped_h popped_w =
         match (popped_h, popped_w) with
@@ -140,19 +180,86 @@ let prop_eventq_engines_agree =
         in
         ignore (same (Heap_queue.pop_before qh ~until) w)
       in
+      let take_both until =
+        let w = if Eventq.due qw ~until then Some (Eventq.take qw) else None in
+        let w = Option.map (fun p -> (cell.(0), p)) w in
+        ignore (same (Heap_queue.pop_before qh ~until) w)
+      in
+      let precedes_agrees time seq =
+        times.(0) <- time;
+        let expect =
+          match Heap_queue.peek_key qh with
+          | None -> true
+          | Some (th, sh) -> time < th || (time = th && seq < sh)
+        in
+        Eventq.precedes_head_at qw times 0 ~seq = expect
+      in
       List.iter
         (fun (op, t) ->
-          match op with
+          (match op with
           | 0 -> ignore (pop_both ())
           | 1 -> pop_both_before t
-          | _ ->
+          | 2 ->
             Eventq.schedule qw ~time:t !i;
             Heap_queue.schedule qh ~time:t !i;
-            incr i;
-            if Heap_queue.peek_key qh <> Eventq.peek_key qw then agree := false)
+            incr i
+          | 3 ->
+            let seq = Eventq.alloc_seq qw in
+            if seq <> Heap_queue.alloc_seq qh then agree := false;
+            claimed := (t, seq) :: !claimed
+          | 4 -> (
+            match !claimed with
+            | [] -> ()
+            | (t, seq) :: rest ->
+              claimed := rest;
+              times.(0) <- t;
+              Eventq.schedule_at qw times 0 ~seq !i;
+              Heap_queue.schedule_seq qh ~time:t ~seq !i;
+              incr i)
+          | _ -> take_both t);
+          if Heap_queue.peek_key qh <> Eventq.peek_key qw then agree := false;
+          if not (precedes_agrees t !i) then agree := false;
+          match Heap_queue.peek_key qh with
+          | Some (th, sh) ->
+            if not (precedes_agrees th (sh - 1) && precedes_agrees th sh) then
+              agree := false
+          | None -> ())
         ops;
       while pop_both () do () done;
       !agree && Heap_queue.is_empty qh && Eventq.is_empty qw)
+
+(* Allocation gate: on a warmed queue of 300 pending events, the
+   hot-path calls the packet loop makes per event — claim a seq, test
+   it against the head, schedule from a flat time array, [due], [take]
+   — allocate nothing.  A queue that boxes an item per event, or a float
+   per call, fails it. *)
+let test_eventq_allocation_gate () =
+  let q = Eventq.create () in
+  let cell = Eventq.time_cell q in
+  let times = [| 0. |] in
+  for k = 0 to 299 do
+    times.(0) <- float_of_int (k * 7919 mod 300) *. 1e-7;
+    Eventq.schedule_at q times 0 ~seq:(Eventq.alloc_seq q) k
+  done;
+  let ahead = ref 0 in
+  let round () =
+    for _ = 1 to 10_000 do
+      if Eventq.due q ~until:Float.infinity then begin
+        let p = Eventq.take q in
+        times.(0) <- cell.(0) +. (float_of_int ((p mod 300) + 1) *. 1e-7);
+        let seq = Eventq.alloc_seq q in
+        if Eventq.precedes_head_at q times 0 ~seq then incr ahead;
+        Eventq.schedule_at q times 0 ~seq (p + 1)
+      end
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "still 300 pending" 300 (Eventq.length q);
+  Alcotest.(check bool) "some rescheduled events run ahead of the queue" true (!ahead > 0);
+  Alcotest.(check (float 0.)) "minor words for 10K queue rounds" 0. (w1 -. w0)
 
 (* ---------- Maxmin ---------- *)
 
@@ -816,8 +923,8 @@ let test_packetsim_two_flows_share () =
    queue drops and retransmissions plus an open-loop UDP blast.  The
    fingerprint below was recorded from the binary-heap queue with
    per-packet scheduling (no trains) while that queue still ran inside
-   Packetsim; the timing wheel must reproduce it with trains off and
-   on. *)
+   Packetsim; the production queue must reproduce it with trains off
+   and on. *)
 let pkt_fingerprint sim =
   let finishes =
     Array.map
@@ -1350,10 +1457,14 @@ let () =
           Alcotest.test_case "rejects bad times" `Quick test_eventq_rejects_bad_time;
           Alcotest.test_case "clear resets the sequence counter" `Quick
             test_eventq_clear_resets_seq;
+          Alcotest.test_case "clear reuses storage" `Quick test_eventq_clear_reuses_storage;
           Alcotest.test_case "pop_before drives the time cell" `Quick
             test_eventq_pop_before_time_cell;
           QCheck_alcotest.to_alcotest prop_eventq_fifo_ties;
+          Alcotest.test_case "precedes" `Quick test_eventq_precedes;
           QCheck_alcotest.to_alcotest prop_eventq_engines_agree;
+          Alcotest.test_case "allocation gate: hot path allocates nothing" `Quick
+            test_eventq_allocation_gate;
         ] );
       ( "maxmin",
         [

@@ -5,7 +5,6 @@ module Parallel = Mifo_util.Parallel
 module Stats = Mifo_util.Stats
 module Dist = Mifo_util.Dist
 module Heap = Mifo_util.Heap
-module Wheel = Mifo_util.Wheel
 module Union_find = Mifo_oracle.Union_find
 module Vec = Mifo_util.Vec
 module Table = Mifo_util.Table
@@ -189,151 +188,6 @@ let prop_heap_sorts =
       let h = Heap.create ~cmp:compare () in
       List.iter (Heap.push h) xs;
       Heap.to_sorted_list h = List.sort compare xs)
-
-(* ---------- Wheel ---------- *)
-
-let test_wheel_orders () =
-  let w = Wheel.create () in
-  (* spread over several ticks and several sub-tick offsets *)
-  let times = [ 3e-6; 1e-7; 2.5e-6; 1e-7; 9e-6; 0. ] in
-  List.iteri (fun i t -> Wheel.schedule w ~time:t ~seq:i i) times;
-  Alcotest.(check int) "length" (List.length times) (Wheel.length w);
-  let keyed = List.mapi (fun i t -> (t, i)) times in
-  let expect = List.sort compare keyed in
-  let got =
-    List.map (fun _ -> match Wheel.pop w with Some (t, s, _) -> (t, s) | None -> (-1., -1))
-      times
-  in
-  Alcotest.(check (list (pair (float 0.) int))) "(time, seq) order" expect got;
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
-
-let test_wheel_fifo_ties () =
-  let w = Wheel.create () in
-  for i = 0 to 9 do
-    Wheel.schedule w ~time:42e-6 ~seq:i i
-  done;
-  for i = 0 to 9 do
-    match Wheel.pop w with
-    | Some (_, s, p) ->
-      Alcotest.(check int) "seq order on equal times" i s;
-      Alcotest.(check int) "payload follows" i p
-    | None -> Alcotest.fail "empty too early"
-  done
-
-let test_wheel_far_future () =
-  let w = Wheel.create () in
-  (* beyond-span times and +inf clamp into the top level but must still
-     pop in (time, seq) order after the near-present events *)
-  Wheel.schedule w ~time:Float.infinity ~seq:0 "inf";
-  Wheel.schedule w ~time:1e9 ~seq:1 "far";
-  Wheel.schedule w ~time:1e-6 ~seq:2 "near";
-  Wheel.schedule w ~time:Float.infinity ~seq:3 "inf2";
-  let got = List.init 4 (fun _ -> match Wheel.pop w with Some (_, _, p) -> p | None -> "") in
-  Alcotest.(check (list string)) "outliers ordered" [ "near"; "far"; "inf"; "inf2" ] got;
-  Alcotest.check_raises "nan rejected" (Invalid_argument "Wheel.schedule: bad time")
-    (fun () -> Wheel.schedule w ~time:Float.nan ~seq:4 "bad")
-
-let test_wheel_clear_reuse () =
-  let w = Wheel.create () in
-  for i = 0 to 99 do
-    Wheel.schedule w ~time:(float_of_int (i * 37 mod 50) *. 1e-6) ~seq:i i
-  done;
-  for _ = 0 to 49 do ignore (Wheel.pop w) done;
-  Wheel.clear w;
-  Alcotest.(check int) "cleared" 0 (Wheel.length w);
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w);
-  let st = Wheel.stats w in
-  Alcotest.(check int) "stats reset" 0 (st.Wheel.cascades + st.Wheel.ready);
-  (* the current tick rewinds to zero: times before the pre-clear cursor
-     are valid again *)
-  Wheel.schedule w ~time:1e-6 ~seq:0 111;
-  Wheel.schedule w ~time:0. ~seq:1 222;
-  (match Wheel.pop w with
-   | Some (t, _, p) ->
-     check_float "rewound to t=0" 0. t;
-     Alcotest.(check int) "min first" 222 p
-   | None -> Alcotest.fail "empty after reuse");
-  Alcotest.(check (option int)) "then the other"
-    (Some 111)
-    (match Wheel.pop w with Some (_, _, p) -> Some p | None -> None)
-
-let test_wheel_pop_before_cell () =
-  let w = Wheel.create () in
-  let cell = [| -1. |] in
-  Alcotest.(check (option string)) "empty" None (Wheel.pop_before w ~until:1. ~cell);
-  Wheel.schedule w ~time:5e-6 ~seq:0 "a";
-  Wheel.schedule w ~time:9e-6 ~seq:1 "b";
-  Alcotest.(check (option string)) "beyond horizon" None
-    (Wheel.pop_before w ~until:1e-6 ~cell);
-  check_float "cell untouched on miss" (-1.) cell.(0);
-  Alcotest.(check (option string)) "within horizon" (Some "a")
-    (Wheel.pop_before w ~until:6e-6 ~cell);
-  check_float "popped time written" 5e-6 cell.(0);
-  Alcotest.(check (option string)) "inf horizon" (Some "b")
-    (Wheel.pop_before w ~until:Float.infinity ~cell);
-  check_float "cell tracks" 9e-6 cell.(0);
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
-
-let test_wheel_precedes () =
-  let w = Wheel.create () in
-  Alcotest.(check bool) "empty precedes" true (Wheel.precedes w ~time:1e3 ~seq:0);
-  Wheel.schedule w ~time:5e-6 ~seq:7 ();
-  Alcotest.(check bool) "earlier time" true (Wheel.precedes w ~time:1e-6 ~seq:99);
-  Alcotest.(check bool) "same time lower seq" true (Wheel.precedes w ~time:5e-6 ~seq:3);
-  Alcotest.(check bool) "same key is not strict" false (Wheel.precedes w ~time:5e-6 ~seq:7);
-  Alcotest.(check bool) "later time" false (Wheel.precedes w ~time:6e-6 ~seq:0)
-
-(* The determinism contract, adversarially: random interleavings of
-   schedule and pop with duplicate times, sub-tick offsets and
-   far-future outliers (including +inf) must pop in exactly the
-   (time, seq)-lexicographic order of a sorted-list oracle. *)
-let wheel_op_gen =
-  QCheck2.Gen.(
-    frequency
-      [
-        (6, map (fun k -> `Schedule (float_of_int k *. 1e-7)) (int_bound 400));
-        (1, map (fun k -> `Schedule (float_of_int k *. 10.)) (int_bound 4));
-        (1, return (`Schedule Float.infinity));
-        (4, return `Pop);
-      ])
-
-let prop_wheel_matches_sorted_oracle =
-  QCheck2.Test.make ~name:"wheel pops in (time, seq) order vs sorted oracle" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 300) wheel_op_gen)
-    (fun ops ->
-      let w = Wheel.create () in
-      let model = ref [] (* ascending (time, seq) *) and seq = ref 0 in
-      let insert t s =
-        let rec go = function
-          | [] -> [ (t, s) ]
-          | ((t', s') :: rest) as l ->
-            if t' < t || (t' = t && s' < s) then (t', s') :: go rest else (t, s) :: l
-        in
-        model := go !model
-      in
-      let agree = ref true in
-      let pop_both () =
-        match (Wheel.pop w, !model) with
-        | None, [] -> ()
-        | Some (t, s, p), (t', s') :: rest ->
-          if not (Int64.bits_of_float t = Int64.bits_of_float t' && s = s' && p = s')
-          then agree := false;
-          model := rest
-        | Some _, [] | None, _ :: _ -> agree := false
-      in
-      List.iter
-        (function
-          | `Schedule t ->
-            Wheel.schedule w ~time:t ~seq:!seq !seq;
-            insert t !seq;
-            incr seq
-          | `Pop -> pop_both ())
-        ops;
-      while (not (Wheel.is_empty w)) || !model <> [] do
-        pop_both ();
-        if not !agree then model := [] (* bail out of the drain on first divergence *)
-      done;
-      !agree)
 
 (* ---------- Union_find ---------- *)
 
@@ -752,17 +606,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "of_array" `Quick test_heap_of_array;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
-        ] );
-      ( "wheel",
-        [
-          Alcotest.test_case "(time, seq) order" `Quick test_wheel_orders;
-          Alcotest.test_case "fifo on ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "far-future outliers and +inf" `Quick test_wheel_far_future;
-          Alcotest.test_case "clear and reuse" `Quick test_wheel_clear_reuse;
-          Alcotest.test_case "pop_before writes the time cell" `Quick
-            test_wheel_pop_before_cell;
-          Alcotest.test_case "precedes" `Quick test_wheel_precedes;
-          QCheck_alcotest.to_alcotest prop_wheel_matches_sorted_oracle;
         ] );
       ("union_find", [ Alcotest.test_case "union/find/count" `Quick test_union_find ]);
       ( "vec",
