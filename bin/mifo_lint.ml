@@ -15,7 +15,8 @@
      state under the multicore fan-out.
 
    - Simulator hot paths: polymorphic comparison ([compare] /
-     [Stdlib.compare]) is banned in lib/netsim/ — it walks the runtime
+     [Stdlib.compare]) is banned in lib/netsim/ and in the topology
+     builders (as_graph.ml, generator.ml) — it walks the runtime
      representation on every call, which is both slow on the simulators'
      inner loops and fragile (it would traverse whole records if a
      comparator's argument type drifted).  Use the monomorphic
@@ -63,8 +64,10 @@ let no_hashtbl_exempt = [ "bgp_proto.ml" ]
    stays outside the rule (packetsim.ml's iBGP session table is a
    documented cold path), but these two key every port and alternative
    by adjacency position and routing arena, so a [Hashtbl] there is a
-   regression of the 44K build. *)
-let no_hashtbl_files = [ "as_network.ml"; "router_network.ml" ]
+   regression of the 44K build.  The same holds for the topology
+   builders, which dedupe links with the flat [Pair_set]; as_rel_io.ml
+   stays exempt as a parser. *)
+let no_hashtbl_files = [ "as_network.ml"; "router_network.ml"; "as_graph.ml"; "generator.ml" ]
 
 (* Library code reports through {!Report} / {!Obs.Json}; writing to
    stdout from lib/ bypasses the JSON contract and interleaves with the
@@ -124,8 +127,11 @@ let uses_polymorphic_compare line =
     go 0
   end
 
-(* Directories whose .ml files sit on simulator hot paths. *)
+(* Directories whose .ml files sit on simulator hot paths, and the
+   topology builders, named one by one: they sort and compare ids as
+   plain ints at 44K scale. *)
 let hot_path_dirs = [ "netsim" ]
+let hot_path_files = [ "as_graph.ml"; "generator.ml" ]
 
 let findings = ref 0
 
@@ -149,7 +155,9 @@ let lint_file path =
    with End_of_file -> close_in ic);
   let lines = Array.of_list (List.rev !lines) in
   let dir = Filename.basename (Filename.dirname path) in
-  let on_hot_path = List.mem dir hot_path_dirs in
+  let on_hot_path =
+    List.mem dir hot_path_dirs || List.mem (Filename.basename path) hot_path_files
+  in
   let no_hashtbl =
     (List.mem dir no_hashtbl_dirs
     && not (List.mem (Filename.basename path) no_hashtbl_exempt))
@@ -232,6 +240,7 @@ let () =
         end)
       (List.map (fun f -> ("no_hashtbl_exempt", f)) no_hashtbl_exempt
       @ List.map (fun f -> ("no_hashtbl_files", f)) no_hashtbl_files
+      @ List.map (fun f -> ("hot_path_files", f)) hot_path_files
       @ List.map (fun f -> ("policy_callers", f)) policy_callers);
   if !findings > 0 then begin
     Printf.printf "mifo-lint: %d finding(s)\n" !findings;

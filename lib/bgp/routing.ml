@@ -155,31 +155,6 @@ let push_admissible cells p tree v rank nbrs (adv : int array) =
   done;
   !p
 
-(* In-place heapsort of [a.(base) .. a.(base + len - 1)] in ascending
-   int order. *)
-let rec sift (a : int array) base i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let c = if l + 1 < len && a.(base + l + 1) > a.(base + l) then l + 1 else l in
-    let x = a.(base + i) and y = a.(base + c) in
-    if y > x then begin
-      a.(base + i) <- y;
-      a.(base + c) <- x;
-      sift a base c len
-    end
-  end
-
-let sort_segment (a : int array) base len =
-  for i = (len / 2) - 1 downto 0 do
-    sift a base i len
-  done;
-  for hi = len - 1 downto 1 do
-    let top = a.(base) in
-    a.(base) <- a.(base + hi);
-    a.(base + hi) <- top;
-    sift a base 0 hi
-  done
-
 let compute g d =
   let n = As_graph.n g in
   if d < 0 || d >= n then invalid_arg "Routing.compute: destination out of range";
@@ -260,7 +235,7 @@ let compute g d =
          classes were pushed in rank order, so only (len, via) within
          each class is out of order; the heapsort is O(k log k) even
          on tier-1 hubs with thousands of entries. *)
-      sort_segment cells off.(v) (off.(v + 1) - off.(v))
+      Mifo_util.Sort.sort_ints cells off.(v) (off.(v + 1) - off.(v))
     end
   done;
   let t = { graph = g; dest = d; csr_off = off; csr_cells = cells; tree } in

@@ -23,9 +23,40 @@ exception Cyclic_provider_graph
 exception Duplicate_edge of int * int
 (** Raised by [create] when the same unordered AS pair appears twice. *)
 
+(** A growable edge list in three flat arrays, the input of {!of_edges}.
+    Entries [0 .. length - 1] of [u], [v] and [kind] are the edges in
+    push order; the arrays may be longer.  [push] is amortised O(1) and
+    allocates only when it doubles the arrays. *)
+module Edges : sig
+  type t = private {
+    mutable u : int array;
+    mutable v : int array;
+    mutable kind : edge_kind array;
+    mutable length : int;
+  }
+
+  val create : int -> t
+  (** [create k]: an empty list with room for [k] edges. *)
+
+  val push : t -> int -> int -> edge_kind -> unit
+end
+
+val of_edges : n:int -> Edges.t -> t
+(** [of_edges ~n e] builds the graph from [e]'s edges.  Endpoints must
+    lie in [0 .. n-1]; self-loops are rejected.  Edges are checked in
+    push order and the first bad one raises: [Invalid_argument] for an
+    endpoint out of range or a self-loop, {!Duplicate_edge} [(u, v)]
+    (as pushed) for a pair seen before; {!Cyclic_provider_graph} comes
+    after every edge passed.
+
+    O(n + E log d) for maximum degree d: a {!Pair_set} drops duplicates,
+    a counting sort lays every adjacency out in one int buffer, each
+    node's segment is sorted as ints, and Kahn's algorithm runs over an
+    int-array queue.  Besides the graph it returns, it allocates O(n + E)
+    words of int-array scratch and no per-edge boxes. *)
+
 val create : n:int -> edges:(int * int * edge_kind) list -> t
-(** [create ~n ~edges] builds the graph.  Endpoints must lie in
-    [0 .. n-1]; self-loops are rejected.  O(E log E). *)
+(** [create ~n ~edges] is {!of_edges} over the list, in list order. *)
 
 val n : t -> int
 val edge_count : t -> int
@@ -44,7 +75,8 @@ val degree : t -> int -> int
 val neighbor_index : t -> int -> int -> int
 (** [neighbor_index g u v] is the position of [v] in [neighbors g u], or
     [-1] when not adjacent (and when [u = v]): an index into arrays kept
-    parallel to [neighbors], to key per-adjacency data.  O(log degree). *)
+    parallel to [neighbors], to key per-adjacency data.  O(log degree),
+    allocation-free. *)
 
 val rel : t -> int -> int -> Relationship.t option
 (** [rel g u v] is the role [v] plays relative to [u], or [None] when the

@@ -7,21 +7,23 @@ let fail line msg = raise (Parse_error (line, msg))
 (* ASNs are 32-bit (RFC 6793). *)
 let max_asn = 0xFFFF_FFFF
 
-(* A provider cycle in a graph [As_graph.create] rejected as cyclic, as
+(* A provider cycle in a graph [As_graph.of_edges] rejected as cyclic, as
    dense ids, each a provider of the next and the last of the first.
    Kahn's peel, providers first, removes every node whose provider
    chains never reach a cycle; each node left has a provider that is
    left too, so climbing providers from any of them must revisit a
    node. *)
-let provider_cycle n edges =
+let provider_cycle n (e : As_graph.Edges.t) =
   let providers = Array.make n [] and customers = Array.make n [] in
-  List.iter
-    (fun (u, v, kind) ->
-      if kind = As_graph.Provider_customer then begin
-        providers.(v) <- u :: providers.(v);
-        customers.(u) <- v :: customers.(u)
-      end)
-    edges;
+  (* newest edge first, so each list ends up in reading order *)
+  for i = e.length - 1 downto 0 do
+    match e.kind.(i) with
+    | As_graph.Provider_customer ->
+      let u = e.u.(i) and v = e.v.(i) in
+      providers.(v) <- u :: providers.(v);
+      customers.(u) <- v :: customers.(u)
+    | As_graph.Peer_peer -> ()
+  done;
   let left = Array.map List.length providers in
   let queue = Queue.create () in
   Array.iteri (fun v k -> if k = 0 then Queue.add v queue) left;
@@ -59,8 +61,18 @@ let parse_string text =
       Mifo_util.Vec.push numbers asn;
       id
   in
-  let edges = ref [] in
-  let first_seen = Hashtbl.create 1024 in
+  let edges = As_graph.Edges.create 1024 in
+  let seen = Pair_set.create 1024 in
+  (* the line each edge was read from *)
+  let line_of = Mifo_util.Vec.create () in
+  let first_line ia ib =
+    let e = edges.As_graph.Edges.u and f = edges.As_graph.Edges.v in
+    let i = ref 0 in
+    while not ((e.(!i) = ia && f.(!i) = ib) || (e.(!i) = ib && f.(!i) = ia)) do
+      incr i
+    done;
+    Mifo_util.Vec.get line_of !i
+  in
   let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i line ->
@@ -83,18 +95,15 @@ let parse_string text =
             | other -> fail lineno (Printf.sprintf "unknown relationship %S" other)
           in
           if a = b then fail lineno (Printf.sprintf "self-loop at AS%d" a);
-          let key = (Stdlib.min a b, Stdlib.max a b) in
-          (match Hashtbl.find_opt first_seen key with
-           | Some first ->
-             fail lineno
-               (Printf.sprintf "duplicate link between AS%d and AS%d (first on line %d)" a b
-                  first)
-           | None -> Hashtbl.add first_seen key lineno);
-          (* explicit lets: OCaml evaluates tuple components right to
-             left, and we want ids assigned in reading order *)
+          (* [a] before [b]: ids are assigned in reading order *)
           let ia = intern a in
           let ib = intern b in
-          edges := (ia, ib, kind) :: !edges
+          if not (Pair_set.add seen ia ib) then
+            fail lineno
+              (Printf.sprintf "duplicate link between AS%d and AS%d (first on line %d)" a b
+                 (first_line ia ib));
+          As_graph.Edges.push edges ia ib kind;
+          Mifo_util.Vec.push line_of lineno
         | _ -> fail lineno "expected <as1>|<as2>|<rel>"
       end)
     lines;
@@ -102,9 +111,9 @@ let parse_string text =
   let n = Array.length as_number in
   if n = 0 then fail 0 "no links in input";
   let graph =
-    try As_graph.create ~n ~edges:!edges with
+    try As_graph.of_edges ~n edges with
     | As_graph.Cyclic_provider_graph ->
-      let cycle = provider_cycle n !edges in
+      let cycle = provider_cycle n edges in
       let names =
         List.map (fun v -> Printf.sprintf "AS%d" as_number.(v)) (cycle @ [ List.hd cycle ])
       in

@@ -54,20 +54,34 @@ let validate p =
 
 (* Edge accumulator that rejects duplicates silently (callers retry). *)
 module Edge_set = struct
-  type t = { seen : (int * int, unit) Hashtbl.t; mutable edges : (int * int * As_graph.edge_kind) list }
+  type t = { seen : Pair_set.t; edges : As_graph.Edges.t }
 
-  let create () = { seen = Hashtbl.create 4096; edges = [] }
-  let key u v = if u < v then (u, v) else (v, u)
-  let mem t u v = Hashtbl.mem t.seen (key u v)
+  let create k = { seen = Pair_set.create k; edges = As_graph.Edges.create k }
 
   let add t u v kind =
-    if u = v || mem t u v then false
+    if u = v || not (Pair_set.add t.seen u v) then false
     else begin
-      Hashtbl.add t.seen (key u v) ();
-      t.edges <- (u, v, kind) :: t.edges;
+      As_graph.Edges.push t.edges u v kind;
       true
     end
 end
+
+(* The entries of [order] whose role is [r], in order. *)
+let with_role roles order r =
+  let k = ref 0 in
+  for i = 0 to Array.length order - 1 do
+    if roles.(order.(i)) = r then incr k
+  done;
+  let a = Array.make !k 0 in
+  let k = ref 0 in
+  for i = 0 to Array.length order - 1 do
+    let v = order.(i) in
+    if roles.(v) = r then begin
+      a.(!k) <- v;
+      incr k
+    end
+  done;
+  a
 
 let generate ?(params = default_params) ~seed () =
   let p = params in
@@ -87,7 +101,14 @@ let generate ?(params = default_params) ~seed () =
     roles.(v) <- Transit;
     levels.(v) <- Prng.int_in rng 1 p.transit_levels
   done;
-  let edges = Edge_set.create () in
+  (* Sized for the expected link count, a slight over-estimate: n
+     providers-per-AS links at the target peering mix, plus every
+     content stub at its maximum fan-out. *)
+  let edges =
+    Edge_set.create
+      (int_of_float (float_of_int n *. p.mean_providers /. (1. -. p.peering_ratio))
+      + (p.content_providers * snd p.content_peer_span))
+  in
   (* Tier-1 full mesh of peering links. *)
   for u = 0 to p.tier1 - 1 do
     for v = u + 1 to p.tier1 - 1 do
@@ -101,73 +122,94 @@ let generate ?(params = default_params) ~seed () =
   for v = 0 to p.tier1 - 1 do
     Vec.push bags.(0) v
   done;
-  let sample_provider_below level exclude =
+  (* The providers picked so far for the AS being attached:
+     [chosen.(0 .. !nchosen - 1)], oldest first. *)
+  let chosen = ref (Array.make 16 0) and nchosen = ref 0 in
+  let is_chosen v =
+    let found = ref false in
+    for i = 0 to !nchosen - 1 do
+      if !chosen.(i) = v then found := true
+    done;
+    !found
+  in
+  (* A provider below [level] not chosen yet, or -1 when the bags are
+     empty or 16 draws all hit chosen ones. *)
+  let sample_provider_below level =
     let total = ref 0 in
     for l = 0 to level - 1 do
       total := !total + Vec.length bags.(l)
     done;
-    if !total = 0 then None
-    else begin
-      let rec attempt tries =
-        if tries = 0 then None
-        else begin
-          let idx = ref (Prng.int rng !total) in
-          let l = ref 0 in
-          while !idx >= Vec.length bags.(!l) do
-            idx := !idx - Vec.length bags.(!l);
-            incr l
-          done;
-          let cand = Vec.get bags.(!l) !idx in
-          if List.mem cand exclude then attempt (tries - 1) else Some cand
-        end
-      in
-      attempt 16
-    end
+    let result = ref (-1) and tries = ref (if !total = 0 then 0 else 16) in
+    while !tries > 0 do
+      let idx = ref (Prng.int rng !total) in
+      let l = ref 0 in
+      while !idx >= Vec.length bags.(!l) do
+        idx := !idx - Vec.length bags.(!l);
+        incr l
+      done;
+      let cand = Vec.get bags.(!l) !idx in
+      if is_chosen cand then decr tries
+      else begin
+        result := cand;
+        tries := 0
+      end
+    done;
+    !result
   in
   let pc_count = ref 0 in
   (* Number of providers: 1 + geometric with mean (mean_providers - 1). *)
+  let extra_mean = p.mean_providers -. 1. in
   let provider_count () =
-    let extra_mean = p.mean_providers -. 1. in
-    let rec geo acc =
-      if extra_mean > 0. && Prng.float rng 1.0 < extra_mean /. (1. +. extra_mean) then
-        geo (acc + 1)
-      else acc
-    in
-    1 + geo 0
+    let k = ref 1 in
+    while extra_mean > 0. && Prng.float rng 1.0 < extra_mean /. (1. +. extra_mean) do
+      incr k
+    done;
+    !k
   in
   (* Attach transit ASes level by level, then stubs: each picks its
      providers among strictly-lower-level ASes. *)
   let attach v =
     let lv = levels.(v) in
     let wanted = provider_count () in
-    let rec pick k chosen =
-      if k = 0 then chosen
-      else
-        match sample_provider_below lv chosen with
-        | None -> chosen
-        | Some prov -> pick (k - 1) (prov :: chosen)
-    in
-    let chosen = pick wanted [] in
-    let chosen = if chosen = [] then [ Prng.int rng p.tier1 ] else chosen in
-    List.iter
-      (fun prov ->
-        if Edge_set.add edges prov v As_graph.Provider_customer then begin
-          incr pc_count;
-          (* the provider gets more attractive *)
-          Vec.push bags.(levels.(prov)) prov
-        end)
-      chosen;
+    if wanted > Array.length !chosen then chosen := Array.make wanted 0;
+    nchosen := 0;
+    let k = ref wanted in
+    while !k > 0 do
+      let prov = sample_provider_below lv in
+      if prov < 0 then k := 0
+      else begin
+        !chosen.(!nchosen) <- prov;
+        incr nchosen;
+        decr k
+      end
+    done;
+    if !nchosen = 0 then begin
+      !chosen.(0) <- Prng.int rng p.tier1;
+      nchosen := 1
+    end;
+    (* newest pick first *)
+    for i = !nchosen - 1 downto 0 do
+      let prov = !chosen.(i) in
+      if Edge_set.add edges prov v As_graph.Provider_customer then begin
+        incr pc_count;
+        (* the provider gets more attractive *)
+        Vec.push bags.(levels.(prov)) prov
+      end
+    done;
     if roles.(v) = Transit then Vec.push bags.(lv) v
   in
-  let order = Array.init (n - p.tier1) (fun i -> i + p.tier1) in
-  Array.sort (fun a b -> compare (levels.(a), a) (levels.(b), b)) order;
-  Array.iter attach order;
+  (* Non-tier-1 ASes by (level, id), sorted as the ints [level * n + id]. *)
+  let order = Array.init (n - p.tier1) (fun i -> (levels.(i + p.tier1) * n) + i + p.tier1) in
+  Mifo_util.Sort.sort_ints order 0 (Array.length order);
+  for i = 0 to Array.length order - 1 do
+    order.(i) <- order.(i) mod n
+  done;
+  for i = 0 to Array.length order - 1 do
+    attach order.(i)
+  done;
   (* Content-provider stubs: stub ASes with an unusually large peering
      fan-out, standing in for Google/Facebook-style networks. *)
-  let stub_pool =
-    Array.of_list
-      (List.filter (fun v -> roles.(v) = Stub) (Array.to_list order))
-  in
+  let stub_pool = with_role roles order Stub in
   let content =
     if p.content_providers = 0 || Array.length stub_pool = 0 then [||]
     else begin
@@ -199,10 +241,7 @@ let generate ?(params = default_params) ~seed () =
     int_of_float
       (p.peering_ratio /. (1. -. p.peering_ratio) *. float_of_int !pc_count)
   in
-  let candidates =
-    Array.of_list
-      (List.filter (fun v -> roles.(v) = Transit) (Array.to_list order))
-  in
+  let candidates = with_role roles order Transit in
   let all_non_t1 = order in
   let tries = ref 0 in
   let max_tries = 40 * Stdlib.max 1 target_peer in
@@ -221,7 +260,7 @@ let generate ?(params = default_params) ~seed () =
     if u <> v && abs (levels.(u) - levels.(v)) <= 1 then
       if Edge_set.add edges u v As_graph.Peer_peer then incr peer_count
   done;
-  let graph = As_graph.create ~n ~edges:edges.Edge_set.edges in
+  let graph = As_graph.of_edges ~n edges.Edge_set.edges in
   { graph; roles; content }
 
 let fig2a_gadget () =

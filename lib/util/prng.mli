@@ -4,9 +4,15 @@
     all of its randomness from a [Prng.t], so that figures and tests are
     bit-reproducible across runs and machines.  The generator is
     xoshiro256++ seeded through SplitMix64, the combination recommended by
-    the xoshiro authors.  States are cheap records; [split] derives an
+    the xoshiro authors.  States are cheap buffers; [split] derives an
     independent stream, which lets concurrent or per-entity streams stay
-    decorrelated without sharing mutable state. *)
+    decorrelated without sharing mutable state.
+
+    Every draw is O(1) ([int]: expected, by rejection).  The state is one 32-byte buffer updated in
+    place, so [bits62], [int], [int_in], [bool], [shuffle] and [choose]
+    allocate nothing; [bits64] allocates its boxed [int64] result and
+    [float]/[exponential]/[pareto] their boxed [float] result (2-3
+    words).  [create], [copy] and [split] allocate one new state. *)
 
 type t
 (** Mutable generator state. *)
@@ -24,6 +30,9 @@ val split : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits62 : t -> int
+(** Next output's top 62 bits: a uniform non-negative [int]. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in \[0, n); requires [n > 0].  Uses rejection

@@ -9,3 +9,9 @@ val sort_prefix : cmp:('a -> 'a -> int) -> 'a array -> int -> unit
 
     @raise Invalid_argument if [len] is negative or exceeds the array
     length. *)
+
+val sort_ints : int array -> int -> int -> unit
+(** [sort_ints a base len] sorts [a.(base) .. a.(base + len - 1)] in
+    ascending int order, in place (heapsort: O(len log len), zero
+    allocation, no comparison closure).  The caller keeps the range
+    inside [a]. *)

@@ -7,6 +7,7 @@ module Generator = Mifo_topology.Generator
 module As_rel_io = Mifo_topology.As_rel_io
 module Topo_stats = Mifo_topology.Topo_stats
 module Union_find = Mifo_oracle.Union_find
+module Boxed_as_graph = Mifo_oracle.Boxed_as_graph
 
 (* ---------- Relationship ---------- *)
 
@@ -135,6 +136,93 @@ let test_graph_rejects_self_loop () =
   Alcotest.check_raises "self loop" (Invalid_argument "As_graph.create: self-loop")
     (fun () -> ignore (As_graph.create ~n:2 ~edges:[ (1, 1, As_graph.Peer_peer) ]))
 
+(* [neighbor_index] is a plain loop: 10K warmed calls, hits and misses,
+   allocate nothing. *)
+let test_neighbor_index_allocation () =
+  let g = (Generator.generate ~seed:42 ()).Generator.graph in
+  let n = As_graph.n g in
+  let round () =
+    let acc = ref 0 in
+    for i = 0 to 9_999 do
+      let u = i mod n in
+      let nbrs = As_graph.neighbors g u in
+      let v = if i land 1 = 0 && Array.length nbrs > 0 then nbrs.(i mod Array.length nbrs) else (i * 7) mod n in
+      acc := !acc + As_graph.neighbor_index g u v
+    done;
+    !acc
+  in
+  ignore (round ());
+  let w0 = Gc.minor_words () in
+  let r = round () in
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity r);
+  Alcotest.(check (float 0.)) "minor words for 10K calls" 0. (w1 -. w0)
+
+(* Random edge lists for [create]: tiny ones over ids in [-1, n], so
+   out-of-range endpoints, self-loops, duplicates and provider cycles
+   all come up; larger ones whose provider links point from lower to
+   higher ids (acyclic) with duplicates still possible; and valid ones
+   (distinct pairs, acyclic under a random relabelling of the ids), so
+   the builder's success path is compared on real hierarchies too. *)
+let edge_list_gen =
+  let open QCheck2.Gen in
+  let kind = map (fun b -> if b then As_graph.Provider_customer else As_graph.Peer_peer) bool in
+  let tiny =
+    int_range 0 8 >>= fun n ->
+    pair (return n) (list_size (int_range 0 20) (triple (int_range (-1) n) (int_range (-1) n) kind))
+  in
+  let dag =
+    int_range 1 40 >>= fun n ->
+    let edge =
+      map
+        (fun (a, b, k) ->
+          match k with
+          | As_graph.Provider_customer -> (Stdlib.min a b, Stdlib.max a b, k)
+          | As_graph.Peer_peer -> (a, b, k))
+        (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) kind)
+    in
+    pair (return n) (list_size (int_range 0 60) edge)
+  in
+  let valid =
+    int_range 2 60 >>= fun n ->
+    map
+      (fun (perm, raw) ->
+        let seen = Hashtbl.create 64 in
+        ( n,
+          List.filter_map
+            (fun (a, b, k, flip) ->
+              let lo = Stdlib.min a b and hi = Stdlib.max a b in
+              if a = b || Hashtbl.mem seen (lo, hi) then None
+              else begin
+                Hashtbl.add seen (lo, hi) ();
+                let u, v = if flip && k = As_graph.Peer_peer then (hi, lo) else (lo, hi) in
+                Some (perm.(u), perm.(v), k)
+              end)
+            raw ))
+      (pair
+         (shuffle_a (Array.init n Fun.id))
+         (list_size (int_range 0 120) (quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) kind bool)))
+  in
+  oneof [ tiny; dag; valid ]
+
+(* The flat-array builder against the list-and-Hashtbl original
+   ({!Mifo_oracle.Boxed_as_graph}): the same graph, byte for byte under
+   [Marshal], or the same exception. *)
+let prop_create_matches_oracle =
+  QCheck2.Test.make ~name:"as_graph: create matches the boxed oracle" ~count:2000
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map
+              (fun (u, v, k) ->
+                Printf.sprintf "%d,%d,%s" u v
+                  (match k with As_graph.Provider_customer -> "pc" | As_graph.Peer_peer -> "pp"))
+              edges)))
+    edge_list_gen
+    (fun (n, edges) ->
+      let run f = match f () with x -> Ok (Marshal.to_string x []) | exception e -> Error e in
+      run (fun () -> As_graph.create ~n ~edges) = run (fun () -> Boxed_as_graph.create ~n ~edges))
+
 let test_fold_edges () =
   let g = small_graph () in
   let count = As_graph.fold_edges g ~init:0 ~f:(fun acc _ _ _ -> acc + 1) in
@@ -202,6 +290,80 @@ let test_generator_content_are_stubs () =
       Alcotest.(check bool) "content provider is a stub" true
         (t.Generator.roles.(cp) = Generator.Stub))
     t.Generator.content
+
+(* Structural dump of a generated topology: n, then per AS its level,
+   its topological-order entry, its role and its (neighbour, rel)
+   pairs, then the content stubs. *)
+let generator_digest (t : Generator.t) =
+  let b = Buffer.create 65536 in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ' '
+  in
+  let rel_code = function
+    | Relationship.Customer -> 0
+    | Relationship.Provider -> 1
+    | Relationship.Peer -> 2
+  in
+  let role_code = function Generator.Tier1 -> 0 | Generator.Transit -> 1 | Generator.Stub -> 2 in
+  let g = t.Generator.graph in
+  let n = As_graph.n g in
+  int n;
+  for v = 0 to n - 1 do
+    Buffer.add_char b '\n';
+    int v;
+    int (As_graph.level g v);
+    int (As_graph.topological_at g v);
+    int (role_code t.Generator.roles.(v));
+    Array.iter (fun u -> int u; int (rel_code (As_graph.rel_exn g v u))) (As_graph.neighbors g v)
+  done;
+  Buffer.add_char b '\n';
+  Array.iter int t.Generator.content;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The parameters [Validation.run] uses at 400 ASes. *)
+let validate_params =
+  {
+    Generator.default_params with
+    Generator.ases = 400;
+    tier1 = 4;
+    content_providers = 2;
+    content_peer_span = (3, 8);
+  }
+
+(* Golden outputs, recorded before the generator and [As_graph] moved
+   to flat int arrays: the same seeds must keep drawing the same
+   topologies, at paper scale too. *)
+let test_generator_golden () =
+  List.iter
+    (fun (name, params, seed, digest) ->
+      Alcotest.(check string) name digest (generator_digest (Generator.generate ~params ~seed ())))
+    [
+      ("44,340 ASes, seed 42", Generator.paper_scale_params, 42, "5317ad8b9f4cf50cb33221fbce1cbcee");
+      ("2,000 ASes, seed 42", Generator.default_params, 42, "27d71fe0a6f528b74bb2dddabdfec566");
+      ("2,000 ASes, seed 7", Generator.default_params, 7, "31f334e6ecaecf311d0e0a59347ae438");
+      ("validate's 400 ASes, seed 42", validate_params, 42, "9c997756368b58cf9b3228a5e5df7036");
+    ]
+
+(* Words this domain has allocated so far: minor words plus direct
+   major allocations (arrays over 256 words skip the minor heap), less
+   promotions, which were already counted as minor words. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* One 2,000-AS generation allocates at most 1.25x the 234.5K words it
+   took once it moved to flat arrays (before, it took 1.97M).  A
+   tuple-keyed [Hashtbl] in place of the pair set takes it to 301K, and
+   a PRNG state of four boxed [int64] fields to 846K. *)
+let test_generator_allocation () =
+  ignore (Generator.generate ~seed:42 ());
+  Gc.minor ();
+  let w0 = allocated_words () in
+  ignore (Sys.opaque_identity (Generator.generate ~seed:42 ()));
+  let used = allocated_words () -. w0 in
+  let bound = 1.25 *. 234_500. in
+  if used > bound then Alcotest.failf "%.0f words allocated, bound %.0f" used bound
 
 let test_generator_validates () =
   Alcotest.check_raises "bad tier1" (Invalid_argument "Generator: bad tier1 size")
@@ -499,6 +661,9 @@ let () =
           Alcotest.test_case "fold_edges" `Quick test_fold_edges;
           Alcotest.test_case "path valley-freeness" `Quick test_path_valley_free;
           QCheck_alcotest.to_alcotest prop_neighbor_index;
+          Alcotest.test_case "allocation gate: neighbor_index allocates nothing" `Quick
+            test_neighbor_index_allocation;
+          QCheck_alcotest.to_alcotest prop_create_matches_oracle;
         ] );
       ( "generator",
         [
@@ -509,6 +674,9 @@ let () =
           Alcotest.test_case "content providers are stubs" `Quick test_generator_content_are_stubs;
           Alcotest.test_case "parameter validation" `Quick test_generator_validates;
           Alcotest.test_case "fig2a gadget" `Quick test_fig2a_gadget;
+          Alcotest.test_case "golden digests at four (params, seed) pairs" `Quick
+            test_generator_golden;
+          Alcotest.test_case "allocation gate: 2,000 ASes" `Quick test_generator_allocation;
           QCheck_alcotest.to_alcotest prop_generator_valid;
         ] );
       ( "as_rel_io",

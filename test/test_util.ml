@@ -20,6 +20,59 @@ let test_prng_deterministic () =
     Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
   done
 
+(* Golden streams, recorded before the state moved from four boxed
+   [int64] fields into one buffer: per stream the first 16 [bits64],
+   16 [int 1000], 16 [int (2^61 + 1)] (about half the draws rejected)
+   and 16 [float 1.0] values, hashed. *)
+let prng_stream_digest rng =
+  let b = Buffer.create 4096 in
+  for _ = 1 to 16 do
+    Buffer.add_string b (Printf.sprintf "%Lx " (Prng.bits64 rng))
+  done;
+  for _ = 1 to 16 do
+    Buffer.add_string b (Printf.sprintf "%d " (Prng.int rng 1000))
+  done;
+  for _ = 1 to 16 do
+    Buffer.add_string b (Printf.sprintf "%d " (Prng.int rng ((1 lsl 61) + 1)))
+  done;
+  for _ = 1 to 16 do
+    Buffer.add_string b (Printf.sprintf "%h " (Prng.float rng 1.0))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_prng_golden () =
+  Alcotest.(check int64) "seed 42: first bits64" 0xd0764d4f4476689fL
+    (Prng.bits64 (Prng.create ~seed:42 ()));
+  Alcotest.(check int) "seed 42: first int 1000" 487 (Prng.int (Prng.create ~seed:42 ()) 1000);
+  Alcotest.(check (float 0.)) "seed 42: first float" 0x1.a0ec9a9e88ecdp-1
+    (Prng.float (Prng.create ~seed:42 ()) 1.0);
+  Alcotest.(check string) "seed 42" "119cad477c16c130f63e3df536be8703"
+    (prng_stream_digest (Prng.create ~seed:42 ()));
+  Alcotest.(check string) "seed 7" "74b75d870561339e5cf420d2a2ab0cf3"
+    (prng_stream_digest (Prng.create ~seed:7 ()));
+  let parent = Prng.create ~seed:42 () in
+  ignore (Prng.bits64 parent);
+  Alcotest.(check string) "split of seed 42 after one draw" "33cd976afa2295e3f2a6b48f0a04076b"
+    (prng_stream_digest (Prng.split parent))
+
+(* Integer draws update the state in place and return an immediate:
+   10K warmed calls of each allocate nothing. *)
+let test_prng_allocation () =
+  let rng = Prng.create ~seed:3 () in
+  let round () =
+    let acc = ref 0 in
+    for i = 1 to 10_000 do
+      acc := !acc + Prng.int rng (1 + i) + Prng.int_in rng (-i) i + (Prng.bits62 rng land 1)
+    done;
+    !acc
+  in
+  ignore (round ());
+  let w0 = Gc.minor_words () in
+  let r = round () in
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity r);
+  Alcotest.(check (float 0.)) "minor words for 30K draws" 0. (w1 -. w0)
+
 let test_prng_seed_sensitivity () =
   let a = Prng.create ~seed:1 () and b = Prng.create ~seed:2 () in
   Alcotest.(check bool) "different streams" false (Prng.bits64 a = Prng.bits64 b)
@@ -584,6 +637,9 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_prng_exponential_mean;
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
+          Alcotest.test_case "allocation gate: int draws allocate nothing" `Quick
+            test_prng_allocation;
         ] );
       ( "stats",
         [
