@@ -60,14 +60,15 @@ let domain_shared = [ "routing.ml"; "routing_table.ml"; "obs.ml" ]
 let no_hashtbl_dirs = [ "bgp"; "core"; "analysis" ]
 let no_hashtbl_exempt = [ "bgp_proto.ml" ]
 
-(* The packet-network builders, named one by one: lib/netsim as a whole
-   stays outside the rule (packetsim.ml's iBGP session table is a
-   documented cold path), but these two key every port and alternative
-   by adjacency position and routing arena, so a [Hashtbl] there is a
-   regression of the 44K build.  The same holds for the topology
-   builders, which dedupe links with the flat [Pair_set]; as_rel_io.ml
-   stays exempt as a parser. *)
-let no_hashtbl_files = [ "as_network.ml"; "router_network.ml"; "as_graph.ml"; "generator.ml" ]
+(* Files named one by one.  The packet-network builder: lib/netsim as a
+   whole stays outside the rule (packetsim.ml's iBGP session table is a
+   documented cold path), but as_network.ml keys every port and
+   alternative by adjacency position and routing arena, so a [Hashtbl]
+   there is a regression of the 44K build.  The same holds for the
+   topology builders, which dedupe links with the flat [Pair_set], and
+   for the router-level expansion, whose link owners sit in int arrays
+   parallel to the adjacency; as_rel_io.ml stays exempt as a parser. *)
+let no_hashtbl_files = [ "as_network.ml"; "as_graph.ml"; "generator.ml"; "router_level.ml" ]
 
 (* Library code reports through {!Report} / {!Obs.Json}; writing to
    stdout from lib/ bypasses the JSON contract and interleaves with the

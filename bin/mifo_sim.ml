@@ -439,6 +439,12 @@ let check_cmd =
   in
   let run obs seed ases topo_file gadget k2_gadget bh_gadget stretch_gadget no_tag
       k props stretch_bound fail_link fail_links dests hosts out =
+    List.iter
+      (fun (flag, v) -> if v < 0 then usage_error "%s must be >= 0 (got %d)" flag v)
+      [
+        ("-k", k); ("--stretch-bound", stretch_bound); ("--fail-links", fail_links);
+        ("--dests", dests); ("--hosts", hosts);
+      ];
     with_obs obs @@ fun () ->
     let module Report = Mifo_analysis.Report in
     let module Props = Mifo_analysis.Props in

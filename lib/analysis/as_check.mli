@@ -53,10 +53,10 @@ val find_loop :
     to the first [k] RIB alternatives — the pool
     {!Mifo_core.Alt_select.ranked_alternatives} draws from, so the
     bounded check soundly over-approximates every ranked set it
-    returns.  Choosers that scan the whole RIB (the packet networks'
-    [As_network.greedy_chooser]) are covered by the unbounded check
-    only.  The states stay [(AS, tag)] at every [k]; counterexample
-    moves name the RIB index of each hop ([move.slot]).  Omitted = the
+    returns.  Choosers that scan the whole RIB (the greedy rule
+    [Mifo_netsim.As_network.build] installs) are covered by the
+    unbounded check only.  The states stay [(AS, tag)] at every [k];
+    counterexample moves name the RIB index of each hop ([move.slot]).  Omitted = the
     unbounded automaton, bit-identical to the historical checker.
     O(states + transitions) = O(V + E). *)
 

@@ -85,7 +85,7 @@ let enc _t v tag = (2 * v) + if tag then 1 else 0
    post-failure promoted default).  [max_alt] caps the deflectable RIB
    indices at the first k alternatives, which over-approximates a
    chooser that draws from that pool (Alt_select.ranked_alternatives);
-   the packet networks' As_network.greedy_chooser scans the whole RIB,
+   the greedy chooser As_network.build installs scans the whole RIB,
    so only the unbounded automaton covers it.  Iterates the RIB through
    the packed accessors — no boxed entries materialise, which is what
    keeps the 44K product DFS inside the CSR arena.  The tag after the

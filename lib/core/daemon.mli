@@ -56,9 +56,10 @@ val epoch_ranked :
     [choose_alts prefix entry] returns the ranked alternative ports for
     [prefix] (best first, truncated at {!Fib.max_alts}) — for example
     {!Alt_select.ranked_alternatives} plus the router's port map, or the
-    packet networks' [As_network.greedy_chooser], which scans every RIB
-    alternative.  A chooser that is not capped to the first [k] RIB
-    alternatives is covered only by the unbounded static check. *)
+    greedy rule [Mifo_netsim.As_network.build] installs on the packet
+    networks' routers, which scans every RIB alternative.  A chooser
+    that is not capped to the first [k] RIB alternatives is covered
+    only by the unbounded static check. *)
 
 val is_congested : ?config:config -> float -> bool
 (** The congestion predicate on a utilization sample, shared with the

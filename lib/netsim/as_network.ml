@@ -1,5 +1,6 @@
 module As_graph = Mifo_topology.As_graph
 module Relationship = Mifo_topology.Relationship
+module Router_level = Mifo_topology.Router_level
 module Routing = Mifo_bgp.Routing
 module Routing_table = Mifo_bgp.Routing_table
 module Prefix = Mifo_bgp.Prefix
@@ -16,6 +17,10 @@ let host t as_id =
 
 let router t as_id = t.router_of_as.(as_id)
 
+(* The daemon chooser at AS [v], the greedy rule: over the RIB
+   alternatives toward the entry's destination, at neighbour index [i],
+   the first with the most spare capacity [spare i] gives [[port i]]
+   ([[]] when that is not positive); no alternative keeps the primary. *)
 let greedy_chooser table ~as_id:v ~spare ~port prefix entry =
   let g = Routing_table.graph table in
   match Prefix.to_as prefix with
@@ -35,10 +40,14 @@ let greedy_chooser table ~as_id:v ~spare ~port prefix entry =
     else []
   | _ -> Fib.primary_alts entry
 
-let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
+let build ?config ?(link_rate = 1e9) ?host_rate ?expansion table ~deployment ~hosts () =
   let host_rate = match host_rate with Some r -> r | None -> link_rate in
   let g = Routing_table.graph table in
   let n = As_graph.n g in
+  (match expansion with
+  | Some e when e.Router_level.graph != g ->
+    invalid_arg "As_network.build: expansion is over a different graph"
+  | _ -> ());
   List.iter
     (fun v ->
       if v < 0 || v >= n then invalid_arg "As_network.build: host AS out of range")
@@ -47,11 +56,28 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
      so they fan out across the domain pool before the serial FIB fill. *)
   Routing_table.precompute table (Array.of_list (List.sort_uniq Int.compare hosts));
   let sim = Packetsim.create ?config () in
-  let router_of_as = Array.init n (fun v -> Packetsim.add_router sim ~as_id:v) in
-  (* Inter-AS links.  [port_at.(u).(i)] is [u]'s port toward its [i]-th
-     neighbour, parallel to [As_graph.neighbors g u]. *)
+  (* Routers, in AS order: router [r] of the expansion is node [r], and
+     without one AS [v]'s single border router is node [v].  AS [v]'s
+     routers are the nodes [router_of_as.(v) .. last_router v]; [owner u i]
+     is the one holding [u]'s link to its [i]-th neighbour. *)
+  let router_of_as =
+    match expansion with
+    | None -> Array.init n (fun v -> Packetsim.add_router sim ~as_id:v)
+    | Some e ->
+      Array.iter
+        (fun v -> ignore (Packetsim.add_router sim ~as_id:v))
+        e.Router_level.as_of_router;
+      Array.sub e.Router_level.first_router 0 n
+  in
+  let last_router v =
+    match expansion with None -> v | Some e -> e.Router_level.first_router.(v + 1) - 1
+  in
+  let owner u i =
+    match expansion with None -> u | Some e -> e.Router_level.link_router.(u).(i)
+  in
+  (* Inter-AS links.  [port_at.(u).(i)] is [owner u i]'s port toward
+     [u]'s [i]-th neighbour, parallel to [As_graph.neighbors g u]. *)
   let port_at = Array.init n (fun u -> Array.make (As_graph.degree g u) (-1)) in
-  let port_to u v = port_at.(u).(As_graph.neighbor_index g u v) in
   ignore
     (As_graph.fold_edges g ~init:()
        ~f:(fun () u v kind ->
@@ -60,15 +86,36 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
            | As_graph.Provider_customer -> (Relationship.Customer, Relationship.Provider)
            | As_graph.Peer_peer -> (Relationship.Peer, Relationship.Peer)
          in
+         let iu = As_graph.neighbor_index g u v and iv = As_graph.neighbor_index g v u in
          let pu, pv =
-           Packetsim.connect sim ~a:router_of_as.(u) ~b:router_of_as.(v)
+           Packetsim.connect sim ~a:(owner u iu) ~b:(owner v iv)
              ~kind_ab:(Engine.Ebgp { neighbor_as = v; rel = rel_uv })
              ~kind_ba:(Engine.Ebgp { neighbor_as = u; rel = rel_vu })
              ~rate:link_rate ()
          in
-         port_at.(u).(As_graph.neighbor_index g u v) <- pu;
-         port_at.(v).(As_graph.neighbor_index g v u) <- pv));
-  (* Hosts and their access links. *)
+         port_at.(u).(iu) <- pu;
+         port_at.(v).(iv) <- pv));
+  (* Full iBGP mesh inside every multi-router AS; the simulator keeps
+     each session's port. *)
+  for v = 0 to n - 1 do
+    for a = router_of_as.(v) to last_router v do
+      for b = a + 1 to last_router v do
+        ignore
+          (Packetsim.connect sim ~a ~b
+             ~kind_ab:(Engine.Ibgp { peer_router = b })
+             ~kind_ba:(Engine.Ibgp { peer_router = a })
+             ~rate:link_rate ())
+      done
+    done
+  done;
+  (* [node]'s way out through [peer]'s port [p]: [p] itself when [node]
+     is [peer], else the iBGP session to [peer].  [port_of node u i] is
+     the way out over [u]'s link to its [i]-th neighbour. *)
+  let port_via node peer p =
+    if node = peer then p else Option.get (Packetsim.ibgp_route sim node peer)
+  in
+  let port_of node u i = port_via node (owner u i) port_at.(u).(i) in
+  (* Hosts and their access links, on the first router of their AS. *)
   let host_of_as = Array.make n (-1) and host_port = Array.make n (-1) in
   List.iter
     (fun v ->
@@ -85,35 +132,45 @@ let build ?config ?(link_rate = 1e9) ?host_rate table ~deployment ~hosts () =
   (* FIBs: one entry per host prefix in every router, from the analytic
      routing.  RIB cell 0 is the default next hop and cells 1 .. the
      alternatives; a MIFO-capable AS starts on the first of them and the
-     daemon chooser below refreshes it.  Router-major, so each FIB takes
-     its entries back to back, still in [hosts] order. *)
+     daemon chooser below refreshes it.  Every router of an AS sends a
+     prefix's traffic to the AS's egress border router, over iBGP when
+     that is another router.  Router-major, so each FIB takes its
+     entries back to back, still in [hosts] order. *)
   let dests = Array.of_list hosts in
   let prefixes = Array.map Prefix.of_as dests in
   let rts = Array.map (Routing_table.get table) dests in
   for v = 0 to n - 1 do
-    let fib = Packetsim.fib sim router_of_as.(v) in
     let capable = Deployment.capable deployment v in
-    for k = 0 to Array.length dests - 1 do
-      let rt = rts.(k) and prefix = prefixes.(k) in
-      let size = Routing.rib_size rt v in
-      if v = dests.(k) then Fib.insert fib prefix ~out_port:host_port.(v) ()
-      else if size > 0 then
-        let out_port = port_to v (Routing.rib_via rt v 0) in
-        if size > 1 && capable then
-          let alt_port = port_to v (Routing.rib_via rt v 1) in
-          Fib.insert fib prefix ~out_port ~alt_port ()
-        else Fib.insert fib prefix ~out_port ()
+    for node = router_of_as.(v) to last_router v do
+      let fib = Packetsim.fib sim node in
+      for k = 0 to Array.length dests - 1 do
+        let rt = rts.(k) and prefix = prefixes.(k) in
+        let size = Routing.rib_size rt v in
+        if v = dests.(k) then
+          let out_port = port_via node router_of_as.(v) host_port.(v) in
+          Fib.insert fib prefix ~out_port ()
+        else if size > 0 then
+          let e = As_graph.neighbor_index g v (Routing.rib_via rt v 0) in
+          let out_port = port_of node v e in
+          if size > 1 && capable then
+            let a = As_graph.neighbor_index g v (Routing.rib_via rt v 1) in
+            Fib.insert fib prefix ~out_port ~alt_port:(port_of node v a) ()
+          else Fib.insert fib prefix ~out_port ()
+      done
     done
   done;
-  (* Daemon choosers on MIFO-capable ASes; legacy ASes keep no
-     alternative. *)
+  (* Daemon choosers on MIFO-capable ASes, greedy on the owning router's
+     measured eBGP spare: the measurement border routers exchange over
+     their iBGP sessions.  Legacy ASes keep no alternative. *)
   for v = 0 to n - 1 do
     if Deployment.capable deployment v then
-      let node = router_of_as.(v) and ports = port_at.(v) in
-      Packetsim.set_ranked_chooser sim node
-        (greedy_chooser table ~as_id:v
-           ~spare:(fun i -> Packetsim.spare_capacity sim node ports.(i))
-           ~port:(Array.get ports))
+      let ports = port_at.(v) in
+      for node = router_of_as.(v) to last_router v do
+        Packetsim.set_ranked_chooser sim node
+          (greedy_chooser table ~as_id:v
+             ~spare:(fun i -> Packetsim.spare_capacity sim (owner v i) ports.(i))
+             ~port:(port_of node v))
+      done
   done;
   { sim; router_of_as; host_of_as }
 

@@ -2,10 +2,9 @@ module Prng = Mifo_util.Prng
 
 type t = {
   graph : As_graph.t;
-  routers_of_as : int array array;
+  first_router : int array;
   as_of_router : int array;
-  link_router : (int * int) -> int;
-  ibgp_pairs : (int * int) list;
+  link_router : int array array;
 }
 
 let router_count t = Array.length t.as_of_router
@@ -14,74 +13,50 @@ let expand ?(links_per_router = 8) ?(max_routers = 8) ~seed g ~expand =
   if links_per_router < 1 then invalid_arg "Router_level.expand: links_per_router < 1";
   if max_routers < 1 then invalid_arg "Router_level.expand: max_routers < 1";
   let n = As_graph.n g in
-  let expand_set = Hashtbl.create 16 in
+  let expanded = Array.make n false in
   List.iter
     (fun v ->
       if v < 0 || v >= n then invalid_arg "Router_level.expand: AS id out of range";
-      Hashtbl.replace expand_set v ())
+      expanded.(v) <- true)
     expand;
-  let rng = Prng.create ~seed () in
   (* Number the routers: AS order, then per-AS index. *)
-  let routers_of_as = Array.make n [||] in
-  let as_of_router = Mifo_util.Vec.create () in
+  let first_router = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     let wanted =
-      if Hashtbl.mem expand_set v then begin
+      if expanded.(v) then
         let d = As_graph.degree g v in
         Stdlib.min max_routers (Stdlib.max 1 ((d + links_per_router - 1) / links_per_router))
-      end
       else 1
     in
-    routers_of_as.(v) <-
-      Array.init wanted (fun _ ->
-          let id = Mifo_util.Vec.length as_of_router in
-          Mifo_util.Vec.push as_of_router v;
-          id)
+    first_router.(v + 1) <- first_router.(v) + wanted
   done;
-  let as_of_router = Mifo_util.Vec.to_array as_of_router in
-  (* Pin each directed adjacency (u, v) to one of u's border routers:
-     seeded random round-robin so every router gets a similar share. *)
-  let assignment = Hashtbl.create (4 * As_graph.edge_count g) in
-  for u = 0 to n - 1 do
-    let routers = routers_of_as.(u) in
-    let k = Array.length routers in
-    if k = 1 then
-      Array.iter (fun v -> Hashtbl.replace assignment (u, v) routers.(0)) (As_graph.neighbors g u)
-    else begin
-      let nbrs = Array.copy (As_graph.neighbors g u) in
-      Prng.shuffle rng nbrs;
-      Array.iteri
-        (fun i v -> Hashtbl.replace assignment (u, v) routers.(i mod k))
-        nbrs
-    end
+  let as_of_router = Array.make first_router.(n) 0 in
+  for v = 0 to n - 1 do
+    Array.fill as_of_router first_router.(v) (first_router.(v + 1) - first_router.(v)) v
   done;
-  let link_router key =
-    match Hashtbl.find_opt assignment key with
-    | Some r -> r
-    | None -> invalid_arg "Router_level.link_router: not an adjacency"
+  (* Pin each adjacency of u to one of u's border routers: a seeded
+     random round-robin over a shuffled neighbour order, so every router
+     gets a similar share. *)
+  let rng = Prng.create ~seed () in
+  let link_router =
+    Array.init n (fun u ->
+        let first = first_router.(u) and k = first_router.(u + 1) - first_router.(u) in
+        let d = As_graph.degree g u in
+        if k = 1 then Array.make d first
+        else begin
+          let order = Array.init d Fun.id in
+          Prng.shuffle rng order;
+          let owners = Array.make d first in
+          Array.iteri (fun i j -> owners.(j) <- first + (i mod k)) order;
+          owners
+        end)
   in
-  (* Full-mesh iBGP inside every multi-router AS. *)
-  let ibgp_pairs =
-    let acc = ref [] in
-    for v = 0 to n - 1 do
-      let routers = routers_of_as.(v) in
-      let k = Array.length routers in
-      for i = 0 to k - 1 do
-        for j = i + 1 to k - 1 do
-          acc := (routers.(i), routers.(j)) :: !acc
-        done
-      done
-    done;
-    List.rev !acc
-  in
-  { graph = g; routers_of_as; as_of_router; link_router; ibgp_pairs }
+  { graph = g; first_router; as_of_router; link_router }
 
 let expand_tier1 ?links_per_router ?max_routers ~seed (topo : Generator.t) =
   let tier1 =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter
-            (fun v -> topo.Generator.roles.(v) = Generator.Tier1)
-            (Seq.init (As_graph.n topo.Generator.graph) (fun v -> v))))
+    List.filter
+      (fun v -> topo.Generator.roles.(v) = Generator.Tier1)
+      (List.init (As_graph.n topo.Generator.graph) Fun.id)
   in
   expand ?links_per_router ?max_routers ~seed topo.Generator.graph ~expand:tier1

@@ -4,23 +4,27 @@
     their internal topologies at the router level", assuming the border
     routers of an expanded AS form a full iBGP mesh.  This module
     computes that expansion: each selected AS is split into several
-    border routers, every inter-AS link is pinned to a specific border
-    router on each side, and full-mesh iBGP links are emitted for every
-    multi-router AS.
+    border routers and every inter-AS link is pinned to a specific border
+    router on each side.
 
-    The expansion is pure data — {!Mifo_netsim.Router_network} (or any
-    other consumer) turns it into a running network.  Multi-router ASes
-    are where MIFO's IP-in-IP mechanics matter: the default and the
-    alternative path may exit through {e different} border routers, so a
-    deflection must tunnel across the iBGP mesh (Fig. 2(b)). *)
+    The expansion is pure data in flat int arrays —
+    [Mifo_netsim.As_network.build ~expansion] turns it into a running
+    network, with a full iBGP mesh inside every multi-router AS.
+    Multi-router ASes are where MIFO's IP-in-IP mechanics matter: the
+    default and the alternative path may exit through {e different}
+    border routers, so a deflection must tunnel across the iBGP mesh
+    (Fig. 2(b)). *)
 
-type t = {
+type t = private {
   graph : As_graph.t;  (** the underlying AS graph *)
-  routers_of_as : int array array;  (** AS id -> its router ids (>= 1 each) *)
+  first_router : int array;
+      (** [n + 1] entries: AS [v]'s routers are the ids
+          [first_router.(v) .. first_router.(v + 1) - 1] (at least one);
+          routers are numbered in AS order *)
   as_of_router : int array;  (** router id -> AS id *)
-  link_router : (int * int) -> int;
-      (** [(u, v)] (adjacent ASes) -> the router of [u] owning that link *)
-  ibgp_pairs : (int * int) list;  (** full-mesh iBGP links, router id pairs *)
+  link_router : int array array;
+      (** parallel to [As_graph.neighbors graph u]: [link_router.(u).(i)]
+          is the router of [u] owning its link to its [i]-th neighbour *)
 }
 
 val router_count : t -> int

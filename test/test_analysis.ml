@@ -286,6 +286,60 @@ let test_network_gadget_tag_check_off_loops () =
     Alcotest.(check bool) "concrete cycle" true (List.length cycle >= 2)
   | _ -> Alcotest.fail "expected a router-level forwarding loop"
 
+(* The router-level diamond: AS 3 expanded into four border routers, one
+   per link, so the default and the alternative egress toward AS 0 sit
+   on different routers of AS 3 and a deflection crosses its iBGP mesh.
+   IP-in-IP between iBGP peers (Fig. 2(b)) keeps that crossing from
+   cycling; without it, the routers of AS 3 bounce the packet between
+   themselves. *)
+let expanded_diamond_network ~ibgp_encap =
+  let g =
+    As_graph.create ~n:6
+      ~edges:
+        [
+          (1, 0, As_graph.Provider_customer);
+          (2, 0, As_graph.Provider_customer);
+          (3, 1, As_graph.Provider_customer);
+          (3, 2, As_graph.Provider_customer);
+          (3, 4, As_graph.Provider_customer);
+          (3, 5, As_graph.Provider_customer);
+        ]
+  in
+  let table = Routing_table.create g in
+  let expansion =
+    Mifo_topology.Router_level.expand ~links_per_router:1 ~max_routers:4 ~seed:5 g
+      ~expand:[ 3 ]
+  in
+  let config = { Packetsim.default_config with Packetsim.ibgp_encap } in
+  let hosts = [ 0; 4; 5 ] in
+  let net =
+    As_network.build ~config ~expansion table ~deployment:(Deployment.full ~n:6) ~hosts ()
+  in
+  let routing = List.map (fun d -> (d, Routing_table.get table d)) hosts in
+  (Verifier.verify_network net.As_network.sim ~routing, net.As_network.sim)
+
+let test_network_ibgp_encap () =
+  let r, _ = expanded_diamond_network ~ibgp_encap:true in
+  Alcotest.(check (list string)) "encapsulation on: clean" []
+    (List.map Report.violation_to_string r.Report.violations);
+  Alcotest.(check bool) "FIB entries audited" true
+    (r.Report.stats.Report.fib_entries_checked > 0);
+  let r, sim = expanded_diamond_network ~ibgp_encap:false in
+  let as_of node =
+    match Packetsim.node_view sim node with
+    | Packetsim.Router_view { as_id } -> as_id
+    | Packetsim.Host_view _ -> -1
+  in
+  match
+    List.find_opt
+      (function Report.Forwarding_loop { level = Report.Router_level; _ } -> true | _ -> false)
+      r.Report.violations
+  with
+  | Some (Report.Forwarding_loop { cycle; _ }) ->
+    Alcotest.(check (list int)) "encapsulation off: the cycle" [ 3; 5; 3 ] cycle;
+    Alcotest.(check (list int)) "only AS 3's routers cycle" [ 3; 3; 3 ] (List.map as_of cycle)
+  | _ -> Alcotest.fail "expected a router-level forwarding loop"
+
 let test_network_dangling_alt_port () =
   (* corrupt one installed FIB entry: an alternative pointing at a port
      that does not exist *)
@@ -768,5 +822,7 @@ let () =
             test_network_gadget_tag_check_off_loops;
           Alcotest.test_case "dangling alternative port" `Quick test_network_dangling_alt_port;
           Alcotest.test_case "eBGP egress mid-tunnel" `Quick test_network_ebgp_tunnel_egress;
+          Alcotest.test_case "router-level diamond: IP-in-IP stops iBGP cycling" `Quick
+            test_network_ibgp_encap;
         ] );
     ]
