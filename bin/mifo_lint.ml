@@ -15,8 +15,9 @@
      state under the multicore fan-out.
 
    - Simulator hot paths: polymorphic comparison ([compare] /
-     [Stdlib.compare]) is banned in lib/netsim/ and in the topology
-     builders (as_graph.ml, generator.ml) — it walks the runtime
+     [Stdlib.compare]) is banned in lib/netsim/, in the topology
+     builders (as_graph.ml, generator.ml), in prefix.ml and in the FIB
+     audit (net_check.ml) — it walks the runtime
      representation on every call, which is both slow on the simulators'
      inner loops and fragile (it would traverse whole records if a
      comparator's argument type drifted).  Use the monomorphic
@@ -128,11 +129,13 @@ let uses_polymorphic_compare line =
     go 0
   end
 
-(* Directories whose .ml files sit on simulator hot paths, and the
-   topology builders, named one by one: they sort and compare ids as
-   plain ints at 44K scale. *)
+(* Directories whose .ml files sit on simulator hot paths, and files
+   named one by one: the topology builders, which sort and compare ids
+   as plain ints at 44K scale; [Prefix], whose comparisons run per FIB
+   entry in the daemon's choosers; and the router-level FIB audit,
+   which visits every installed entry. *)
 let hot_path_dirs = [ "netsim" ]
-let hot_path_files = [ "as_graph.ml"; "generator.ml" ]
+let hot_path_files = [ "as_graph.ml"; "generator.ml"; "prefix.ml"; "net_check.ml" ]
 
 let findings = ref 0
 

@@ -7,76 +7,96 @@ module Routing = Mifo_bgp.Routing
 
 (* ---------- FIB / RIB consistency ---------- *)
 
+(* A port's role in its entry: slot [-1] is the default port, [i >= 0]
+   the [i]-th ranked alternative.  Like the prefix string, it is built
+   only when a violation is reported. *)
+let role slot = if slot < 0 then "default" else Printf.sprintf "alt[%d]" slot
+
+(* Whether router AS [v]'s RIB holds a route via [via], scanning cells
+   [i] down to 0. *)
+let rec rib_has_via rt v via i =
+  i >= 0 && (Routing.rib_via rt v i = via || rib_has_via rt v via (i - 1))
+
+(* A prefix as one int: equal keys exactly when [Prefix.equal]. *)
+let prefix_key (p : Prefix.t) = (Fib.key_of_addr p.Prefix.network lsl 6) lor p.Prefix.length
+
 let audit_fibs sim ~routing =
   let violations = ref [] in
   let checked = ref 0 in
-  let add v = violations := v :: !violations in
-  let dest_of_prefix p =
-    List.find_opt (fun (d, _) -> Prefix.equal (Prefix.of_as d) p) routing
+  let dangling id prefix slot port reason =
+    violations :=
+      Report.Dangling_fib_port
+        { node = id; prefix = Prefix.to_string prefix; port; reason = role slot ^ reason }
+      :: !violations
+  in
+  (* The routed destinations' prefixes as int keys, in [routing] order:
+     an eBGP port's prefix takes the first destination whose
+     [Prefix.of_as] it equals, or none (-1). *)
+  let dests = Array.of_list routing in
+  let dest_keys = Array.map (fun (d, _) -> prefix_key (Prefix.of_as d)) dests in
+  let dest_index prefix =
+    let key = prefix_key prefix in
+    let i = ref 0 in
+    while !i < Array.length dests && dest_keys.(!i) <> key do
+      incr i
+    done;
+    if !i < Array.length dests then !i else -1
+  in
+  let check_port id as_id prefix slot port =
+    if port < 0 || port >= Packetsim.port_count sim id then
+      dangling id prefix slot port " port out of range"
+    else begin
+      let peer = Packetsim.port_peer_node sim id port in
+      match Packetsim.port_kind sim id port with
+      | Engine.Local ->
+        if Packetsim.is_router sim peer then
+          dangling id prefix slot port " local port wired to a router"
+        else if not (Prefix.contains prefix (Packetsim.host_addr sim peer)) then
+          dangling id prefix slot port " local port's host lies outside the prefix"
+      | Engine.Ebgp { neighbor_as; _ } ->
+        if not (Packetsim.is_router sim peer) then
+          dangling id prefix slot port " eBGP port wired to a host"
+        else if Packetsim.router_as sim peer <> neighbor_as then
+          dangling id prefix slot port " eBGP port's peer AS mismatches the wiring";
+        let i = dest_index prefix in
+        if i >= 0 then begin
+          let d, rt = dests.(i) in
+          if as_id <> d && not (rib_has_via rt as_id neighbor_as (Routing.rib_size rt as_id - 1))
+          then
+            dangling id prefix slot port
+              (Printf.sprintf " eBGP port not backed by a RIB route via AS %d" neighbor_as)
+        end
+      | Engine.Ibgp { peer_router } ->
+        if peer <> peer_router then
+          dangling id prefix slot port " iBGP port wired to a different router"
+        else if not (Packetsim.is_router sim peer) then
+          dangling id prefix slot port " iBGP port wired to a host"
+        else begin
+          if Packetsim.router_as sim peer <> as_id then
+            dangling id prefix slot port " iBGP session crosses an AS boundary";
+          if Packetsim.ibgp_route sim id peer_router < 0 then
+            dangling id prefix slot port " tunnel endpoint is not an iBGP peer";
+          if Fib.lpm (Packetsim.fib sim peer) (Fib.key_of_addr prefix.Prefix.network) < 0 then
+            dangling id prefix slot port " tunnel endpoint has no route for the prefix"
+        end
+    end
+  in
+  (* One callback for every router's [Fib.iter]: the router under audit
+     sits in two cells rather than in a closure per router. *)
+  let cur_id = ref 0 and cur_as = ref 0 in
+  let check_entry prefix entry =
+    incr checked;
+    check_port !cur_id !cur_as prefix (-1) (Fib.out_port entry);
+    for slot = 0 to Fib.alt_count entry - 1 do
+      check_port !cur_id !cur_as prefix slot (Fib.alt_at entry slot)
+    done
   in
   for id = 0 to Packetsim.node_count sim - 1 do
-    match Packetsim.node_view sim id with
-    | Packetsim.Host_view _ -> ()
-    | Packetsim.Router_view { as_id } ->
-      Fib.iter (Packetsim.fib sim id) (fun prefix entry ->
-          incr checked;
-          let pstr = Prefix.to_string prefix in
-          let dangling port reason =
-            add (Report.Dangling_fib_port { node = id; prefix = pstr; port; reason })
-          in
-          let check_port ~role port =
-            if port < 0 || port >= Packetsim.port_count sim id then
-              dangling port (role ^ " port out of range")
-            else begin
-              let peer, _ = Packetsim.port_peer sim id port in
-              match Packetsim.port_kind sim id port with
-              | Engine.Local -> (
-                match Packetsim.node_view sim peer with
-                | Packetsim.Host_view { addr } ->
-                  if not (Prefix.contains prefix addr) then
-                    dangling port (role ^ " local port's host lies outside the prefix")
-                | Packetsim.Router_view _ ->
-                  dangling port (role ^ " local port wired to a router"))
-              | Engine.Ebgp { neighbor_as; _ } -> (
-                (match Packetsim.node_view sim peer with
-                 | Packetsim.Router_view { as_id = peer_as } ->
-                   if peer_as <> neighbor_as then
-                     dangling port (role ^ " eBGP port's peer AS mismatches the wiring")
-                 | Packetsim.Host_view _ ->
-                   dangling port (role ^ " eBGP port wired to a host"));
-                match dest_of_prefix prefix with
-                | None -> ()
-                | Some (d, rt) ->
-                  let rec backed i =
-                    i >= 0 && (Routing.rib_via rt as_id i = neighbor_as || backed (i - 1))
-                  in
-                  if as_id <> d && not (backed (Routing.rib_size rt as_id - 1)) then
-                    dangling port
-                      (Printf.sprintf "%s eBGP port not backed by a RIB route via AS %d"
-                         role neighbor_as))
-              | Engine.Ibgp { peer_router } ->
-                if peer <> peer_router then
-                  dangling port (role ^ " iBGP port wired to a different router")
-                else begin
-                  (match Packetsim.node_view sim peer with
-                   | Packetsim.Router_view { as_id = peer_as } ->
-                     if peer_as <> as_id then
-                       dangling port (role ^ " iBGP session crosses an AS boundary");
-                     if Packetsim.ibgp_route sim id peer_router = None then
-                       dangling port (role ^ " tunnel endpoint is not an iBGP peer");
-                     if Fib.lookup (Packetsim.fib sim peer) prefix.Prefix.network = None
-                     then
-                       dangling port
-                         (role ^ " tunnel endpoint has no route for the prefix")
-                   | Packetsim.Host_view _ ->
-                     dangling port (role ^ " iBGP port wired to a host"))
-                end
-            end
-          in
-          check_port ~role:"default" (Fib.out_port entry);
-          for slot = 0 to Fib.alt_count entry - 1 do
-            check_port ~role:(Printf.sprintf "alt[%d]" slot) (Fib.alt_at entry slot)
-          done)
+    if Packetsim.is_router sim id then begin
+      cur_id := id;
+      cur_as := Packetsim.router_as sim id;
+      Fib.iter (Packetsim.fib sim id) check_entry
+    end
   done;
   (List.rev !violations, !checked)
 
@@ -106,7 +126,7 @@ let find_loops sim ~routing =
     (fun (d, _rt) ->
       let prefix = Prefix.of_as d in
       let pstr = Prefix.to_string prefix in
-      let addr = Prefix.host_of_as d 1 in
+      let key = Fib.key_of_addr (Prefix.host_of_as d 1) in
       (* Cross the wire out of [m] on [p]: terminal at a host, else the
          arrival state after the entering point's (re)tagging. *)
       let arrive m tag c p =
@@ -139,13 +159,14 @@ let find_loops sim ~routing =
           (* in-transit tunnel: routed on the outer header, no deflection *)
           let out =
             match Packetsim.ibgp_route sim m ep with
-            | Some p -> Some p
-            | None -> (
-              match Fib.lookup (Packetsim.fib sim m) addr with
-              | None ->
+            | -1 -> (
+              let fib = Packetsim.fib sim m in
+              match Fib.lpm fib key with
+              | -1 ->
                 add (Report.Unreachable { dest = d; node = m });
                 None
-              | Some entry -> Some (Fib.out_port entry))
+              | hit -> Some (Fib.hit_out_port fib hit))
+            | p -> Some p
           in
           match out with
           | None -> []
@@ -158,23 +179,25 @@ let find_loops sim ~routing =
               []
             | Engine.Ibgp _ | Engine.Local -> Option.to_list (arrive m st.tag c p)))
         | Plain { sender } -> (
-          match Fib.lookup (Packetsim.fib sim m) addr with
-          | None ->
+          let fib = Packetsim.fib sim m in
+          match Fib.lpm fib key with
+          | -1 ->
             add (Report.Unreachable { dest = d; node = m });
             []
-          | Some entry -> (
-            match Packetsim.port_kind sim m (Fib.out_port entry) with
+          | hit -> (
+            let out_port = Fib.hit_out_port fib hit in
+            match Packetsim.port_kind sim m out_port with
             | Engine.Local -> []  (* delivered to the attached host *)
             | Engine.Ebgp _ | Engine.Ibgp _ ->
               let deflected_to_me =
                 match sender with
                 | None -> false
                 | Some s ->
-                  let peer, _ = Packetsim.port_peer sim m (Fib.out_port entry) in
+                  let peer, _ = Packetsim.port_peer sim m out_port in
                   peer = s
               in
               let default_edge =
-                arrive m st.tag (Plain { sender = None }) (Fib.out_port entry)
+                arrive m st.tag (Plain { sender = None }) out_port
               in
               let alt_edges =
                 (* One edge per ranked slot — the bucket→slot spread can
@@ -186,7 +209,7 @@ let find_loops sim ~routing =
                 let rec slot_edges i acc =
                   if i < 0 then acc
                   else begin
-                    let a = Fib.alt_at entry i in
+                    let a = Fib.hit_alt_at fib hit i in
                     let acc =
                       match Packetsim.port_kind sim m a with
                       | Engine.Ibgp { peer_router } ->
@@ -204,9 +227,9 @@ let find_loops sim ~routing =
                     slot_edges (i - 1) acc
                   end
                 in
-                slot_edges (Fib.alt_count entry - 1) []
+                slot_edges (Fib.hit_alt_count fib hit - 1) []
               in
-              let forced = deflected_to_me && Fib.alt_count entry > 0 in
+              let forced = deflected_to_me && Fib.hit_alt_count fib hit > 0 in
               List.filter_map Fun.id
                 (if forced then alt_edges else default_edge :: alt_edges)))
       in

@@ -35,8 +35,13 @@ let of_string s =
 
 let to_string t = Printf.sprintf "%s/%d" (addr_to_string t.network) t.length
 let contains t a = Int32.logand a (mask t.length) = t.network
-let compare a b = Stdlib.compare (a.network, a.length) (b.network, b.length)
-let equal a b = compare a b = 0
+(* The [(network, length)] order, field by field, so that a comparison
+   allocates nothing: the daemon's choosers run it per FIB entry. *)
+let compare a b = (* lint:allow: the definition, not a polymorphic call *)
+  let c = Int32.compare a.network b.network in
+  if c <> 0 then c else Int.compare a.length b.length
+
+let equal a b = Int32.equal a.network b.network && a.length = b.length
 
 (* 10.x.y.0/24 with x.y encoding the AS id: supports 65536 ASes, which is
    more than the paper-scale topology needs. *)

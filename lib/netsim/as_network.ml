@@ -112,7 +112,7 @@ let build ?config ?(link_rate = 1e9) ?host_rate ?expansion table ~deployment ~ho
      is [peer], else the iBGP session to [peer].  [port_of node u i] is
      the way out over [u]'s link to its [i]-th neighbour. *)
   let port_via node peer p =
-    if node = peer then p else Option.get (Packetsim.ibgp_route sim node peer)
+    if node = peer then p else Packetsim.ibgp_route sim node peer
   in
   let port_of node u i = port_via node (owner u i) port_at.(u).(i) in
   (* Hosts and their access links, on the first router of their AS. *)

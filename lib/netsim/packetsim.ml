@@ -1550,6 +1550,9 @@ let node_view t id =
   | Router r -> Router_view { as_id = r.as_id }
   | Host h -> Host_view { addr = h.addr }
 
+let is_router t id = match (node t id).kind with Router _ -> true | Host _ -> false
+let router_as t id = (router_exn t id).as_id
+let host_addr t id = (host_exn t id).addr
 let port_count t id = Vec.length (node t id).ports
 let port_kind t id p = (port t id p).kind
 
@@ -1557,8 +1560,9 @@ let port_peer t id p =
   let pt = port t id p in
   (pt.peer, pt.peer_port)
 
-let ibgp_route t id peer =
-  match ibgp_port (router_exn t id) peer with -1 -> None | p -> Some p
+let port_peer_node t id p = (port t id p).peer
+
+let ibgp_route t id peer = ibgp_port (router_exn t id) peer
 
 let set_completion_hook t f = t.on_complete <- Some f
 let set_tracer t f = t.tracer <- Some f

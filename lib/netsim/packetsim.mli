@@ -240,11 +240,31 @@ val port_kind : t -> node_id -> int -> Mifo_core.Engine.port_kind
 val port_peer : t -> node_id -> int -> node_id * int
 (** [(peer node, peer's port)] at the far end of the link behind a port. *)
 
-val ibgp_route : t -> node_id -> node_id -> int option
+val ibgp_route : t -> node_id -> node_id -> int
 (** [ibgp_route t r peer] is the local port of router [r] carrying its
-    iBGP session toward router [peer], if one exists — the engine's
-    [route_to_peer], i.e. how an in-transit tunnel is steered.
+    iBGP session toward router [peer], or [-1] when there is none — the
+    engine's [route_to_peer], i.e. how an in-transit tunnel is steered.
+    Allocates nothing.
     @raise Invalid_argument on a host node. *)
+
+(** {2 Allocation-free views}
+
+    The same facts as {!node_view} and {!port_peer}, for loops that
+    visit every FIB entry at full-Internet scale: none of these
+    allocates. *)
+
+val is_router : t -> node_id -> bool
+
+val router_as : t -> node_id -> int
+(** The AS of a router, as in [Router_view].
+    @raise Invalid_argument on a host node. *)
+
+val host_addr : t -> node_id -> Mifo_bgp.Prefix.addr
+(** The address of a host, as in [Host_view].
+    @raise Invalid_argument on a router node. *)
+
+val port_peer_node : t -> node_id -> int -> node_id
+(** The first component of {!port_peer}. *)
 
 val set_completion_hook : t -> (int -> unit) -> unit
 (** Called (with the flow id) the moment a sender sees its last byte

@@ -73,6 +73,42 @@ let test_of_as () =
         (Prefix.to_as (Prefix.of_string s)))
     [ "10.1.2.0/25"; "10.1.0.0/16"; "11.1.2.0/24"; "0.0.0.0/0" ]
 
+(* [Prefix.compare] orders field by field; the reference is the
+   polymorphic order of the [(network, length)] pair it replaced.  Equal
+   networks come up often enough to reach the length tie-break. *)
+let prop_prefix_compare_matches_tuple =
+  let gen_prefix =
+    QCheck2.Gen.(
+      map2
+        (fun net len -> Prefix.make (Int32.of_int net) len)
+        (oneof [ int_bound 3; int ]) (int_bound 32))
+  in
+  QCheck2.Test.make ~name:"prefix compare: the (network, length) tuple order" ~count:1_000
+    QCheck2.Gen.(pair gen_prefix gen_prefix)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      let tuple = compare (a.Prefix.network, a.Prefix.length) (b.Prefix.network, b.Prefix.length) in
+      sign (Prefix.compare a b) = sign tuple
+      && Prefix.equal a b = (tuple = 0)
+      && sign (Prefix.compare b a) = - sign tuple)
+
+(* The testbed chooser runs [Prefix.equal] on every FIB entry each
+   daemon tick: neither comparison may allocate. *)
+let test_prefix_compare_allocates_nothing () =
+  let ps =
+    [| Prefix.of_string "10.1.2.0/24"; Prefix.of_string "10.1.2.0/25";
+       Prefix.of_string "192.168.0.0/16"; Prefix.of_string "0.0.0.0/0" |]
+  in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    let a = ps.(i land 3) and b = ps.((i lsr 2) land 3) in
+    acc := !acc + Prefix.compare a b + if Prefix.equal a b then 1 else 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the loop ran" true (!acc <> min_int);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* ---------- Routing on hand-built graphs ---------- *)
 
 (* A chain: 3 (tier1) -> 2 -> 1 -> 0, all provider->customer. *)
@@ -613,6 +649,9 @@ let () =
           Alcotest.test_case "contains" `Quick test_prefix_contains;
           Alcotest.test_case "masks host bits" `Quick test_prefix_masks_host_bits;
           Alcotest.test_case "of_as encoding" `Quick test_of_as;
+          QCheck_alcotest.to_alcotest prop_prefix_compare_matches_tuple;
+          Alcotest.test_case "compare and equal allocate nothing" `Quick
+            test_prefix_compare_allocates_nothing;
         ] );
       ( "routing",
         [
