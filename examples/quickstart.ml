@@ -50,9 +50,8 @@ let () =
   let fib = Fib.create () in
   let default_port = 0 and alt_port = 1 and upstream_port = 2 in
   Fib.insert fib (Prefix.of_as dst) ~out_port:default_port ~alt_port ();
-  (match Fib.find fib (Prefix.of_as dst) with
-   | Some entry -> Fib.set_deflect_buckets entry Fib.buckets (* daemon: deflect everything *)
-   | None -> assert false);
+  (* daemon: deflect everything *)
+  Fib.set_deflect_buckets fib (Fib.find fib (Prefix.of_as dst)) Fib.buckets;
   let env =
     {
       Engine.router_id = 7;

@@ -17,85 +17,91 @@ let role slot = if slot < 0 then "default" else Printf.sprintf "alt[%d]" slot
 let rec rib_has_via rt v via i =
   i >= 0 && (Routing.rib_via rt v i = via || rib_has_via rt v via (i - 1))
 
-(* A prefix as one int: equal keys exactly when [Prefix.equal]. *)
-let prefix_key (p : Prefix.t) = (Fib.key_of_addr p.Prefix.network lsl 6) lor p.Prefix.length
-
 let audit_fibs sim ~routing =
   let violations = ref [] in
   let checked = ref 0 in
-  let dangling id prefix slot port reason =
+  (* The router under audit, its AS and FIB, and the entry being
+     checked sit in cells, so one [check_port] and one [Fib.iter]
+     callback serve every router. *)
+  let cur_id = ref 0 and cur_as = ref 0 and cur_fib = ref (Fib.create ()) and cur = ref 0 in
+  let dangling slot port reason =
     violations :=
       Report.Dangling_fib_port
-        { node = id; prefix = Prefix.to_string prefix; port; reason = role slot ^ reason }
+        {
+          node = !cur_id;
+          prefix = Prefix.to_string (Fib.prefix !cur_fib !cur);
+          port;
+          reason = role slot ^ reason;
+        }
       :: !violations
   in
   (* The routed destinations' prefixes as int keys, in [routing] order:
      an eBGP port's prefix takes the first destination whose
      [Prefix.of_as] it equals, or none (-1). *)
   let dests = Array.of_list routing in
-  let dest_keys = Array.map (fun (d, _) -> prefix_key (Prefix.of_as d)) dests in
-  let dest_index prefix =
-    let key = prefix_key prefix in
+  let dest_keys = Array.map (fun (d, _) -> Fib.key_of_prefix (Prefix.of_as d)) dests in
+  let dest_index key =
     let i = ref 0 in
     while !i < Array.length dests && dest_keys.(!i) <> key do
       incr i
     done;
     if !i < Array.length dests then !i else -1
   in
-  let check_port id as_id prefix slot port =
-    if port < 0 || port >= Packetsim.port_count sim id then
-      dangling id prefix slot port " port out of range"
+  let check_port slot port =
+    let id = !cur_id and as_id = !cur_as in
+    if port < 0 || port >= Packetsim.port_count sim id then dangling slot port " port out of range"
     else begin
       let peer = Packetsim.port_peer_node sim id port in
       match Packetsim.port_kind sim id port with
       | Engine.Local ->
-        if Packetsim.is_router sim peer then
-          dangling id prefix slot port " local port wired to a router"
-        else if not (Prefix.contains prefix (Packetsim.host_addr sim peer)) then
-          dangling id prefix slot port " local port's host lies outside the prefix"
+        if Packetsim.is_router sim peer then dangling slot port " local port wired to a router"
+        else if
+          (* boxes the prefix, but only a destination's own routers
+             have a Local port *)
+          not (Prefix.contains (Fib.prefix !cur_fib !cur) (Packetsim.host_addr sim peer))
+        then dangling slot port " local port's host lies outside the prefix"
       | Engine.Ebgp { neighbor_as; _ } ->
-        if not (Packetsim.is_router sim peer) then
-          dangling id prefix slot port " eBGP port wired to a host"
+        if not (Packetsim.is_router sim peer) then dangling slot port " eBGP port wired to a host"
         else if Packetsim.router_as sim peer <> neighbor_as then
-          dangling id prefix slot port " eBGP port's peer AS mismatches the wiring";
-        let i = dest_index prefix in
+          dangling slot port " eBGP port's peer AS mismatches the wiring";
+        let i = dest_index (Fib.prefix_key !cur_fib !cur) in
         if i >= 0 then begin
           let d, rt = dests.(i) in
           if as_id <> d && not (rib_has_via rt as_id neighbor_as (Routing.rib_size rt as_id - 1))
           then
-            dangling id prefix slot port
+            dangling slot port
               (Printf.sprintf " eBGP port not backed by a RIB route via AS %d" neighbor_as)
         end
       | Engine.Ibgp { peer_router } ->
-        if peer <> peer_router then
-          dangling id prefix slot port " iBGP port wired to a different router"
+        if peer <> peer_router then dangling slot port " iBGP port wired to a different router"
         else if not (Packetsim.is_router sim peer) then
-          dangling id prefix slot port " iBGP port wired to a host"
+          dangling slot port " iBGP port wired to a host"
         else begin
           if Packetsim.router_as sim peer <> as_id then
-            dangling id prefix slot port " iBGP session crosses an AS boundary";
+            dangling slot port " iBGP session crosses an AS boundary";
           if Packetsim.ibgp_route sim id peer_router < 0 then
-            dangling id prefix slot port " tunnel endpoint is not an iBGP peer";
-          if Fib.lpm (Packetsim.fib sim peer) (Fib.key_of_addr prefix.Prefix.network) < 0 then
-            dangling id prefix slot port " tunnel endpoint has no route for the prefix"
+            dangling slot port " tunnel endpoint is not an iBGP peer";
+          (* the prefix's network address: its key is [prefix_key / 64] *)
+          if Fib.lpm (Packetsim.fib sim peer) (Fib.prefix_key !cur_fib !cur lsr 6) < 0 then
+            dangling slot port " tunnel endpoint has no route for the prefix"
         end
     end
   in
-  (* One callback for every router's [Fib.iter]: the router under audit
-     sits in two cells rather than in a closure per router. *)
-  let cur_id = ref 0 and cur_as = ref 0 in
-  let check_entry prefix entry =
+  let check_entry entry =
     incr checked;
-    check_port !cur_id !cur_as prefix (-1) (Fib.out_port entry);
-    for slot = 0 to Fib.alt_count entry - 1 do
-      check_port !cur_id !cur_as prefix slot (Fib.alt_at entry slot)
+    cur := entry;
+    let fib = !cur_fib in
+    check_port (-1) (Fib.out_port fib entry);
+    for slot = 0 to Fib.alt_count fib entry - 1 do
+      check_port slot (Fib.alt_at fib entry slot)
     done
   in
   for id = 0 to Packetsim.node_count sim - 1 do
     if Packetsim.is_router sim id then begin
       cur_id := id;
       cur_as := Packetsim.router_as sim id;
-      Fib.iter (Packetsim.fib sim id) check_entry
+      cur_fib := Packetsim.fib sim id;
+      Fib.iter !cur_fib check_entry
     end
   done;
   (List.rev !violations, !checked)
@@ -165,7 +171,7 @@ let find_loops sim ~routing =
               | -1 ->
                 add (Report.Unreachable { dest = d; node = m });
                 None
-              | hit -> Some (Fib.hit_out_port fib hit))
+              | hit -> Some (Fib.out_port fib hit))
             | p -> Some p
           in
           match out with
@@ -185,7 +191,7 @@ let find_loops sim ~routing =
             add (Report.Unreachable { dest = d; node = m });
             []
           | hit -> (
-            let out_port = Fib.hit_out_port fib hit in
+            let out_port = Fib.out_port fib hit in
             match Packetsim.port_kind sim m out_port with
             | Engine.Local -> []  (* delivered to the attached host *)
             | Engine.Ebgp _ | Engine.Ibgp _ ->
@@ -209,7 +215,7 @@ let find_loops sim ~routing =
                 let rec slot_edges i acc =
                   if i < 0 then acc
                   else begin
-                    let a = Fib.hit_alt_at fib hit i in
+                    let a = Fib.alt_at fib hit i in
                     let acc =
                       match Packetsim.port_kind sim m a with
                       | Engine.Ibgp { peer_router } ->
@@ -227,9 +233,9 @@ let find_loops sim ~routing =
                     slot_edges (i - 1) acc
                   end
                 in
-                slot_edges (Fib.hit_alt_count fib hit - 1) []
+                slot_edges (Fib.alt_count fib hit - 1) []
               in
-              let forced = deflected_to_me && Fib.hit_alt_count fib hit > 0 in
+              let forced = deflected_to_me && Fib.alt_count fib hit > 0 in
               List.filter_map Fun.id
                 (if forced then alt_edges else default_edge :: alt_edges)))
       in

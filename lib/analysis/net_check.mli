@@ -27,12 +27,14 @@ val audit_fibs :
     Cost: one pass over every router's FIB, O(1) per port checked apart
     from an eBGP port's destination lookup, a scan of [routing]'s
     destinations (as int keys, first match wins) and of one RIB
-    segment.  Per entry it allocates nothing beyond the prefix and
-    handle {!Mifo_core.Fib.iter} hands it: report strings (the prefix,
-    the port's role) are built only when a violation is added, and the
-    destination keys and check closures once per call.  The
-    [net_check] allocation gate in [test_analysis] holds it to
-    16 words per entry plus 1,000. *)
+    segment.  Per entry it allocates nothing: {!Mifo_core.Fib.iter}
+    hands it an int handle, entries are matched to destinations by
+    {!Mifo_core.Fib.prefix_key}, report strings (the prefix, the port's
+    role) are built only when a violation is added, and the destination
+    keys and check closures once per call.  The one boxed prefix is a
+    Local port's containment check, which only a destination's own
+    routers make.  The [net_check] allocation gate in [test_analysis]
+    holds a whole audit to 1,000 words. *)
 
 val find_loops :
   Mifo_netsim.Packetsim.t ->

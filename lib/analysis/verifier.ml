@@ -31,9 +31,6 @@ let verify_props ?tag_check ?k ?stretch_bound ?fail_link ?fail_links ?seed
   (* Merge in destination order — independent of domain scheduling. *)
   Report.merge (Array.to_list reports)
 
-let verify_as_level ?tag_check ?k g ~table ~dests =
-  verify_props ?tag_check ?k ~props:[ Props.Loops ] g ~table ~dests
-
 let verify_network sim ~routing =
   let fib_viols, fib_entries_checked = Net_check.audit_fibs sim ~routing in
   let loop_viols, states_explored = Net_check.find_loops sim ~routing in

@@ -26,19 +26,6 @@ val verify_props :
     destination order, so the report is bit-identical at any
     [MIFO_JOBS].  Per-property options as in {!Props.verify_dest}. *)
 
-val verify_as_level :
-  ?tag_check:bool ->
-  ?k:int ->
-  Mifo_topology.As_graph.t ->
-  table:Mifo_bgp.Routing_table.t ->
-  dests:int list ->
-  Report.t
-(** Run {!As_check.find_loop} and {!As_check.check_paths} for every
-    listed destination (routing states pulled — and cached — through the
-    table).  [tag_check:false] verifies the ablated data plane, which is
-    expected to produce loop counterexamples.  [?k] bounds the automaton
-    to the k-alternative data plane (see {!As_check.find_loop}). *)
-
 val verify_network :
   Mifo_netsim.Packetsim.t -> routing:(int * Mifo_bgp.Routing.t) list -> Report.t
 (** Run {!Net_check.audit_fibs} and {!Net_check.find_loops} on a built

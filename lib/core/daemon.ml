@@ -21,18 +21,20 @@ let h_util_out = Obs.histogram "daemon.port_util.out"
 let h_util_alt = Obs.histogram "daemon.port_util.alt"
 
 let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts () =
-  (* Per-epoch scratch for the previous ranked set; outside the closure
-     so the per-entry loop does not allocate. *)
+  (* Per-epoch scratch: the previous ranked set and the buffer the
+     chooser writes the new one into; outside the closure so the
+     per-entry loop does not allocate. *)
   let olds = Array.make Fib.max_alts (-1) in
-  Fib.iter fib (fun prefix entry ->
+  let ranked = Array.make Fib.max_alts (-1) in
+  Fib.iter fib (fun entry ->
       for i = 0 to Fib.max_alts - 1 do
-        olds.(i) <- Fib.alt_at entry i
+        olds.(i) <- Fib.alt_at fib entry i
       done;
-      Fib.set_alts entry (choose_alts prefix entry);
+      Fib.set_alts fib entry ranked (choose_alts fib entry ranked);
       let changed = ref false in
       let survives = ref false in
       for i = 0 to Fib.max_alts - 1 do
-        let a = Fib.alt_at entry i in
+        let a = Fib.alt_at fib entry i in
         if a <> olds.(i) then changed := true;
         if a >= 0 then
           for j = 0 to Fib.max_alts - 1 do
@@ -49,30 +51,31 @@ let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts 
              immediately: the bucket→slot spread follows the live
              count.) *)
           Obs.incr c_slots_rotated
-        else if Fib.deflect_buckets entry > 0 then begin
+        else if Fib.deflect_buckets fib entry > 0 then begin
           (* A wholly fresh set is cold — possibly slower than the paths
              just dropped — so it must not inherit the deflected share
              accumulated against them.  Restart the ramp. *)
           Obs.incr c_buckets_reset;
-          Obs.event "alt_changed"
-            [
-              ("prefix", Obs.Str (Mifo_bgp.Prefix.to_string prefix));
-              ("buckets_dropped", Obs.Int (Fib.deflect_buckets entry));
-            ];
-          Fib.set_deflect_buckets entry 0
+          if Obs.trace_enabled () then
+            Obs.event "alt_changed"
+              [
+                ("prefix", Obs.Str (Mifo_bgp.Prefix.to_string (Fib.prefix fib entry)));
+                ("buckets_dropped", Obs.Int (Fib.deflect_buckets fib entry));
+              ];
+          Fib.set_deflect_buckets fib entry 0
         end
       end;
-      let n = Fib.alt_count entry in
-      if n = 0 then Fib.set_deflect_buckets entry 0
+      let n = Fib.alt_count fib entry in
+      if n = 0 then Fib.set_deflect_buckets fib entry 0
       else begin
-        let util = port_utilization (Fib.out_port entry) in
+        let util = port_utilization (Fib.out_port fib entry) in
         (* Headroom of the ranked set = the least-loaded live slot:
            ramping shifts whole buckets, and the spread deals each
            bucket to one slot, so there must be at least one slot that
            can absorb more. *)
-        let alt_util = ref (port_utilization (Fib.alt_at entry 0)) in
+        let alt_util = ref (port_utilization (Fib.alt_at fib entry 0)) in
         for i = 1 to n - 1 do
-          let u = port_utilization (Fib.alt_at entry i) in
+          let u = port_utilization (Fib.alt_at fib entry i) in
           if u < !alt_util then alt_util := u
         done;
         Obs.observe h_util_out util;
@@ -83,19 +86,19 @@ let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts 
            back.  Both ramps clamp to [0, Fib.buckets] and account only
            the buckets actually shifted — an entry already at an edge
            emits no spurious ramp count. *)
-        let before = Fib.deflect_buckets entry in
+        let before = Fib.deflect_buckets fib entry in
         if util >= config.congest_threshold && !alt_util < config.congest_threshold
         then begin
           let target = Stdlib.min Fib.buckets (before + config.ramp_up) in
           if target > before then begin
-            Fib.set_deflect_buckets entry target;
+            Fib.set_deflect_buckets fib entry target;
             Obs.add c_ramp_up (target - before)
           end
         end
         else if util <= config.clear_threshold then begin
           let target = Stdlib.max 0 (before - config.ramp_down) in
           if target < before then begin
-            Fib.set_deflect_buckets entry target;
+            Fib.set_deflect_buckets fib entry target;
             Obs.add c_ramp_down (before - target)
           end
         end

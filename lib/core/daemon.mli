@@ -48,13 +48,19 @@ val epoch_ranked :
   ?config:config ->
   fib:Fib.t ->
   port_utilization:(int -> float) ->
-  choose_alts:(Mifo_bgp.Prefix.t -> Fib.entry -> int list) ->
+  choose_alts:(Fib.t -> Fib.entry -> int array -> int) ->
   unit ->
   unit
 (** One daemon tick over ranked sets.  [port_utilization p] is the
     smoothed utilization of egress port [p] in \[0, 1\];
-    [choose_alts prefix entry] returns the ranked alternative ports for
-    [prefix] (best first, truncated at {!Fib.max_alts}) — for example
+    [choose_alts fib entry buf] writes the entry's ranked alternative
+    ports into [buf] (best first; [buf] holds {!Fib.max_alts} ports and
+    is owned by the daemon, reused across entries) and returns how many
+    it wrote; {!Fib.set_alts} then installs them, dropping negatives.
+    The chooser reads what it needs of the entry through [fib] — the
+    destination through {!Fib.prefix_key}, the current set through
+    {!Fib.alt_at} — so an epoch allocates nothing per entry beyond
+    [port_utilization]'s floats.  Examples:
     {!Alt_select.ranked_alternatives} plus the router's port map, or the
     greedy rule [Mifo_netsim.As_network.build] installs on the packet
     networks' routers, which scans every RIB alternative.  A chooser

@@ -144,7 +144,7 @@ let decide ~tag_check ~ibgp_encap env ~ingress h =
           Drop_no_route
         | hit ->
           Obs.incr c_transit_fib;
-          let port = Fib.hit_out_port env.fib hit in
+          let port = Fib.out_port env.fib hit in
           send h ~port ~default_port:port)
       | port ->
         Obs.incr c_transit_routed;
@@ -160,7 +160,7 @@ let decide ~tag_check ~ibgp_encap env ~ingress h =
         Drop_no_route
       | hit -> (
         let fib = env.fib in
-        let default_port = Fib.hit_out_port fib hit in
+        let default_port = Fib.out_port fib hit in
         match env.port_kind default_port with
         | Local ->
           (* destination network attached here: hand the packet to the
@@ -175,7 +175,7 @@ let decide ~tag_check ~ibgp_encap env ~ingress h =
              uncongested mesh — none of that can change the egress, so
              the deflection machinery (next-hop resolution, congestion
              probe, flow hashing) is skipped entirely. *)
-          match Fib.hit_alt_port fib hit with
+          match Fib.alt_at fib hit 0 with
           | -1 -> send h ~port:default_port ~default_port
           | alt0 ->
           let deflected_to_me = sender >= 0 && env.next_hop_router default_port = sender in
@@ -183,7 +183,7 @@ let decide ~tag_check ~ibgp_encap env ~ingress h =
              that, a congested egress immediately deflects at least the
              first hash bucket so the reaction starts at line speed, before
              the next daemon epoch. *)
-          let buckets = Fib.hit_deflect_buckets fib hit in
+          let buckets = Fib.deflect_buckets fib hit in
           let effective_buckets =
             if buckets < 1 && env.is_congested default_port then 1 else buckets
           in
@@ -197,9 +197,9 @@ let decide ~tag_check ~ibgp_encap env ~ingress h =
                [bucket mod count] — always slot 0 with one alternative,
                which is the k=1 data plane. *)
             let alt =
-              match Fib.hit_alt_count fib hit with
+              match Fib.alt_count fib hit with
               | 1 -> alt0
-              | c -> Fib.hit_alt_at fib hit (Fib.slot_of_bucket ~bucket ~count:c)
+              | c -> Fib.alt_at fib hit (Fib.slot_of_bucket ~bucket ~count:c)
             in
             match env.port_kind alt with
             | Ibgp { peer_router } ->

@@ -34,9 +34,10 @@
       congested but always loop-free;
     - otherwise the packet follows the default port (line 22).
 
-    Congestion response is flow-deterministic: {!Fib.deflects} hashes the
-    flow id against the entry's daemon-controlled deflection level, so a
-    given flow sees a stable path between daemon updates (no reordering).
+    Congestion response is flow-deterministic: {!Fib.flow_bucket} hashes
+    the flow id, and the flow deflects when its bucket is below the
+    entry's daemon-controlled {!Fib.deflect_buckets}, so a given flow
+    sees a stable path between daemon updates (no reordering).
 
     The engine also decrements the TTL; [tag_check:false] disables the
     valley-free check (the loop ablation of Section III).

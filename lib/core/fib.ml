@@ -1,32 +1,29 @@
 module Prefix = Mifo_bgp.Prefix
 module Obs = Mifo_util.Obs
 
-(* Live FIB entries across every table in the process: insert/remove
-   keep it current so `--metrics` can watch data-plane memory grow. *)
+(* Live FIB entries across every table in the process: insert keeps
+   it current so `--metrics` can watch data-plane memory grow. *)
 let g_entries = Obs.gauge "fib.entries"
 
 let max_alts = 4
 
 (* Flat store for one prefix length: an open-addressed index (linear
-   probing, power-of-two capacity, backward-shift deletion) over a
-   slot-stable arena of unboxed fields.  Arena ids survive index growth,
-   so an [entry] handle stays valid across inserts; only removing that
-   exact prefix retires it.  At 44K ASes the FIB is pure int arrays —
-   no per-entry boxes, no Hashtbl buckets.  [a_alt] is strided: entry
-   [id]'s ranked alternative slots live at
+   probing, power-of-two capacity) over an append-only arena of unboxed
+   fields.  Entries are never removed, so an arena id never moves and
+   an [entry] handle lives as long as its table.  At 44K ASes the FIB
+   is pure int arrays — no per-entry boxes, no Hashtbl buckets.
+   [a_alt] is strided: entry [id]'s ranked alternative slots live at
    [a_alt.(id * max_alts) .. a_alt.(id * max_alts + max_alts - 1)],
    compacted (filled slots first, -1 afterwards). *)
 type flat = {
   mutable cap : int;  (* index capacity, power of two; 0 = empty *)
   mutable idx_key : int array;  (* masked addr, -1 = empty slot *)
   mutable idx_id : int array;  (* arena id for the key in the same slot *)
-  mutable f_live : int;
-  mutable a_key : int array;  (* -1 = freed arena cell *)
+  mutable a_key : int array;
   mutable a_out : int array;
   mutable a_alt : int array;  (* stride max_alts; -1 = empty slot *)
   mutable a_defl : int array;
-  mutable a_len : int;
-  mutable freed : int list;
+  mutable a_len : int;  (* live entries = arena cells in use *)
 }
 
 type t = {
@@ -35,15 +32,20 @@ type t = {
   mutable count : int;
   mutable alt_entries : int;
       (* number of live entries whose ranked alternative set is
-         nonempty.  Kept exact by insert/remove AND by the entry-handle
-         writers (handles carry their owning table), so [may_deflect]
-         reflects the current state rather than a sticky historical
-         bit. *)
+         nonempty.  Kept exact by [insert] and [set_alts], so
+         [may_deflect] reflects the current state rather than a sticky
+         historical bit. *)
 }
 
-(* A view of arena cell [id] in length table [fl], carrying its owning
-   table so the alternative writers can keep [alt_entries] exact. *)
-type entry = { owner : t; fl : flat; id : int }
+(* An entry is its arena id and prefix length packed into one int:
+   [id * 64 + len] (lengths fit in 6 bits). *)
+type entry = int
+
+let len_bits = 6
+let len_field = (1 lsl len_bits) - 1
+let[@inline] level t e = t.store.(e land len_field)
+let[@inline] id_of e = e lsr len_bits
+let[@inline] handle id len = (id lsl len_bits) lor len
 
 let buckets = 64
 
@@ -54,13 +56,11 @@ let flat_create () =
     cap = 0;
     idx_key = empty_ints;
     idx_id = empty_ints;
-    f_live = 0;
     a_key = empty_ints;
     a_out = empty_ints;
     a_alt = empty_ints;
     a_defl = empty_ints;
     a_len = 0;
-    freed = [];
   }
 
 (* Every length starts on this shared, never-written level ([cap] and
@@ -77,7 +77,7 @@ let size t = t.count
 let imask =
   Array.init 33 (fun l -> if l = 0 then 0 else 0xFFFFFFFF lsl (32 - l) land 0xFFFFFFFF)
 
-let ikey_of_addr addr = Int32.to_int addr land 0xFFFFFFFF
+let key_of_addr addr = Int32.to_int addr land 0xFFFFFFFF
 
 (* Fibonacci-style multiplicative mix: keys are masked network addrs,
    whose low bits are all zero for short prefixes — the multiply+xor
@@ -109,14 +109,12 @@ let rebuild_index fl new_cap =
   let mask = new_cap - 1 in
   for id = 0 to fl.a_len - 1 do
     let k = fl.a_key.(id) in
-    if k >= 0 then begin
-      let i = ref (hash_key k land mask) in
-      while keys.(!i) >= 0 do
-        i := (!i + 1) land mask
-      done;
-      keys.(!i) <- k;
-      ids.(!i) <- id
-    end
+    let i = ref (hash_key k land mask) in
+    while keys.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    keys.(!i) <- k;
+    ids.(!i) <- id
   done;
   fl.cap <- new_cap;
   fl.idx_key <- keys;
@@ -142,22 +140,14 @@ let[@inline] clear_alt_slots alts base =
   done
 
 let arena_alloc fl key ~out_port ~alt =
-  let id =
-    match fl.freed with
-    | id :: rest ->
-      fl.freed <- rest;
-      id
-    | [] ->
-      if fl.a_len = Array.length fl.a_key then begin
-        fl.a_key <- grow_arena_field fl.a_key fl.a_len (-1);
-        fl.a_out <- grow_arena_field fl.a_out fl.a_len 0;
-        fl.a_alt <- grow_arena_alts fl.a_alt fl.a_len;
-        fl.a_defl <- grow_arena_field fl.a_defl fl.a_len 0
-      end;
-      let id = fl.a_len in
-      fl.a_len <- fl.a_len + 1;
-      id
-  in
+  if fl.a_len = Array.length fl.a_key then begin
+    fl.a_key <- grow_arena_field fl.a_key fl.a_len (-1);
+    fl.a_out <- grow_arena_field fl.a_out fl.a_len 0;
+    fl.a_alt <- grow_arena_alts fl.a_alt fl.a_len;
+    fl.a_defl <- grow_arena_field fl.a_defl fl.a_len 0
+  end;
+  let id = fl.a_len in
+  fl.a_len <- fl.a_len + 1;
   fl.a_key.(id) <- key;
   fl.a_out.(id) <- out_port;
   clear_alt_slots fl.a_alt (id * max_alts);
@@ -165,15 +155,11 @@ let arena_alloc fl key ~out_port ~alt =
   fl.a_defl.(id) <- 0;
   id
 
-(* Outcome of a store-level insert, so [insert] can maintain the
-   alt-entry count without re-probing. *)
-type insert_effect = { created : bool; had_alt : bool; has_alt : bool }
-
 (* Refresh/replace semantics, applied to one entry whose current
    primary alternative is [cur0]:
    - same [out_port]: the call's [alt] hint is authoritative for the
-     single-alt API.  [-1] (no alternative) clears the whole ranked set
-     and resets the deflection level; a hint equal to the current
+     primary alternative.  [-1] (no alternative) clears the whole ranked
+     set and resets the deflection level; a hint equal to the current
      primary preserves the live ranked set and deflection state; a new
      primary replaces the set with the singleton and restarts the ramp.
    - changed [out_port]: full route change — set and ramp reset. *)
@@ -183,12 +169,34 @@ let refresh_action ~same_out ~cur0 ~alt =
   else if alt = cur0 then `Keep
   else `Replace
 
-let flat_insert fl key ~out_port ~alt =
-  match find_index fl key with
-  | i when i >= 0 ->
+let[@inline] note_alt_transition t ~had ~has =
+  if had && not has then t.alt_entries <- t.alt_entries - 1
+  else if has && not had then t.alt_entries <- t.alt_entries + 1
+
+let insert t prefix ~out_port ?alt_port () =
+  let len = prefix.Prefix.length in
+  let key = key_of_addr prefix.Prefix.network in
+  let alt = match alt_port with None -> -1 | Some p -> p in
+  if t.store.(len) == unused_level then t.store.(len) <- flat_create ();
+  let fl = t.store.(len) in
+  (match find_index fl key with
+  | -1 ->
+    if 4 * (fl.a_len + 1) > 3 * fl.cap then rebuild_index fl (Stdlib.max 16 (2 * fl.cap));
+    let id = arena_alloc fl key ~out_port ~alt in
+    let mask = fl.cap - 1 in
+    let i = ref (hash_key key land mask) in
+    while fl.idx_key.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    fl.idx_key.(!i) <- key;
+    fl.idx_id.(!i) <- id;
+    t.count <- t.count + 1;
+    Obs.add_gauge g_entries 1.;
+    note_alt_transition t ~had:false ~has:(alt >= 0)
+  | i ->
     let id = fl.idx_id.(i) in
     let base = id * max_alts in
-    let had_alt = fl.a_alt.(base) >= 0 in
+    let had = fl.a_alt.(base) >= 0 in
     (match
        refresh_action ~same_out:(fl.a_out.(id) = out_port) ~cur0:fl.a_alt.(base) ~alt
      with
@@ -201,84 +209,8 @@ let flat_insert fl key ~out_port ~alt =
       clear_alt_slots fl.a_alt base;
       fl.a_alt.(base) <- alt;
       fl.a_defl.(id) <- 0);
-    { created = false; had_alt; has_alt = fl.a_alt.(base) >= 0 }
-  | _ ->
-    if 4 * (fl.f_live + 1) > 3 * fl.cap then
-      rebuild_index fl (Stdlib.max 16 (2 * fl.cap));
-    let id = arena_alloc fl key ~out_port ~alt in
-    let mask = fl.cap - 1 in
-    let i = ref (hash_key key land mask) in
-    while fl.idx_key.(!i) >= 0 do
-      i := (!i + 1) land mask
-    done;
-    fl.idx_key.(!i) <- key;
-    fl.idx_id.(!i) <- id;
-    fl.f_live <- fl.f_live + 1;
-    { created = true; had_alt = false; has_alt = alt >= 0 }
-
-(* Backward-shift deletion: close the probe chain over the hole so
-   later lookups never hit a false empty slot.  Returns the freed
-   entry's had-alternative bit, -1 when the key was absent. *)
-let flat_remove fl key =
-  match find_index fl key with
-  | -1 -> -1
-  | hole ->
-    let id = fl.idx_id.(hole) in
-    let had_alt = if fl.a_alt.(id * max_alts) >= 0 then 1 else 0 in
-    fl.a_key.(id) <- -1;
-    fl.freed <- id :: fl.freed;
-    fl.f_live <- fl.f_live - 1;
-    let mask = fl.cap - 1 in
-    let i = ref hole in
-    let j = ref hole in
-    let continue = ref true in
-    while !continue do
-      j := (!j + 1) land mask;
-      let k = fl.idx_key.(!j) in
-      if k = -1 then begin
-        fl.idx_key.(!i) <- -1;
-        continue := false
-      end
-      else begin
-        let h = hash_key k land mask in
-        if (!j - h) land mask >= (!j - !i) land mask then begin
-          fl.idx_key.(!i) <- k;
-          fl.idx_id.(!i) <- fl.idx_id.(!j);
-          i := !j
-        end
-      end
-    done;
-    had_alt
-
-let[@inline] note_alt_transition t ~had ~has =
-  if had && not has then t.alt_entries <- t.alt_entries - 1
-  else if has && not had then t.alt_entries <- t.alt_entries + 1
-
-let insert t prefix ~out_port ?alt_port () =
-  let len = prefix.Prefix.length in
-  let key = ikey_of_addr prefix.Prefix.network in
-  let alt = match alt_port with None -> -1 | Some p -> p in
-  if t.store.(len) == unused_level then t.store.(len) <- flat_create ();
-  let eff = flat_insert t.store.(len) key ~out_port ~alt in
-  if eff.created then begin
-    t.count <- t.count + 1;
-    Obs.add_gauge g_entries 1.
-  end;
-  note_alt_transition t ~had:eff.had_alt ~has:eff.has_alt;
+    note_alt_transition t ~had ~has:(fl.a_alt.(base) >= 0));
   t.len_mask <- t.len_mask lor (1 lsl len)
-
-let remove t prefix =
-  let len = prefix.Prefix.length in
-  let key = ikey_of_addr prefix.Prefix.network in
-  let removed_alt = flat_remove t.store.(len) key in
-  if removed_alt >= 0 then begin
-    t.count <- t.count - 1;
-    Obs.add_gauge g_entries (-1.);
-    if removed_alt = 1 then t.alt_entries <- t.alt_entries - 1;
-    if t.store.(len).f_live = 0 then t.len_mask <- t.len_mask land lnot (1 lsl len);
-    true
-  end
-  else false
 
 (* Highest set bit of a nonzero mask.  Lengths occupy 33 bits (0-32),
    one more than a power-of-two cascade covers, so bit 32 — host
@@ -307,14 +239,6 @@ let msb m =
     !r
   end
 
-(* A longest-prefix-match hit packs the matching entry's arena id and
-   prefix length into one int: [id * 64 + len] (lengths fit in 6 bits).
-   It is only valid until the next insert/remove, which is all the
-   forwarding decision needs. *)
-let len_bits = 6
-let len_field = (1 lsl len_bits) - 1
-let key_of_addr = ikey_of_addr
-
 let lpm t key =
   let m = ref t.len_mask and hit = ref (-1) in
   while !m <> 0 do
@@ -322,73 +246,58 @@ let lpm t key =
     let fl = t.store.(len) in
     let i = find_index fl (key land imask.(len)) in
     if i >= 0 then begin
-      hit := (fl.idx_id.(i) lsl len_bits) lor len;
+      hit := handle fl.idx_id.(i) len;
       m := 0
     end
     else m := !m land lnot (1 lsl len)
   done;
   !hit
 
-let[@inline] hit_level t hit = t.store.(hit land len_field)
-let[@inline] hit_id hit = hit lsr len_bits
-let hit_out_port t hit = (hit_level t hit).a_out.(hit_id hit)
-let hit_alt_port t hit = (hit_level t hit).a_alt.(hit_id hit * max_alts)
-let hit_deflect_buckets t hit = (hit_level t hit).a_defl.(hit_id hit)
-
-let find_key t len key =
-  let fl = t.store.(len) in
-  let i = find_index fl key in
-  if i < 0 then None else Some { owner = t; fl; id = fl.idx_id.(i) }
-
-let lookup t addr =
-  match lpm t (ikey_of_addr addr) with
-  | -1 -> None
-  | hit -> Some { owner = t; fl = hit_level t hit; id = hit_id hit }
-
 let find t prefix =
-  find_key t prefix.Prefix.length (ikey_of_addr prefix.Prefix.network)
+  let len = prefix.Prefix.length in
+  let fl = t.store.(len) in
+  let i = find_index fl (key_of_addr prefix.Prefix.network) in
+  if i < 0 then -1 else handle fl.idx_id.(i) len
 
-(* Entry accessors: handles are views into the owning store, so reads
-   and writes land directly on the unboxed arena fields.  Handles also
-   carry the owning table, so the alternative writers below can keep
-   its alt-entry count exact. *)
+let iter t f =
+  for len = 0 to 32 do
+    for id = 0 to t.store.(len).a_len - 1 do
+      f (handle id len)
+    done
+  done
 
-let[@inline] out_port e = e.fl.a_out.(e.id)
-let[@inline] alt_port_id e = e.fl.a_alt.(e.id * max_alts)
+let prefix_key t e = ((level t e).a_key.(id_of e) lsl len_bits) lor (e land len_field)
 
-let alt_port e =
-  let a = alt_port_id e in
-  if a < 0 then None else Some a
+let key_of_prefix (p : Prefix.t) =
+  (key_of_addr p.Prefix.network lsl len_bits) lor p.Prefix.length
+let prefix t e = Prefix.make (Int32.of_int (level t e).a_key.(id_of e)) (e land len_field)
 
-let primary_alts e = match alt_port_id e with -1 -> [] | a -> [ a ]
+(* Field readers and writers: an entry names its cells in the table's
+   unboxed arena, so each is one array access. *)
 
-let[@inline] alt_at e slot =
-  if slot < 0 || slot >= max_alts then -1 else e.fl.a_alt.((e.id * max_alts) + slot)
+let[@inline] out_port t e = (level t e).a_out.(id_of e)
+
+let[@inline] alt_at t e slot =
+  if slot < 0 || slot >= max_alts then -1 else (level t e).a_alt.((id_of e * max_alts) + slot)
 
 (* Slots are compacted, so the count is the first empty index. *)
-let count_alts a base =
+let alt_count t e =
+  let a = (level t e).a_alt and base = id_of e * max_alts in
   if a.(base) < 0 then 0
   else if a.(base + 1) < 0 then 1
   else if a.(base + 2) < 0 then 2
   else if a.(base + 3) < 0 then 3
   else 4
 
-let alt_count e = count_alts e.fl.a_alt (e.id * max_alts)
+let[@inline] deflect_buckets t e = (level t e).a_defl.(id_of e)
+let set_deflect_buckets t e n = (level t e).a_defl.(id_of e) <- n
 
-let[@inline] deflect_buckets e = e.fl.a_defl.(e.id)
-
-let hit_alt_count t hit = count_alts (hit_level t hit).a_alt (hit_id hit * max_alts)
-
-let hit_alt_at t hit slot =
-  if slot < 0 || slot >= max_alts then -1
-  else (hit_level t hit).a_alt.((hit_id hit * max_alts) + slot)
-
-(* Write the ranked set [ports] (first [n] elements) into the entry's
-   slots: negatives are skipped, the rest kept in order, truncated at
+(* Write the first [n] ports of [ports] into the entry's slots:
+   negatives are skipped, the rest kept in order, truncated at
    [max_alts], compacted, higher slots cleared. *)
-let set_alt_array e ports n =
-  let alts = e.fl.a_alt and base = e.id * max_alts in
-  let had = alt_port_id e >= 0 in
+let set_alts t e ports n =
+  let alts = (level t e).a_alt and base = id_of e * max_alts in
+  let had = alts.(base) >= 0 in
   let filled = ref 0 in
   for i = 0 to n - 1 do
     let p = ports.(i) in
@@ -400,22 +309,7 @@ let set_alt_array e ports n =
   for j = !filled to max_alts - 1 do
     alts.(base + j) <- -1
   done;
-  note_alt_transition e.owner ~had ~has:(!filled > 0)
-
-let set_alts e ports =
-  let arr = Array.of_list ports in
-  set_alt_array e arr (Array.length arr)
-
-let set_deflect_buckets e n = e.fl.a_defl.(e.id) <- n
-
-let iter t f =
-  for len = 0 to 32 do
-    let fl = t.store.(len) in
-    for id = 0 to fl.a_len - 1 do
-      let k = fl.a_key.(id) in
-      if k >= 0 then f (Prefix.make (Int32.of_int k) len) { owner = t; fl; id }
-    done
-  done
+  note_alt_transition t ~had ~has:(!filled > 0)
 
 (* SplitMix64-style mix so bucket spread does not depend on flow-id
    assignment patterns. *)
@@ -425,15 +319,8 @@ let flow_bucket flow =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   to_int (shift_right_logical z 40) mod buckets
 
-let deflects e ~flow = alt_port_id e >= 0 && flow_bucket flow < deflect_buckets e
-
 (* ECMP spreading: deflected buckets are dealt round-robin over the
    ranked slots, so each alternative receives a deterministic slice of
    the flow space and a single-alternative entry behaves exactly like
    the k=1 data plane (every bucket maps to slot 0). *)
 let[@inline] slot_of_bucket ~bucket ~count = bucket mod count
-
-let alt_for_flow e ~flow =
-  match alt_count e with
-  | 0 -> -1
-  | c -> alt_at e (slot_of_bucket ~bucket:(flow_bucket flow) ~count:c)

@@ -7,9 +7,9 @@
     match.
 
     Each entry holds a {e ranked set} of up to {!max_alts} alternative
-    port ids (slot 0 = most preferred).  {!alt_port} reads slot 0, and
-    the [?alt_port] insert argument installs a singleton set; the
-    daemon writes whole sets through {!set_alts}.
+    port ids (slot 0 = most preferred).  The [?alt_port] insert argument
+    installs a singleton set; the daemon writes whole sets through
+    {!set_alts}.
 
     Deflection granularity: flows hash into [buckets] (64) buckets and an
     entry deflects the first [deflect_buckets] of them, so path choice is
@@ -22,21 +22,27 @@
     entry behaves exactly like the k=1 data plane.
 
     {b Representation.}  Each prefix length's entries live in an
-    open-addressed int-keyed index over a slot-stable arena of unboxed
+    open-addressed int-keyed index over an append-only arena of unboxed
     [out_port]/[alt]/[deflect_buckets] int arrays (the alt array strided
     {!max_alts} cells per entry) — no per-entry boxes, which is what
     lets a full-Internet-scale FIB fit in flat memory.  A QCheck gate in
     [test_core] holds it observationally identical to a boxed
     one-[Hashtbl]-per-length reference model under random
-    insert/remove/set-alts churn. *)
+    insert/set-alts churn. *)
 
 type t
 
-type entry
-(** A handle onto one live FIB entry.  Valid until that exact prefix is
-    {!remove}d (an [insert] — even one that grows the table — never
-    invalidates handles); a handle kept across a [remove] of its prefix
-    must be dropped. *)
+(** {1 Entry handles}
+
+    An entry is named by a plain int: its arena id and prefix length
+    packed as [id * 64 + length].  {!find}, {!lpm} and {!iter} hand out
+    handles, and every field has one reader taking the table and the
+    handle, so reading or writing an entry allocates nothing.  Entries
+    are never removed, so a handle stays valid as long as its table —
+    an [insert], even one that grows the table, never moves an entry.
+    A handle is only meaningful with the table that issued it. *)
+
+type entry = int
 
 val buckets : int
 (** Number of hash buckets (64). *)
@@ -61,111 +67,75 @@ val insert : t -> Mifo_bgp.Prefix.t -> out_port:int -> ?alt_port:int -> unit -> 
     level.  A re-insert with a different [out_port] is a route change:
     the entry is replaced outright and the deflection state reset. *)
 
-val remove : t -> Mifo_bgp.Prefix.t -> bool
-(** Withdraw the exact prefix; [false] when absent.  Outstanding
-    {!entry} handles for that prefix become invalid. *)
-
-val lookup : t -> Mifo_bgp.Prefix.addr -> entry option
-(** Longest-prefix match; built on {!lpm}. *)
-
-(** {1 Allocation-free lookup}
-
-    The per-hop forwarding decision runs {!lpm} and reads the matched
-    entry through a {e hit}: a plain int naming the entry, valid until
-    the next {!insert} or {!remove} on the table.  No closure, option or
-    entry view is allocated. *)
-
 val key_of_addr : Mifo_bgp.Prefix.addr -> int
 (** An address as the unsigned 32-bit int key {!lpm} takes. *)
 
-val lpm : t -> int -> int
-(** [lpm t key] is the longest-prefix-match hit for the address [key]
-    (see {!key_of_addr}), or [-1] on a miss. *)
+val lpm : t -> int -> entry
+(** [lpm t key] is the longest-prefix-match entry for the address [key]
+    (see {!key_of_addr}), or [-1] on a miss.  The per-hop forwarding
+    decision runs this; no closure, option or view is allocated. *)
 
-val hit_out_port : t -> int -> int
-(** The default port of a hit's entry; {!out_port}. *)
+val find : t -> Mifo_bgp.Prefix.t -> entry
+(** Exact-prefix lookup: the prefix's entry, or [-1] when absent. *)
 
-val hit_alt_port : t -> int -> int
-(** Slot 0 of a hit's ranked set, [-1] for none; {!alt_port_id}. *)
-
-val hit_alt_count : t -> int -> int
-(** {!alt_count} of a hit's entry. *)
-
-val hit_alt_at : t -> int -> int -> int
-(** {!alt_at} of a hit's entry. *)
-
-val hit_deflect_buckets : t -> int -> int
-(** {!deflect_buckets} of a hit's entry. *)
-
-val find : t -> Mifo_bgp.Prefix.t -> entry option
-(** Exact-prefix lookup (the daemon's view). *)
-
-val iter : t -> (Mifo_bgp.Prefix.t -> entry -> unit) -> unit
-(** Iteration order is unspecified; callers needing a canonical order
-    must sort. *)
+val iter : t -> (entry -> unit) -> unit
+(** Every entry, by prefix length and then insertion order. *)
 
 val size : t -> int
-(** Number of live entries — a cached O(1) count (it sits on the
+(** Number of entries — a cached O(1) count (it sits on the
     [validate]/metrics path). *)
 
 val may_deflect : t -> bool
-(** Whether any live entry currently has a nonempty ranked alternative
-    set — an exact count, {e not} a sticky historical flag: it is
-    maintained by {!insert}/{!remove} and by {!set_alts}, so withdrawing the last alternative
+(** Whether any entry currently has a nonempty ranked alternative set —
+    an exact count, {e not} a sticky historical flag: it is maintained
+    by {!insert} and {!set_alts}, so withdrawing the last alternative
     turns it back off and re-enables callers' no-deflection fast paths
     (e.g. the {!Mifo_netsim.Packetsim} daemon tick skips chooser-less
     routers whose table cannot deflect). *)
 
-(** {1 Entry accessors}
+val prefix_key : t -> entry -> int
+(** The entry's prefix as one int: its network as a {!key_of_addr} key
+    times 64 plus its length.  Two entries' keys are equal exactly when
+    their prefixes are. *)
 
-    Handles are views into the owning store; writes land directly on the
-    table's unboxed fields.  Ranked slots are kept compacted: live
-    alternatives occupy slots [0 .. alt_count-1] in rank order and the
-    remaining slots read [-1]. *)
+val key_of_prefix : Mifo_bgp.Prefix.t -> int
+(** A prefix as the int {!prefix_key} reads off its entry. *)
 
-val out_port : entry -> int
+val prefix : t -> entry -> Mifo_bgp.Prefix.t
+(** The entry's prefix, boxed: for report strings, not per-entry work. *)
 
-val alt_port : entry -> int option
-(** Slot 0 of the ranked set (the most preferred alternative). *)
+(** {1 Entry fields}
 
-val alt_port_id : entry -> int
-(** Allocation-free form of {!alt_port}: the port, or [-1] for none.
-    The packet-forwarding hot path uses this to avoid a [Some] box per
-    packet. *)
+    Ranked slots are kept compacted: live alternatives occupy slots
+    [0 .. alt_count-1] in rank order and the remaining slots read
+    [-1]. *)
 
-val primary_alts : entry -> int list
-(** Slot 0 as a singleton ranked set ([[]] when it is empty): the
-    refresh a router's daemon makes when no chooser has a better set. *)
+val out_port : t -> entry -> int
+(** The default port. *)
 
-val alt_count : entry -> int
+val alt_count : t -> entry -> int
 (** Number of live ranked alternatives, in \[0, {!max_alts}\]. *)
 
-val alt_at : entry -> int -> int
-(** [alt_at e slot] is the port in ranked slot [slot], or [-1] when the
-    slot is empty or out of range. *)
+val alt_at : t -> entry -> int -> int
+(** [alt_at t e slot] is the port in ranked slot [slot], or [-1] when
+    the slot is empty or out of range. *)
 
-val deflect_buckets : entry -> int
+val deflect_buckets : t -> entry -> int
 (** [0] = all flows on the default path. *)
 
-val set_alts : entry -> int list -> unit
-(** Install a ranked alternative set: negatives are dropped, order kept,
-    truncated at {!max_alts}, higher slots cleared.  Does not touch
+val set_alts : t -> entry -> int array -> int -> unit
+(** [set_alts t e ports n] installs the first [n] elements of [ports]
+    as the ranked set: negatives are dropped, order kept, truncated at
+    {!max_alts}, higher slots cleared.  Does not touch
     [deflect_buckets] — per-slot ramp policy lives in [Daemon]. *)
 
-val set_deflect_buckets : entry -> int -> unit
+val set_deflect_buckets : t -> entry -> int -> unit
 
 val flow_bucket : int -> int
-(** Deterministic bucket of a flow id, in \[0, buckets). *)
-
-val deflects : entry -> flow:int -> bool
-(** Whether this flow currently hashes onto an alternative path. *)
+(** Deterministic bucket of a flow id, in \[0, buckets).  A flow is
+    deflected at an entry when its bucket is below {!deflect_buckets}. *)
 
 val slot_of_bucket : bucket:int -> count:int -> int
 (** The ECMP spreading function: ranked slot used by deflected bucket
     [bucket] when [count] ≥ 1 alternatives are live ([bucket mod
     count]). *)
-
-val alt_for_flow : entry -> flow:int -> int
-(** The alternative port this flow's bucket spreads onto, or [-1] when
-    the entry has no alternatives.  Note this does {e not} consult
-    [deflect_buckets]; pair with {!deflects}. *)

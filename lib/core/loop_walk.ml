@@ -42,7 +42,7 @@ let walk ?(tag_check = true) ?link_up ?max_hops g rt ~decide ~src =
   let prefix = Prefix.of_as dest in
   let fib = Fib.create () in
   Fib.insert fib prefix ~out_port:0 ();
-  let entry = Option.get (Fib.find fib prefix) in
+  let entry = Fib.find fib prefix in
   let h = Engine.header () in
   h.Engine.dst <- Fib.key_of_addr prefix.Prefix.network;
   h.Engine.ttl <- max_int;
@@ -74,7 +74,7 @@ let walk ?(tag_check = true) ?link_up ?max_hops g rt ~decide ~src =
           let out_port = port (Routing.rib_via rt v default) in
           (* an insert without [alt_port] clears the ranked set *)
           Fib.insert fib prefix ~out_port ?alt_port:(if alt < 0 then None else Some alt) ();
-          if alt >= 0 then Fib.set_deflect_buckets entry Fib.buckets;
+          if alt >= 0 then Fib.set_deflect_buckets fib entry Fib.buckets;
           let ingress = match upstream with None -> -1 | Some u -> port u in
           match Engine.decide ~tag_check ~ibgp_encap:true (env_of g fib v) ~ingress h with
           | Engine.Forward when alt >= 0 && h.Engine.port = h.Engine.default_port ->

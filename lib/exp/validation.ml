@@ -108,7 +108,8 @@ let run ?(ases = 150) ?(flows = 24) ?(flow_bytes = 10_000_000) ?(domains = 1) ~s
     let routing = List.map (fun d -> (d, Routing_table.get table d)) hosts in
     Mifo_analysis.Report.merge
       [
-        Mifo_analysis.Verifier.verify_as_level g ~table ~dests:hosts;
+        Mifo_analysis.Verifier.verify_props ~props:[ Mifo_analysis.Props.Loops ] g ~table
+          ~dests:hosts;
         Mifo_analysis.Verifier.verify_network pk_mifo.As_network.sim ~routing;
       ]
   in

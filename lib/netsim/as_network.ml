@@ -17,28 +17,39 @@ let host t as_id =
 
 let router t as_id = t.router_of_as.(as_id)
 
+(* The AS whose [Prefix.of_as] /24 a {!Fib.prefix_key} names, or -1:
+   the int-level inverse of [Prefix.of_as], 10.x.y.0/24 for AS x.y. *)
+let as_of_prefix_key k =
+  let net = k lsr 6 in
+  if k land 63 = 24 && net land 0xFF000000 = 0x0A000000 then (net lsr 8) land 0xFFFF else -1
+
 (* The daemon chooser at AS [v], the greedy rule: over the RIB
    alternatives toward the entry's destination, at neighbour index [i],
-   the first with the most spare capacity [spare i] gives [[port i]]
-   ([[]] when that is not positive); no alternative keeps the primary. *)
-let greedy_chooser table ~as_id:v ~spare ~port prefix entry =
+   the first with the most spare capacity [spare i] gives [port i] (no
+   alternative when that is not positive); no RIB alternative keeps the
+   primary.  One port at most, written to slot 0 of [buf]; a negative
+   one is dropped by [Fib.set_alts], leaving the set empty. *)
+let greedy_chooser table ~as_id:v ~spare ~port fib entry buf =
   let g = Routing_table.graph table in
-  match Prefix.to_as prefix with
-  | Some d when d <> v && d < As_graph.n g ->
-    let rt = Routing_table.get table d in
-    let best = ref (-1) and best_spare = ref neg_infinity in
-    for j = 1 to Routing.rib_size rt v - 1 do
-      let i = As_graph.neighbor_index g v (Routing.rib_via rt v j) in
-      let s = spare i in
-      if s > !best_spare then begin
-        best := i;
-        best_spare := s
-      end
-    done;
-    if !best < 0 then Fib.primary_alts entry
-    else if !best_spare > 0. then [ port !best ]
-    else []
-  | _ -> Fib.primary_alts entry
+  let d = as_of_prefix_key (Fib.prefix_key fib entry) in
+  buf.(0) <-
+    (if d >= 0 && d <> v && d < As_graph.n g then begin
+       let rt = Routing_table.get table d in
+       let best = ref (-1) and best_spare = ref neg_infinity in
+       for j = 1 to Routing.rib_size rt v - 1 do
+         let i = As_graph.neighbor_index g v (Routing.rib_via rt v j) in
+         let s = spare i in
+         if s > !best_spare then begin
+           best := i;
+           best_spare := s
+         end
+       done;
+       if !best < 0 then Fib.alt_at fib entry 0
+       else if !best_spare > 0. then port !best
+       else -1
+     end
+     else Fib.alt_at fib entry 0);
+  1
 
 let build ?config ?(link_rate = 1e9) ?host_rate ?expansion table ~deployment ~hosts () =
   let host_rate = match host_rate with Some r -> r | None -> link_rate in

@@ -18,7 +18,6 @@ type config = {
   series_interval : float;
   tag_check : bool;
   ibgp_encap : bool;
-  packet_trains : bool;
   domains : int;
 }
 
@@ -33,7 +32,6 @@ let default_config =
     series_interval = 0.1;
     tag_check = true;
     ibgp_encap = true;
-    packet_trains = true;
     domains = 1;
   }
 
@@ -56,6 +54,8 @@ type link = {
    or dropped. *)
 type event =
   | Arrive of { node : node_id; port : int; pkt : int }
+      (* a packet taken from a shard-pair mailbox at a window barrier;
+         same-shard departures ride their link's train *)
   | Train of { node : node_id; port : int }
       (* the pending departures of [port] on [node]; keyed in the queue
          by the head element's (time, seq) *)
@@ -130,7 +130,7 @@ type router = {
          its closures capture only stable state (the sim and this
          record), so rebuilding it per packet — as [handle_router] used
          to — was four closure allocations per hop for nothing *)
-  mutable chooser : (Prefix.t -> Fib.entry -> int list) option;
+  mutable chooser : (Fib.t -> Fib.entry -> int array -> int) option;
       (* ranked-set chooser the daemon tick refreshes the FIB with;
          without one the tick keeps each entry's slot-0 alternative *)
   last_egress : int Vec.t;  (* flow -> last egress port; -1 = none yet *)
@@ -609,11 +609,11 @@ let train_event pt id p =
    goes into the slot's [time] cell, from where the event queue reads
    it without boxing.
 
-   With packet trains the slot is appended to the port's train instead
-   of becoming its own queue entry; the element still claims a queue
-   seq via [alloc_seq] at exactly the point [Eventq.schedule] would
-   have, so the global (time, seq) event order — and therefore the
-   whole simulation — is bit-identical to per-packet scheduling. *)
+   The slot is appended to the port's train instead of becoming its
+   own queue entry; the element still claims a queue seq via
+   [alloc_seq] at exactly the point [Eventq.schedule] would have, so
+   the global (time, seq) event order — and therefore the whole
+   simulation — is bit-identical to per-packet scheduling. *)
 let transmit t (ex : exec) src_node p h =
   let pt = port t src_node p in
   let link = pt.link in
@@ -658,7 +658,7 @@ let transmit t (ex : exec) src_node p h =
       done;
       slot_free a h
     end
-    else if t.cfg.packet_trains then begin
+    else begin
       set a h f_qseq seq;
       set a h f_next (-1);
       if pt.tr_tail >= 0 then set a pt.tr_tail f_next h else pt.tr_head <- h;
@@ -670,9 +670,6 @@ let transmit t (ex : exec) src_node p h =
       (* else: the queued entry is keyed by the train's head, whose
          (time, seq) is <= ours — FIFO order per link *)
     end
-    else
-      Eventq.schedule_at ex.xq a.time h ~seq
-        (Arrive { node = pt.peer; port = pt.peer_port; pkt = h })
   end
 
 let record_goodput t (ex : exec) bits =
@@ -1009,8 +1006,14 @@ let daemon_tick t ~now =
         Float.min 1. (used /. link.rate)
       in
       let choose_alts =
-        (* chooser-less: keep slot 0 as a singleton, drop higher slots *)
-        match r.chooser with Some f -> f | None -> fun _ entry -> Fib.primary_alts entry
+        (* chooser-less: keep slot 0 as a singleton, drop higher slots
+           (an empty slot 0 reads -1, which [Fib.set_alts] drops) *)
+        match r.chooser with
+        | Some f -> f
+        | None ->
+          fun fib entry buf ->
+            buf.(0) <- Fib.alt_at fib entry 0;
+            1
       in
       Daemon.epoch_ranked ~config:t.cfg.daemon_config ~fib:r.r_fib ~port_utilization
         ~choose_alts ())

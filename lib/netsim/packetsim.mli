@@ -21,7 +21,9 @@
     Events and link trains carry slot handles, so the per-hop path
     allocates nothing in steady state.  A link's pending departures form
     its {e train}: an intrusive FIFO through the slots, entered in the
-    event queue once, keyed by its head (see [packet_trains]). *)
+    event queue once, keyed by its head.  Each element still claims the
+    queue seq a per-packet schedule would have
+    ({!Eventq.alloc_seq}), so trains change no event order. *)
 
 type t
 type node_id = int
@@ -37,10 +39,6 @@ type config = {
   series_interval : float;  (** aggregate-throughput bucket width *)
   tag_check : bool;  (** disable only for the loop ablation *)
   ibgp_encap : bool;  (** disable only for the iBGP-cycling ablation *)
-  packet_trains : bool;
-      (** batch back-to-back departures on one link into a single
-          queue entry (default [true]); behavior-neutral, see
-          {!Eventq.alloc_seq} *)
   domains : int;
       (** shard the network across this many event loops run on the
           {!Mifo_util.Parallel} pool (default [1] = the serial oracle).
@@ -78,13 +76,14 @@ val fib : t -> node_id -> Mifo_core.Fib.t
     @raise Invalid_argument on a host node. *)
 
 val set_ranked_chooser :
-  t -> node_id -> (Mifo_bgp.Prefix.t -> Mifo_core.Fib.entry -> int list) -> unit
+  t -> node_id -> (Mifo_core.Fib.t -> Mifo_core.Fib.entry -> int array -> int) -> unit
 (** Installed per router; called by the daemon every epoch
-    ({!Mifo_core.Daemon.epoch_ranked}) to refresh each entry's ranked
-    alternative set (best first, truncated at {!Mifo_core.Fib.max_alts}),
-    across which the deflected buckets are spread.  A k=1 chooser returns
-    [[]] or [[p]].  Without a chooser the daemon keeps the configured
-    slot-0 alternative as a singleton set. *)
+    ({!Mifo_core.Daemon.epoch_ranked}) with the router's FIB, one entry
+    and a {!Mifo_core.Fib.max_alts}-port buffer: it writes the entry's
+    ranked alternative set into the buffer (best first) and returns its
+    length.  The deflected buckets are spread across that set.  A k=1
+    chooser writes at most one port.  Without a chooser the daemon keeps
+    the configured slot-0 alternative as a singleton set. *)
 
 val spare_capacity : t -> node_id -> int -> float
 (** Smoothed spare capacity (bits/s) of the link behind a port since the

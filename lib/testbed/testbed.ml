@@ -148,19 +148,26 @@ let build (config : config) protocol =
      capacity — the measurement Ra shares over the iBGP session. *)
   (match protocol with
    | Mifo_routing ->
-     Packetsim.set_ranked_chooser sim rd (fun prefix entry ->
-         if Prefix.equal prefix p5 then
-           (* greedy link monitoring: the alternative is withdrawn only
-              when Ra's exit link is fully busy AND nothing is currently
-              deflected (i.e. it would start at zero benefit) *)
-           if
-             Fib.deflect_buckets entry = 0
-             && Packetsim.spare_capacity sim ra ra_r6 < 0.02 *. rate
-           then []
-           else [ rd_ra ]
-         else Fib.primary_alts entry);
-     Packetsim.set_ranked_chooser sim ra (fun prefix entry ->
-         if Prefix.equal prefix p5 then [ ra_r6 ] else Fib.primary_alts entry)
+     (* Each chooser writes one port (a negative one leaves the set
+        empty); entries other than AS5's keep their slot-0 alternative. *)
+     let rd_p5 = Fib.find (Packetsim.fib sim rd) p5 in
+     Packetsim.set_ranked_chooser sim rd (fun fib entry buf ->
+         buf.(0) <-
+           (if entry = rd_p5 then
+              (* greedy link monitoring: the alternative is withdrawn only
+                 when Ra's exit link is fully busy AND nothing is currently
+                 deflected (i.e. it would start at zero benefit) *)
+              if
+                Fib.deflect_buckets fib entry = 0
+                && Packetsim.spare_capacity sim ra ra_r6 < 0.02 *. rate
+              then -1
+              else rd_ra
+            else Fib.alt_at fib entry 0);
+         1);
+     let ra_p5 = Fib.find (Packetsim.fib sim ra) p5 in
+     Packetsim.set_ranked_chooser sim ra (fun fib entry buf ->
+         buf.(0) <- (if entry = ra_p5 then ra_r6 else Fib.alt_at fib entry 0);
+         1)
    | Bgp_routing -> ());
   ignore r5a_r5b;
   { sim; s1; s2; d1; d2; rd; ra; rd_ebgp = rd_r4a; ra_ebgp = ra_r6 }

@@ -34,10 +34,6 @@ let insert t (p : Prefix.t) ~out_port ?(alt_port = -1) () =
     alts.(0) <- alt_port;
     Hashtbl.replace table k { out = out_port; alts; defl = 0 }
 
-let remove t (p : Prefix.t) =
-  let table = t.(p.length) and k = key p.network in
-  Hashtbl.mem table k && (Hashtbl.remove table k; true)
-
 let find t (p : Prefix.t) = Hashtbl.find_opt t.(p.length) (key p.network)
 
 let lookup t addr =
@@ -61,11 +57,14 @@ let size t = Array.fold_left (fun acc table -> acc + Hashtbl.length table) 0 t
 let may_deflect t =
   Array.exists (fun table -> Hashtbl.fold (fun _ e acc -> acc || e.alts.(0) >= 0) table false) t
 
-let out_port e = e.out
-let alt_at e slot = if slot < 0 || slot >= max_alts then -1 else e.alts.(slot)
-let deflect_buckets e = e.defl
-let set_deflect_buckets e n = e.defl <- n
+(* Field readers and writers take the table, as the flat store's do. *)
+let out_port _ e = e.out
+let alt_at _ e slot = if slot < 0 || slot >= max_alts then -1 else e.alts.(slot)
+let deflect_buckets _ e = e.defl
+let set_deflect_buckets _ e n = e.defl <- n
 
-let set_alts e ports =
+let set_alts _ e ports n =
   Array.fill e.alts 0 max_alts (-1);
-  List.iteri (fun i p -> if i < max_alts then e.alts.(i) <- p) (List.filter (fun p -> p >= 0) ports)
+  List.iteri
+    (fun i p -> if i < max_alts then e.alts.(i) <- p)
+    (List.filter (fun p -> p >= 0) (Array.to_list (Array.sub ports 0 n)))

@@ -21,8 +21,10 @@ let audit_fibs sim ~routing =
     match Packetsim.node_view sim id with
     | Packetsim.Host_view _ -> ()
     | Packetsim.Router_view { as_id } ->
-      Fib.iter (Packetsim.fib sim id) (fun prefix entry ->
+      let fib = Packetsim.fib sim id in
+      Fib.iter fib (fun entry ->
           incr checked;
+          let prefix = Fib.prefix fib entry in
           let pstr = Prefix.to_string prefix in
           let dangling port reason =
             add (Report.Dangling_fib_port { node = id; prefix = pstr; port; reason })
@@ -67,7 +69,9 @@ let audit_fibs sim ~routing =
                        dangling port (role ^ " iBGP session crosses an AS boundary");
                      if Packetsim.ibgp_route sim id peer_router < 0 then
                        dangling port (role ^ " tunnel endpoint is not an iBGP peer");
-                     if Fib.lookup (Packetsim.fib sim peer) prefix.Prefix.network = None
+                     if
+                       Fib.lpm (Packetsim.fib sim peer) (Fib.key_of_addr prefix.Prefix.network)
+                       < 0
                      then
                        dangling port
                          (role ^ " tunnel endpoint has no route for the prefix")
@@ -76,9 +80,9 @@ let audit_fibs sim ~routing =
                 end
             end
           in
-          check_port ~role:"default" (Fib.out_port entry);
-          for slot = 0 to Fib.alt_count entry - 1 do
-            check_port ~role:(Printf.sprintf "alt[%d]" slot) (Fib.alt_at entry slot)
+          check_port ~role:"default" (Fib.out_port fib entry);
+          for slot = 0 to Fib.alt_count fib entry - 1 do
+            check_port ~role:(Printf.sprintf "alt[%d]" slot) (Fib.alt_at fib entry slot)
           done)
   done;
   (List.rev !violations, !checked)

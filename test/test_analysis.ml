@@ -27,6 +27,11 @@ module Json = Mifo_util.Obs.Json
 
 let gadget = lazy (let g = Generator.fig2a_gadget () in (g, Routing.compute g 0))
 
+(* A ranked set from a list, through the production array writer. *)
+let set_alts fib e ports =
+  let a = Array.of_list ports in
+  Fib.set_alts fib e a (Array.length a)
+
 (* ---------- AS-level automaton ---------- *)
 
 let test_gadget_loop_free_with_check () =
@@ -69,12 +74,13 @@ let test_verify_as_level_generated () =
   let g = topo.Generator.graph in
   let table = Routing_table.create g in
   let dests = [ 0; 7; 23; 41; 55; 79 ] in
-  let on = Verifier.verify_as_level ~tag_check:true g ~table ~dests in
+  let verify ~tag_check = Verifier.verify_props ~tag_check ~props:[ Props.Loops ] g ~table ~dests in
+  let on = verify ~tag_check:true in
   Alcotest.(check bool) "tag-check on: clean" true (Report.ok on);
   Alcotest.(check int) "every destination checked" (List.length dests)
     on.Report.stats.Report.dests_checked;
   Alcotest.(check bool) "paths audited" true (on.Report.stats.Report.paths_checked > 0);
-  let off = Verifier.verify_as_level ~tag_check:false g ~table ~dests in
+  let off = verify ~tag_check:false in
   Alcotest.(check bool) "tag-check off: loops found" true
     (List.exists
        (function Report.Forwarding_loop { level = Report.As_level; _ } -> true | _ -> false)
@@ -345,7 +351,8 @@ let test_network_dangling_alt_port () =
      that does not exist *)
   let net, routing = gadget_network () in
   let r1 = net.As_network.router_of_as.(1) in
-  Fib.set_alts (Option.get (Fib.find (Packetsim.fib net.As_network.sim r1) (Prefix.of_as 0))) [ 999 ];
+  let fib = Packetsim.fib net.As_network.sim r1 in
+  set_alts fib (Fib.find fib (Prefix.of_as 0)) [ 999 ];
   let violations, _ = Net_check.audit_fibs net.As_network.sim ~routing in
   match
     List.find_opt
@@ -467,7 +474,7 @@ let test_network_audit_verdicts () =
       let fx = audit_fixture () in
       let fib = Packetsim.fib fx.sim fx.r1 in
       Fib.insert fib (Prefix.of_as 0) ~out_port ();
-      Fib.set_alts (Option.get (Fib.find fib (Prefix.of_as 0))) alts;
+      set_alts fib (Fib.find fib (Prefix.of_as 0)) alts;
       let violations, checked = Net_check.audit_fibs fx.sim ~routing:fx.routing in
       Alcotest.(check (list string)) label expected
         (List.map Report.violation_to_string violations);
@@ -536,38 +543,91 @@ let prop_audit_matches_reference =
         let prefix = Prefix.of_as (List.nth hosts (Mifo_util.Prng.int rng (List.length hosts))) in
         let port () = Mifo_util.Prng.int_in rng (-2) (Packetsim.port_count sim r + 2) in
         match Fib.find fib prefix with
-        | None -> ()
-        | Some entry ->
+        | -1 -> ()
+        | entry ->
           if Mifo_util.Prng.bool rng then
-            Fib.set_alts entry (List.init (Mifo_util.Prng.int rng 5) (fun _ -> port ()))
+            set_alts fib entry (List.init (Mifo_util.Prng.int rng 5) (fun _ -> port ()))
           else Fib.insert fib prefix ~out_port:(max 0 (port ())) ()
       done;
       Net_check.audit_fibs sim ~routing = Mifo_oracle.Fib_audit_ref.audit_fibs sim ~routing)
 
-(* The audit allocates per FIB entry only what [Fib.iter] hands it (a
-   prefix and an entry handle, about 13 words): no strings, closures or
-   destination lookups until a violation.  Measured on a second, warmed
-   run over a clean 2,000-AS network with 8 host prefixes (16,000
-   entries), with [Gc.minor_words] — [Gc.quick_stat]'s minor count only
-   advances at collections. *)
-let test_audit_allocation_gate () =
-  let g = (Generator.generate ~seed:42 ()).Generator.graph in
-  let n = As_graph.n g in
-  let table = Routing_table.create g in
-  let hosts = [ 3; 250; 511; 777; 1_024; 1_300; 1_666; 1_999 ] in
-  let net = As_network.build table ~deployment:(Deployment.full ~n) ~hosts () in
-  let sim = net.As_network.sim in
-  let routing = List.map (fun d -> (d, Routing_table.get table d)) hosts in
-  ignore (Net_check.audit_fibs sim ~routing);
+(* The allocation gates' fixture: a clean 2,000-AS network with 8 host
+   prefixes, one router per AS (16,000 FIB entries), every AS
+   MIFO-capable so each entry carries a slot-0 alternative.  Gates
+   measure a second, warmed run with [Gc.minor_words] —
+   [Gc.quick_stat]'s minor count only advances at collections. *)
+let alloc_fixture =
+  lazy
+    (let g = (Generator.generate ~seed:42 ()).Generator.graph in
+     let n = As_graph.n g in
+     let table = Routing_table.create g in
+     let hosts = [ 3; 250; 511; 777; 1_024; 1_300; 1_666; 1_999 ] in
+     let net = As_network.build table ~deployment:(Deployment.full ~n) ~hosts () in
+     let routing = List.map (fun d -> (d, Routing_table.get table d)) hosts in
+     (n, net.As_network.sim, routing))
+
+(* Minor words [f ()] allocates on its second run. *)
+let minor_words_warm f =
+  ignore (f ());
   let before = Gc.minor_words () in
-  let violations, checked = Net_check.audit_fibs sim ~routing in
-  let words = Gc.minor_words () -. before in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* The audit allocates nothing per FIB entry: [Fib.iter] hands it an
+   int handle, and strings, closures and destination lookups wait for a
+   violation.  A whole audit stays under 1,000 words. *)
+let test_audit_allocation_gate () =
+  let n, sim, routing = Lazy.force alloc_fixture in
+  let words, (violations, checked) =
+    minor_words_warm (fun () -> Net_check.audit_fibs sim ~routing)
+  in
   Alcotest.(check int) "clean" 0 (List.length violations);
   Alcotest.(check int) "every router's 8 entries" (8 * n) checked;
-  let budget = (16. *. float_of_int checked) +. 1_000. in
+  if words > 1_000. then
+    Alcotest.failf "audit_fibs allocated %.0f minor words over %d entries (budget 1,000)" words
+      checked
+
+(* Iterating a FIB hands out int handles: a no-op walk over every
+   router's table allocates nothing per entry. *)
+let test_fib_iter_allocation_gate () =
+  let n, sim, _ = Lazy.force alloc_fixture in
+  let count = ref 0 in
+  let visit _ = incr count in
+  let words, () =
+    minor_words_warm (fun () ->
+        count := 0;
+        for r = 0 to n - 1 do
+          Fib.iter (Packetsim.fib sim r) visit
+        done)
+  in
+  Alcotest.(check int) "every router's 8 entries" (8 * n) !count;
+  if words >= 1_000. then
+    Alcotest.failf "Fib.iter allocated %.0f minor words over %d entries (budget < 1,000)" words
+      !count
+
+(* A daemon epoch writes each entry's ranked set through a buffer it
+   owns: one [Daemon.epoch_ranked] per router with the chooser that
+   keeps slot 0 allocates at most 10 words per entry.  What remains is
+   the utilization floats and [Obs]'s histogram sums. *)
+let test_daemon_epoch_allocation_gate () =
+  let n, sim, _ = Lazy.force alloc_fixture in
+  let keep_slot0 fib e buf =
+    buf.(0) <- Fib.alt_at fib e 0;
+    1
+  in
+  let port_utilization p = if p land 1 = 0 then 0.25 else 0.5 in
+  let words, () =
+    minor_words_warm (fun () ->
+        for r = 0 to n - 1 do
+          Mifo_core.Daemon.epoch_ranked ~fib:(Packetsim.fib sim r) ~port_utilization
+            ~choose_alts:keep_slot0 ()
+        done)
+  in
+  let entries = 8 * n in
+  let budget = 10. *. float_of_int entries in
   if words > budget then
-    Alcotest.failf "audit_fibs allocated %.0f minor words over %d entries (budget %.0f)" words
-      checked budget
+    Alcotest.failf "daemon epochs allocated %.0f minor words over %d entries (budget %.0f)" words
+      entries budget
 
 let test_network_ebgp_tunnel_egress () =
   (* AS 1: r1 tunnels its deflections to border router r3, but the only
@@ -1039,6 +1099,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_audit_matches_reference;
           Alcotest.test_case "allocation gate: audit allocates per entry only its handle"
             `Quick test_audit_allocation_gate;
+          Alcotest.test_case "allocation gate: Fib.iter allocates nothing per entry" `Quick
+            test_fib_iter_allocation_gate;
+          Alcotest.test_case "allocation gate: a daemon epoch allocates <= 10 words per entry"
+            `Quick test_daemon_epoch_allocation_gate;
           Alcotest.test_case "eBGP egress mid-tunnel" `Quick test_network_ebgp_tunnel_egress;
           Alcotest.test_case "router-level diamond: IP-in-IP stops iBGP cycling" `Quick
             test_network_ibgp_encap;

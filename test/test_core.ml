@@ -89,15 +89,22 @@ let test_packet_encap () =
 
 (* ---------- Fib ---------- *)
 
+(* A ranked set from a list, through the production array writer. *)
+let set_alts fib e ports =
+  let a = Array.of_list ports in
+  Fib.set_alts fib e a (Array.length a)
+
+let slots fib e = List.init Fib.max_alts (Fib.alt_at fib e)
+
 let test_fib_lpm () =
   let fib = Fib.create () in
   Fib.insert fib (Prefix.of_string "10.0.0.0/8") ~out_port:1 ();
   Fib.insert fib (Prefix.of_string "10.1.0.0/16") ~out_port:2 ();
   Fib.insert fib (Prefix.of_string "10.1.2.0/24") ~out_port:3 ~alt_port:9 ();
   let port addr =
-    match Fib.lookup fib (Prefix.addr_of_string addr) with
-    | Some e -> Fib.out_port e
-    | None -> -1
+    match Fib.lpm fib (Fib.key_of_addr (Prefix.addr_of_string addr)) with
+    | -1 -> -1
+    | e -> Fib.out_port fib e
   in
   Alcotest.(check int) "/24 wins" 3 (port "10.1.2.5");
   Alcotest.(check int) "/16 wins" 2 (port "10.1.9.5");
@@ -109,12 +116,10 @@ let test_fib_set_alt () =
   let fib = Fib.create () in
   let p = Prefix.of_string "10.1.2.0/24" in
   Fib.insert fib p ~out_port:1 ();
-  Fib.set_alts (Option.get (Fib.find fib p)) [ 5 ];
-  (match Fib.find fib p with
-   | Some e -> Alcotest.(check (option int)) "alt set" (Some 5) (Fib.alt_port e)
-   | None -> Alcotest.fail "entry missing");
-  Alcotest.(check bool) "unknown prefix has no entry" true
-    (Fib.find fib (Prefix.of_string "11.0.0.0/8") = None)
+  set_alts fib (Fib.find fib p) [ 5 ];
+  Alcotest.(check int) "alt set" 5 (Fib.alt_at fib (Fib.find fib p) 0);
+  Alcotest.(check int) "unknown prefix has no entry" (-1)
+    (Fib.find fib (Prefix.of_string "11.0.0.0/8"))
 
 let test_fib_buckets () =
   for flow = 0 to 10_000 do
@@ -136,42 +141,39 @@ let test_fib_reinsert_preserves_deflection () =
      matching hint must not clobber the daemon's live deflection state,
      while an omitted hint means "no alternative" and clears it
      (regression for the old behavior that silently preserved a stale
-     alternative forever). *)
+     alternative forever).  The handle stays valid across every
+     re-insert. *)
   let fib = Fib.create () in
   let p = Prefix.of_as 2 in
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
-  let e = Option.get (Fib.find fib p) in
-  Fib.set_alts e [ 1; 3 ];
-  Fib.set_deflect_buckets e 17;
+  let e = Fib.find fib p in
+  set_alts fib e [ 1; 3 ];
+  Fib.set_deflect_buckets fib e 17;
   (* refresh: same default egress, hint matches the live primary — the
      whole ranked set and the ramp survive *)
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
-  let e = Option.get (Fib.find fib p) in
-  Alcotest.(check (option int)) "alt preserved" (Some 1) (Fib.alt_port e);
-  Alcotest.(check int) "ranked set preserved" 3 (Fib.alt_at e 1);
-  Alcotest.(check int) "buckets preserved" 17 (Fib.deflect_buckets e);
+  Alcotest.(check int) "same handle" e (Fib.find fib p);
+  Alcotest.(check int) "alt preserved" 1 (Fib.alt_at fib e 0);
+  Alcotest.(check int) "ranked set preserved" 3 (Fib.alt_at fib e 1);
+  Alcotest.(check int) "buckets preserved" 17 (Fib.deflect_buckets fib e);
   (* refresh with a different hint: the new alternative replaces the
      set and the ramp restarts *)
   Fib.insert fib p ~out_port:0 ~alt_port:9 ();
-  let e = Option.get (Fib.find fib p) in
-  Alcotest.(check (option int)) "new hint wins" (Some 9) (Fib.alt_port e);
-  Alcotest.(check int) "higher slots cleared" (-1) (Fib.alt_at e 1);
-  Alcotest.(check int) "buckets reset on alt change" 0 (Fib.deflect_buckets e);
+  Alcotest.(check int) "new hint wins" 9 (Fib.alt_at fib e 0);
+  Alcotest.(check int) "higher slots cleared" (-1) (Fib.alt_at fib e 1);
+  Alcotest.(check int) "buckets reset on alt change" 0 (Fib.deflect_buckets fib e);
   (* regression: refresh WITHOUT an alternative clears the old one *)
-  Fib.set_deflect_buckets e 5;
+  Fib.set_deflect_buckets fib e 5;
   Fib.insert fib p ~out_port:0 ();
-  let e = Option.get (Fib.find fib p) in
-  Alcotest.(check (option int)) "None hint clears the alternative" None
-    (Fib.alt_port e);
-  Alcotest.(check int) "buckets reset on clear" 0 (Fib.deflect_buckets e);
+  Alcotest.(check int) "None hint clears the alternative" (-1) (Fib.alt_at fib e 0);
+  Alcotest.(check int) "buckets reset on clear" 0 (Fib.deflect_buckets fib e);
   (* a genuine route change resets everything *)
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
-  Fib.set_deflect_buckets (Option.get (Fib.find fib p)) 11;
+  Fib.set_deflect_buckets fib e 11;
   Fib.insert fib p ~out_port:5 ~alt_port:9 ();
-  let e = Option.get (Fib.find fib p) in
-  Alcotest.(check int) "new default egress" 5 (Fib.out_port e);
-  Alcotest.(check (option int)) "new alternative" (Some 9) (Fib.alt_port e);
-  Alcotest.(check int) "buckets reset on route change" 0 (Fib.deflect_buckets e);
+  Alcotest.(check int) "new default egress" 5 (Fib.out_port fib e);
+  Alcotest.(check int) "new alternative" 9 (Fib.alt_at fib e 0);
+  Alcotest.(check int) "buckets reset on route change" 0 (Fib.deflect_buckets fib e);
   Alcotest.(check int) "one entry" 1 (Fib.size fib)
 
 let test_fib_may_deflect_clears () =
@@ -184,73 +186,78 @@ let test_fib_may_deflect_clears () =
   Alcotest.(check bool) "empty fib" false (Fib.may_deflect fib);
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
   Alcotest.(check bool) "alt inserted" true (Fib.may_deflect fib);
-  let set_alts p alts = Fib.set_alts (Option.get (Fib.find fib p)) alts in
-  (* withdraw via set_alts [] on the handle *)
-  set_alts p [];
+  let set p alts = set_alts fib (Fib.find fib p) alts in
+  (* withdraw via an empty set on the handle *)
+  set p [];
   Alcotest.(check bool) "cleared by empty set_alts" false (Fib.may_deflect fib);
   (* ... after a ranked set *)
-  set_alts p [ 1; 3 ];
+  set p [ 1; 3 ];
   Alcotest.(check bool) "ranked set installed" true (Fib.may_deflect fib);
-  set_alts p [ -1 ];
+  set p [ -1 ];
   Alcotest.(check bool) "cleared by an all-negative set" false (Fib.may_deflect fib);
   (* ... via a refresh without a hint *)
-  set_alts p [ 7 ];
+  set p [ 7 ];
   Fib.insert fib p ~out_port:0 ();
   Alcotest.(check bool) "cleared by refresh" false (Fib.may_deflect fib);
-  (* ... via remove of the only alt-bearing entry *)
+  (* ... entry by entry: two alt-bearing entries, cleared one at a time *)
   Fib.insert fib q ~out_port:2 ~alt_port:5 ();
-  set_alts p [ 7 ];
-  ignore (Fib.remove fib q);
+  set p [ 7 ];
+  set q [];
   Alcotest.(check bool) "other alt entry still live" true (Fib.may_deflect fib);
-  ignore (Fib.remove fib p);
-  Alcotest.(check bool) "cleared by remove" false (Fib.may_deflect fib)
+  Fib.insert fib p ~out_port:4 ();
+  Alcotest.(check bool) "cleared by a route change" false (Fib.may_deflect fib)
 
 let test_fib_ranked_slots () =
   let fib = Fib.create () in
   let p = Prefix.of_as 2 in
   Fib.insert fib p ~out_port:0 ();
-  let e = Option.get (Fib.find fib p) in
-  Alcotest.(check int) "empty count" 0 (Fib.alt_count e);
-  Alcotest.(check int) "empty slot" (-1) (Fib.alt_at e 0);
+  let e = Fib.find fib p in
+  Alcotest.(check int) "empty count" 0 (Fib.alt_count fib e);
+  Alcotest.(check int) "empty slot" (-1) (Fib.alt_at fib e 0);
   (* negatives dropped, order kept, truncated at max_alts, compacted *)
-  Fib.set_alts e [ 4; -1; 7; 2; 9; 11 ];
-  Alcotest.(check int) "count capped" Fib.max_alts (Fib.alt_count e);
-  Alcotest.(check (list int)) "slots in rank order" [ 4; 7; 2; 9 ]
-    (List.init Fib.max_alts (Fib.alt_at e));
-  Alcotest.(check int) "out of range" (-1) (Fib.alt_at e Fib.max_alts);
-  (* alt_port reads slot 0; a singleton set clears the higher slots *)
-  Alcotest.(check int) "alt_port_id = slot 0" 4 (Fib.alt_port_id e);
-  Fib.set_alts e [ 5 ];
-  Alcotest.(check (list int)) "singleton clears higher slots" [ 5; -1; -1; -1 ]
-    (List.init Fib.max_alts (Fib.alt_at e));
+  set_alts fib e [ 4; -1; 7; 2; 9; 11 ];
+  Alcotest.(check int) "count capped" Fib.max_alts (Fib.alt_count fib e);
+  Alcotest.(check (list int)) "slots in rank order" [ 4; 7; 2; 9 ] (slots fib e);
+  Alcotest.(check int) "out of range" (-1) (Fib.alt_at fib e Fib.max_alts);
+  (* only the first [n] ports of the buffer count *)
+  Fib.set_alts fib e [| 5; 6; 8 |] 1;
+  Alcotest.(check (list int)) "singleton clears higher slots" [ 5; -1; -1; -1 ] (slots fib e);
   (* ECMP spreading: bucket b -> slot (b mod count); a one-alt entry
      always uses slot 0 (the k=1 data plane) *)
-  Fib.set_alts e [ 4; 7 ];
+  let alt_for_flow flow =
+    Fib.alt_at fib e
+      (Fib.slot_of_bucket ~bucket:(Fib.flow_bucket flow) ~count:(Fib.alt_count fib e))
+  in
+  set_alts fib e [ 4; 7 ];
   for flow = 0 to 99 do
-    let want = Fib.alt_at e (Fib.flow_bucket flow mod 2) in
-    Alcotest.(check int) "spread matches slot_of_bucket" want
-      (Fib.alt_for_flow e ~flow)
+    let want = Fib.alt_at fib e (Fib.flow_bucket flow mod 2) in
+    Alcotest.(check int) "spread matches slot_of_bucket" want (alt_for_flow flow)
   done;
-  Fib.set_alts e [ 4 ];
+  set_alts fib e [ 4 ];
   for flow = 0 to 99 do
-    Alcotest.(check int) "k=1: always slot 0" 4 (Fib.alt_for_flow e ~flow)
+    Alcotest.(check int) "k=1: always slot 0" 4 (alt_for_flow flow)
   done
 
+(* A flow deflects when the entry has an alternative and the flow's
+   bucket is below the deflection level — the engine's test. *)
 let test_fib_deflects () =
   let fib = Fib.create () in
   let p = Prefix.of_as 2 in
   Fib.insert fib p ~out_port:0 ~alt_port:1 ();
-  let entry = Option.get (Fib.find fib p) in
-  Fib.set_deflect_buckets entry Fib.buckets;
-  Alcotest.(check bool) "all buckets deflect" true (Fib.deflects entry ~flow:7);
-  Fib.set_deflect_buckets entry 0;
-  Alcotest.(check bool) "zero buckets never deflect" false (Fib.deflects entry ~flow:7);
-  Fib.set_deflect_buckets entry Fib.buckets;
-  Fib.set_alts entry [];
-  Alcotest.(check bool) "no alt never deflects" false (Fib.deflects entry ~flow:7)
+  let entry = Fib.find fib p in
+  let deflects ~flow =
+    Fib.alt_at fib entry 0 >= 0 && Fib.flow_bucket flow < Fib.deflect_buckets fib entry
+  in
+  Fib.set_deflect_buckets fib entry Fib.buckets;
+  Alcotest.(check bool) "all buckets deflect" true (deflects ~flow:7);
+  Fib.set_deflect_buckets fib entry 0;
+  Alcotest.(check bool) "zero buckets never deflect" false (deflects ~flow:7);
+  Fib.set_deflect_buckets fib entry Fib.buckets;
+  set_alts fib entry [];
+  Alcotest.(check bool) "no alt never deflects" false (deflects ~flow:7)
 
-(* [size] is a cached O(1) count, maintained through refreshes and
-   removals, and mirrored into the [fib.entries] gauge. *)
+(* [size] is a cached O(1) count, maintained through refreshes, and
+   mirrored into the [fib.entries] gauge. *)
 let test_fib_size_and_gauge () =
   let before = Obs.gauge_value "fib.entries" in
   let base = if Float.is_nan before then 0. else before in
@@ -260,15 +267,12 @@ let test_fib_size_and_gauge () =
   Fib.insert fib (Prefix.of_string "10.1.0.0/16") ~out_port:2 ();
   Fib.insert fib (Prefix.of_string "10.1.0.0/16") ~out_port:3 ();
   Alcotest.(check int) "refresh does not double-count" 2 (Fib.size fib);
-  Alcotest.(check bool) "remove hit" true (Fib.remove fib (Prefix.of_string "10.0.0.0/8"));
-  Alcotest.(check bool) "remove miss" false (Fib.remove fib (Prefix.of_string "10.0.0.0/8"));
-  Alcotest.(check int) "size tracks removal" 1 (Fib.size fib);
-  Alcotest.(check (float 1e-6)) "fib.entries gauge tracks net insertions" (base +. 1.)
+  Alcotest.(check (float 1e-6)) "fib.entries gauge tracks insertions" (base +. 2.)
     (Obs.gauge_value "fib.entries")
 
 (* The flat open-addressed FIB and the boxed per-length-Hashtbl
    reference model (Mifo_oracle.Boxed_fib) must be observationally
-   identical under arbitrary insert / remove / set-alts / set-deflect
+   identical under arbitrary insert / refresh / set-alts / set-deflect
    churn. *)
 let fib_universe =
   Array.map Prefix.of_string
@@ -290,58 +294,70 @@ module type FIB = sig
   type entry
 
   val insert : t -> Prefix.t -> out_port:int -> ?alt_port:int -> unit -> unit
-  val remove : t -> Prefix.t -> bool
   val find : t -> Prefix.t -> entry option
   val lookup : t -> Prefix.addr -> entry option
   val iter : t -> (Prefix.t -> entry -> unit) -> unit
   val size : t -> int
   val may_deflect : t -> bool
-  val out_port : entry -> int
-  val alt_at : entry -> int -> int
-  val deflect_buckets : entry -> int
-  val set_alts : entry -> int list -> unit
-  val set_deflect_buckets : entry -> int -> unit
+  val out_port : t -> entry -> int
+  val alt_at : t -> entry -> int -> int
+  val deflect_buckets : t -> entry -> int
+  val set_alts : t -> entry -> int array -> int -> unit
+  val set_deflect_buckets : t -> entry -> int -> unit
+end
+
+(* The production store behind the oracle's option-returning lookups. *)
+module Flat_fib = struct
+  include Fib
+
+  let some e = if e < 0 then None else Some e
+  let find t p = some (Fib.find t p)
+  let lookup t addr = some (Fib.lpm t (Fib.key_of_addr addr))
+  let iter t f = Fib.iter t (fun e -> f (Fib.prefix t e) e)
 end
 
 module Fib_churn (F : FIB) = struct
   let apply fib (kind, pidx, a, b) =
     let p = fib_universe.(pidx mod Array.length fib_universe) in
+    let with_entry f = match F.find fib p with Some e -> f e | None -> () in
     match kind with
     | 0 ->
       if b mod 3 = 0 then F.insert fib p ~out_port:(a land 15) ()
       else F.insert fib p ~out_port:(a land 15) ~alt_port:(16 + (b land 15)) ()
-    | 1 -> ignore (F.remove fib p)
-    | 2 -> (
-      match F.find fib p with
-      | Some e -> F.set_deflect_buckets e (a mod (Fib.buckets + 1))
-      | None -> ())
-    | 3 -> (
-      match F.find fib p with
-      | Some e -> F.set_alts e (if b land 1 = 0 then [] else [ 32 + (b land 7) ])
-      | None -> ())
-    | _ -> (
+    | 1 ->
+      (* a route refresh whose hint is the live primary: keeps the set *)
+      with_entry (fun e ->
+          let alt = F.alt_at fib e 0 in
+          if alt < 0 then F.insert fib p ~out_port:(F.out_port fib e) ()
+          else F.insert fib p ~out_port:(F.out_port fib e) ~alt_port:alt ())
+    | 2 -> with_entry (fun e -> F.set_deflect_buckets fib e (a mod (Fib.buckets + 1)))
+    | 3 ->
+      with_entry (fun e ->
+          if b land 1 = 0 then F.set_alts fib e [||] 0
+          else F.set_alts fib e [| 32 + (b land 7) |] 1)
+    | _ ->
       (* ranked set of 0..5 candidate ports (possibly with negatives /
-         overflow, exercising drop+truncate+compact) *)
-      match F.find fib p with
-      | Some e ->
-        let n = b mod 6 in
-        F.set_alts e (List.init n (fun i -> ((a + (7 * i)) land 31) - 4))
-      | None -> ())
+         overflow, exercising drop+truncate+compact), read from the
+         front of a longer buffer *)
+      with_entry (fun e ->
+          let n = b mod 6 in
+          F.set_alts fib e (Array.init 6 (fun i -> ((a + (7 * i)) land 31) - 4)) n)
 
-  let view e = (F.out_port e, List.init Fib.max_alts (F.alt_at e), F.deflect_buckets e)
+  let view fib e =
+    (F.out_port fib e, List.init Fib.max_alts (F.alt_at fib e), F.deflect_buckets fib e)
 
   (* everything observable: size, the deflect flag, the sorted contents
      and the longest-prefix match of every probe *)
   let observe fib =
     let acc = ref [] in
-    F.iter fib (fun p e -> acc := (Prefix.to_string p, view e) :: !acc);
+    F.iter fib (fun p e -> acc := (Prefix.to_string p, view fib e) :: !acc);
     ( F.size fib,
       F.may_deflect fib,
       List.sort compare !acc,
-      Array.map (fun addr -> Option.map view (F.lookup fib addr)) fib_probes )
+      Array.map (fun addr -> Option.map (view fib) (F.lookup fib addr)) fib_probes )
 end
 
-module Flat_churn = Fib_churn (Fib)
+module Flat_churn = Fib_churn (Flat_fib)
 module Boxed_churn = Fib_churn (Mifo_oracle.Boxed_fib)
 
 (* Replays [ops] on both stores; the first observable that differs,
@@ -381,7 +397,7 @@ let test_fib_refresh_without_alt_clears_ramp () =
   let fib = Fib.create () in
   List.iter (Flat_churn.apply fib) ops;
   Alcotest.(check int) "ramp cleared" 0
-    (Fib.deflect_buckets (Option.get (Fib.find fib fib_universe.(3))))
+    (Fib.deflect_buckets fib (Fib.find fib fib_universe.(3)))
 
 (* Levels are allocated on first insert, and every unused length of
    every table starts on one shared empty level: filling /24 and /8 in
@@ -393,20 +409,19 @@ let test_fib_lazy_levels_isolated () =
   Fib.insert used p8 ~out_port:3 ();
   Alcotest.(check int) "used: two entries" 2 (Fib.size used);
   Alcotest.(check bool) "used: may deflect" true (Fib.may_deflect used);
-  Alcotest.(check (option int)) "used: /24 wins the match" (Some 1)
-    (Option.map Fib.out_port (Fib.lookup used (Prefix.addr_of_string "10.1.2.9")));
+  Alcotest.(check int) "used: /24 wins the match" 1
+    (Fib.out_port used (Fib.lpm used (Fib.key_of_addr (Prefix.addr_of_string "10.1.2.9"))));
   Alcotest.(check int) "fresh: size 0" 0 (Fib.size fresh);
-  Alcotest.(check bool) "fresh: lookup misses" true
-    (Fib.lookup fresh (Prefix.addr_of_string "10.1.2.9") = None);
+  Alcotest.(check int) "fresh: lookup misses" (-1)
+    (Fib.lpm fresh (Fib.key_of_addr (Prefix.addr_of_string "10.1.2.9")));
   Alcotest.(check bool) "fresh: find misses" true
-    (Fib.find fresh p24 = None && Fib.find fresh p8 = None);
+    (Fib.find fresh p24 = -1 && Fib.find fresh p8 = -1);
   Alcotest.(check bool) "fresh: may_deflect false" false (Fib.may_deflect fresh);
   let visited = ref 0 in
-  Fib.iter fresh (fun _ _ -> incr visited);
+  Fib.iter fresh (fun _ -> incr visited);
   Alcotest.(check int) "fresh: iter visits nothing" 0 !visited;
-  Alcotest.(check bool) "remove at a never-used length" false
-    (Fib.remove used (Prefix.of_string "10.1.0.0/16"));
-  Alcotest.(check bool) "remove from a fresh table" false (Fib.remove fresh p24);
+  Alcotest.(check int) "find at a never-used length" (-1)
+    (Fib.find used (Prefix.of_string "10.1.0.0/16"));
   Alcotest.(check int) "used: still two entries" 2 (Fib.size used)
 
 (* ---------- Engine ---------- *)
@@ -420,9 +435,7 @@ let make_env ?(alt_kind = Engine.Ebgp { neighbor_as = 9; rel = Relationship.Peer
   let fib = Fib.create () in
   let dst_prefix = Prefix.of_as 2 in
   Fib.insert fib dst_prefix ~out_port:0 ?alt_port:alt ();
-  (match Fib.find fib dst_prefix with
-   | Some e -> Fib.set_deflect_buckets e deflect_buckets
-   | None -> assert false);
+  Fib.set_deflect_buckets fib (Fib.find fib dst_prefix) deflect_buckets;
   {
     Engine.router_id = 100;
     fib;
@@ -690,8 +703,7 @@ let test_engine_k2_spreads_buckets () =
       ~alt_kind:(Engine.Ebgp { neighbor_as = 9; rel = Relationship.Customer })
       ()
   in
-  let entry = Option.get (Fib.find env.Engine.fib (Prefix.of_as 2)) in
-  Fib.set_alts entry [ 1; 4 ];
+  set_alts env.Engine.fib (Fib.find env.Engine.fib (Prefix.of_as 2)) [ 1; 4 ];
   let seen_slot0 = ref 0 and seen_slot1 = ref 0 in
   for flow = 0 to 40 do
     let expected = if Fib.flow_bucket flow mod 2 = 0 then 1 else 4 in
@@ -870,7 +882,7 @@ let prop_engine_k1_matches_single_alt =
             ()
         in
         if has_alt && ranked then
-          Fib.set_alts (Option.get (Fib.find env.Engine.fib (Prefix.of_as 2))) [ 1 ];
+          set_alts env.Engine.fib (Fib.find env.Engine.fib (Prefix.of_as 2)) [ 1 ];
         env
       in
       let base =
@@ -887,13 +899,22 @@ let prop_engine_k1_matches_single_alt =
 let daemon_fib () =
   let fib = Fib.create () in
   Fib.insert fib (Prefix.of_as 2) ~out_port:0 ~alt_port:1 ();
-  (fib, fun () -> Fib.deflect_buckets (Option.get (Fib.find fib (Prefix.of_as 2))))
+  (fib, fun () -> Fib.deflect_buckets fib (Fib.find fib (Prefix.of_as 2)))
+
+(* A chooser that offers the fixed ranked set [alts]. *)
+let choose alts _ _ buf =
+  List.iteri (fun i p -> buf.(i) <- p) alts;
+  List.length alts
+
+(* The chooser that keeps the live slot-0 alternative. *)
+let keep_slot0 fib e buf =
+  buf.(0) <- Fib.alt_at fib e 0;
+  1
 
 let run_epoch fib ~out_util ~alt_util =
   Daemon.epoch_ranked ~fib
     ~port_utilization:(fun p -> if p = 0 then out_util else alt_util)
-    ~choose_alts:(fun _ e -> Option.to_list (Fib.alt_port e))
-    ()
+    ~choose_alts:keep_slot0 ()
 
 let test_daemon_ramps_up () =
   let fib, buckets = daemon_fib () in
@@ -928,7 +949,7 @@ let test_daemon_hysteresis_band () =
 let test_daemon_clears_without_alt () =
   let fib, buckets = daemon_fib () in
   run_epoch fib ~out_util:0.99 ~alt_util:0.0;
-  Daemon.epoch_ranked ~fib ~port_utilization:(fun _ -> 0.99) ~choose_alts:(fun _ _ -> []) ();
+  Daemon.epoch_ranked ~fib ~port_utilization:(fun _ -> 0.99) ~choose_alts:(choose []) ();
   Alcotest.(check int) "no alt, no deflection" 0 (buckets ())
 
 let test_daemon_is_congested () =
@@ -949,14 +970,14 @@ let test_daemon_alt_change_resets_buckets () =
   let resets0 = Obs.counter_value "daemon.buckets_reset" in
   Daemon.epoch_ranked ~fib
     ~port_utilization:(fun p -> if p = 0 then 0.99 else 0.0)
-    ~choose_alts:(fun _ _ -> [ 2 ])
+    ~choose_alts:(choose [ 2 ])
     ();
   (* reset to zero on the switch, then the same epoch starts the fresh
      ramp: pre-fix the new alternative inherited 2*ramp_up + ramp_up *)
   Alcotest.(check int) "cold alternative restarts the ramp"
     Daemon.default_config.Daemon.ramp_up (buckets ());
-  Alcotest.(check (option int)) "alternative switched" (Some 2)
-    (Fib.alt_port (Option.get (Fib.find fib (Prefix.of_as 2))));
+  Alcotest.(check int) "alternative switched" 2
+    (Fib.alt_at fib (Fib.find fib (Prefix.of_as 2)) 0);
   Alcotest.(check int) "switch counted" (changes0 + 1)
     (Obs.counter_value "daemon.alt_changed");
   Alcotest.(check int) "reset counted" (resets0 + 1)
@@ -971,8 +992,8 @@ let test_daemon_clamps_at_edges () =
   (* Regression (clamp bug): the level is pinned to [0, Fib.buckets] and
      the ramp counters account only buckets actually shifted. *)
   let fib, buckets = daemon_fib () in
-  let entry = Option.get (Fib.find fib (Prefix.of_as 2)) in
-  Fib.set_deflect_buckets entry (Fib.buckets - 1);
+  let entry = Fib.find fib (Prefix.of_as 2) in
+  Fib.set_deflect_buckets fib entry (Fib.buckets - 1);
   let up0 = Obs.counter_value "daemon.ramp_up_buckets" in
   run_epoch fib ~out_util:0.99 ~alt_util:0.0;
   Alcotest.(check int) "clamped at Fib.buckets" Fib.buckets (buckets ());
@@ -982,7 +1003,7 @@ let test_daemon_clamps_at_edges () =
   Alcotest.(check int) "held at the ceiling" Fib.buckets (buckets ());
   Alcotest.(check int) "no spurious ramp-up at the ceiling" (up0 + 1)
     (Obs.counter_value "daemon.ramp_up_buckets");
-  Fib.set_deflect_buckets entry 0;
+  Fib.set_deflect_buckets fib entry 0;
   let down0 = Obs.counter_value "daemon.ramp_down_buckets" in
   run_epoch fib ~out_util:0.3 ~alt_util:0.0;
   Alcotest.(check int) "floor is zero" 0 (buckets ());
@@ -992,14 +1013,13 @@ let test_daemon_clamps_at_edges () =
 let run_epoch_ranked fib ~out_util ~alts =
   Daemon.epoch_ranked ~fib
     ~port_utilization:(fun p -> if p = 0 then out_util else 0.0)
-    ~choose_alts:(fun _ _ -> alts)
-    ()
+    ~choose_alts:(choose alts) ()
 
 let test_daemon_ranked_rotation () =
   (* Per-set ramp state: a withdrawn slot drops out without resetting the
      survivors' ramp; only a wholly fresh (disjoint) set restarts cold. *)
   let fib, buckets = daemon_fib () in
-  let entry = Option.get (Fib.find fib (Prefix.of_as 2)) in
+  let entry = Fib.find fib (Prefix.of_as 2) in
   run_epoch_ranked fib ~out_util:0.99 ~alts:[ 1; 2 ];
   run_epoch_ranked fib ~out_util:0.99 ~alts:[ 1; 2 ];
   let up = 2 * Daemon.default_config.Daemon.ramp_up in
@@ -1015,8 +1035,7 @@ let test_daemon_ranked_rotation () =
     (Obs.counter_value "daemon.slots_rotated");
   Alcotest.(check int) "no reset on a partial rotation" reset0
     (Obs.counter_value "daemon.buckets_reset");
-  Alcotest.(check (list int)) "rotated set installed" [ 2; 3; -1; -1 ]
-    (List.init Fib.max_alts (Fib.alt_at entry));
+  Alcotest.(check (list int)) "rotated set installed" [ 2; 3; -1; -1 ] (slots fib entry);
   (* a disjoint set is cold: reset, then the same epoch's fresh ramp *)
   run_epoch_ranked fib ~out_util:0.99 ~alts:[ 4; 5 ];
   Alcotest.(check int) "disjoint set restarts the ramp"

@@ -923,8 +923,8 @@ let test_packetsim_two_flows_share () =
    queue drops and retransmissions plus an open-loop UDP blast.  The
    fingerprint below was recorded from the binary-heap queue with
    per-packet scheduling (no trains) while that queue still ran inside
-   Packetsim; the production queue must reproduce it with trains off
-   and on. *)
+   Packetsim; the production queue, whose links batch departures into
+   trains, must reproduce it. *)
 let pkt_fingerprint sim =
   let finishes =
     Array.map
@@ -950,25 +950,15 @@ let heap_oracle_fingerprint =
     } )
 
 let test_packetsim_engines_bit_identical () =
-  let run trains =
-    let config =
-      { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
-    in
-    let sim, h1, h2 = line_network ~config ~rate:1e8 () in
-    let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
-    let _ = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0.002 () in
-    Packetsim.run ~until:30. sim;
-    let c = Packetsim.counters sim in
-    Alcotest.(check bool) "small queue forces drops" true (c.Packetsim.dropped_queue > 0);
-    pkt_fingerprint sim
-  in
-  List.iter
-    (fun trains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "trains=%b bit-identical to the heap oracle" trains)
-        true
-        (run trains = heap_oracle_fingerprint))
-    [ false; true ]
+  let config = { Packetsim.default_config with Packetsim.queue_bits = 100_000 } in
+  let sim, h1, h2 = line_network ~config ~rate:1e8 () in
+  let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
+  let _ = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0.002 () in
+  Packetsim.run ~until:30. sim;
+  let c = Packetsim.counters sim in
+  Alcotest.(check bool) "small queue forces drops" true (c.Packetsim.dropped_queue > 0);
+  Alcotest.(check bool) "bit-identical to the heap oracle" true
+    (pkt_fingerprint sim = heap_oracle_fingerprint)
 
 (* Packet conservation: every packet a host originated is delivered,
    absorbed as an ACK or a stray, dropped, or still in flight. *)
@@ -996,22 +986,15 @@ let step_conserved sim ~until =
    is left in flight at the end, and the stepped run still matches the
    pinned fingerprint. *)
 let test_packetsim_conservation_lossy_line () =
-  List.iter
-    (fun trains ->
-      let config =
-        { Packetsim.default_config with Packetsim.packet_trains = trains; queue_bits = 100_000 }
-      in
-      let sim, h1, h2 = line_network ~config ~rate:1e8 () in
-      let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
-      let _ = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0.002 () in
-      let label = Printf.sprintf "trains=%b" trains in
-      Alcotest.(check int) (label ^ ": periods violating conservation") 0
-        (step_conserved sim ~until:30.);
-      Alcotest.(check int) (label ^ ": nothing in flight") 0 (Packetsim.in_flight sim);
-      Alcotest.(check bool) (label ^ ": ACKs absorbed") true (Packetsim.acks_absorbed sim > 0);
-      Alcotest.(check bool) (label ^ ": stepping keeps the pinned run") true
-        (pkt_fingerprint sim = heap_oracle_fingerprint))
-    [ false; true ]
+  let config = { Packetsim.default_config with Packetsim.queue_bits = 100_000 } in
+  let sim, h1, h2 = line_network ~config ~rate:1e8 () in
+  let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:400_000 ~start:0. in
+  let _ = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0.002 () in
+  Alcotest.(check int) "periods violating conservation" 0 (step_conserved sim ~until:30.);
+  Alcotest.(check int) "nothing in flight" 0 (Packetsim.in_flight sim);
+  Alcotest.(check bool) "ACKs absorbed" true (Packetsim.acks_absorbed sim > 0);
+  Alcotest.(check bool) "stepping keeps the pinned run" true
+    (pkt_fingerprint sim = heap_oracle_fingerprint)
 
 (* Misrouted packets are absorbed as strays, not lost: r1 sends AS1's
    traffic to h3, so h1's ACKs-to-be (from h2) and h2's UDP blast to h1
@@ -1114,7 +1097,7 @@ let test_packetsim_tunnel_transit () =
   in
   let pin fib prefix ~out_port ~alt_port =
     Fib.insert fib prefix ~out_port ~alt_port ();
-    Fib.set_deflect_buckets (Option.get (Fib.find fib prefix)) Fib.buckets
+    Fib.set_deflect_buckets fib (Fib.find fib prefix) Fib.buckets
   in
   let dst = Prefix.of_as 2 and back = Prefix.of_as 1 in
   (* r1: default egress rx (a dead end), alternative = tunnel to r3 *)
@@ -1173,15 +1156,19 @@ let test_packetsim_ranked_chooser () =
   Fib.insert (Packetsim.fib sim r1) (Prefix.of_as 1) ~out_port:r1h ();
   Fib.insert (Packetsim.fib sim r2) (Prefix.of_as 2) ~out_port:r2h ();
   Fib.insert (Packetsim.fib sim r2) (Prefix.of_as 1) ~out_port:slow_back ();
-  Packetsim.set_ranked_chooser sim r1 (fun _ _ -> [ alt_a; alt_b ]);
+  Packetsim.set_ranked_chooser sim r1 (fun _ _ buf ->
+      buf.(0) <- alt_a;
+      buf.(1) <- alt_b;
+      2);
   let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:2_000_000 ~start:0. in
   let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:2_000_000 ~start:0. in
   Packetsim.run ~until:10. sim;
-  let entry = Option.get (Fib.find (Packetsim.fib sim r1) (Prefix.of_as 2)) in
+  let fib = Packetsim.fib sim r1 in
+  let entry = Fib.find fib (Prefix.of_as 2) in
   Alcotest.(check (list int)) "ranked pair installed" [ alt_a; alt_b; -1; -1 ]
-    (List.init Fib.max_alts (Fib.alt_at entry));
+    (List.init Fib.max_alts (Fib.alt_at fib entry));
   Alcotest.(check bool) "daemon ramped against the set" true
-    (Fib.deflect_buckets entry > 0);
+    (Fib.deflect_buckets fib entry > 0);
   let c = Packetsim.counters sim in
   Alcotest.(check bool) "packets deflected" true (c.Packetsim.deflected > 0);
   Array.iter
@@ -1393,17 +1380,10 @@ let shard_obs_keys =
     "daemon.buckets_reset";
   ]
 
-(* One run of a generated workload under (domains, trains); returns the
-   full observable fingerprint including Obs counter deltas. *)
-let run_dumbbell ~domains ~trains (n_l, n_r, flow_specs) =
-  let config =
-    {
-      Packetsim.default_config with
-      Packetsim.packet_trains = trains;
-      domains;
-      queue_bits = 100_000;
-    }
-  in
+(* One run of a generated workload on [domains] event loops; returns
+   the full observable fingerprint including Obs counter deltas. *)
+let run_dumbbell ~domains (n_l, n_r, flow_specs) =
+  let config = { Packetsim.default_config with Packetsim.domains; queue_bits = 100_000 } in
   let sim, lh, rh = dumbbell_network ~config ~n_l ~n_r () in
   List.iteri
     (fun k (ltr, si, di, kb, start_ms, udp) ->
@@ -1428,12 +1408,11 @@ let run_dumbbell ~domains ~trains (n_l, n_r, flow_specs) =
   in
   (pkt_fingerprint sim, obs_delta, series, Packetsim.path_switches sim)
 
-(* The 2x2 gate: serial/sharded x trains on/off, all bit-identical
-   (counters, finish times, event counts, goodput series, Obs counters)
-   to the serial no-trains run on random dumbbells with drops and UDP
-   blasts. *)
+(* Sharded runs on two and three event loops, bit-identical (counters,
+   finish times, event counts, goodput series, Obs counters) to the
+   serial run on random dumbbells with drops and UDP blasts. *)
 let prop_packetsim_sharded_identical =
-  QCheck2.Test.make ~name:"packetsim: sharded x trains bit-identical"
+  QCheck2.Test.make ~name:"packetsim: sharded bit-identical to serial"
     ~count:6
     QCheck2.Gen.(
       triple (int_range 2 3) (int_range 2 3)
@@ -1442,10 +1421,8 @@ let prop_packetsim_sharded_identical =
               (int_bound 10) bool)))
     (fun workload ->
       Mifo_util.Parallel.set_default_jobs 2;
-      let oracle = run_dumbbell ~domains:1 ~trains:false workload in
-      List.for_all
-        (fun (domains, trains) -> run_dumbbell ~domains ~trains workload = oracle)
-        [ (1, true); (2, false); (2, true); (3, true) ])
+      let oracle = run_dumbbell ~domains:1 workload in
+      List.for_all (fun domains -> run_dumbbell ~domains workload = oracle) [ 2; 3 ])
 
 let () =
   Alcotest.run "mifo_netsim"

@@ -183,23 +183,24 @@ let test_as_network_port_map () =
       let rt = Routing_table.get table d in
       for v = 0 to n - 1 do
         let node = As_network.router net v in
-        match (Mifo_core.Fib.find (Packetsim.fib sim node) (Prefix.of_as d), v = d) with
-        | None, _ ->
+        let fib = Packetsim.fib sim node in
+        match (Mifo_core.Fib.find fib (Prefix.of_as d), v = d) with
+        | -1, _ ->
           Alcotest.(check bool) "no entry only when unreachable" true
             (Mifo_bgp.Routing.rib_size rt v = 0 && v <> d)
-        | Some e, true ->
+        | e, true ->
           Alcotest.(check bool) "destination delivers locally" true
-            (Packetsim.port_kind sim node (Mifo_core.Fib.out_port e) = Engine.Local)
-        | Some e, false ->
+            (Packetsim.port_kind sim node (Mifo_core.Fib.out_port fib e) = Engine.Local)
+        | e, false ->
           Alcotest.(check int) "out port faces the next hop"
             (Mifo_bgp.Routing.rib_via rt v 0)
-            (facing node (Mifo_core.Fib.out_port e));
+            (facing node (Mifo_core.Fib.out_port fib e));
           let expected_alt =
             if Deployment.capable deployment v && Mifo_bgp.Routing.rib_size rt v > 1 then
               Mifo_bgp.Routing.rib_via rt v 1
             else -1
           in
-          let alt = Mifo_core.Fib.alt_at e 0 in
+          let alt = Mifo_core.Fib.alt_at fib e 0 in
           if alt >= 0 then incr with_alt;
           Alcotest.(check int) "slot-0 alt faces the first RIB alternative" expected_alt
             (if alt < 0 then -1 else facing node alt)
@@ -348,14 +349,16 @@ let fib_dump sim =
     match Packetsim.node_view sim node with
     | Packetsim.Host_view _ -> ()
     | Packetsim.Router_view { as_id } ->
-      Mifo_core.Fib.iter (Packetsim.fib sim node) (fun prefix e ->
+      let fib = Packetsim.fib sim node in
+      Mifo_core.Fib.iter fib (fun e ->
           acc :=
             Printf.sprintf "node %d (AS %d) %s out %d alts [%s] buckets %d" node as_id
-              (Prefix.to_string prefix) (Mifo_core.Fib.out_port e)
+              (Prefix.to_string (Mifo_core.Fib.prefix fib e))
+              (Mifo_core.Fib.out_port fib e)
               (String.concat ";"
-                 (List.init (Mifo_core.Fib.alt_count e) (fun i ->
-                      string_of_int (Mifo_core.Fib.alt_at e i))))
-              (Mifo_core.Fib.deflect_buckets e)
+                 (List.init (Mifo_core.Fib.alt_count fib e) (fun i ->
+                      string_of_int (Mifo_core.Fib.alt_at fib e i))))
+              (Mifo_core.Fib.deflect_buckets fib e)
             :: !acc)
   done;
   List.sort compare !acc

@@ -256,9 +256,9 @@ let prop_trie_agrees_with_fib =
         (fun asn ->
           let addr = Prefix.host_of_as asn 2 in
           let from_fib =
-            match Mifo_core.Fib.lookup fib addr with
-            | Some e -> Some (Mifo_core.Fib.out_port e)
-            | None -> None
+            match Mifo_core.Fib.lpm fib (Mifo_core.Fib.key_of_addr addr) with
+            | -1 -> None
+            | e -> Some (Mifo_core.Fib.out_port fib e)
           in
           let from_trie =
             match Lpm_trie.lookup addr !trie with Some (_, v) -> Some v | None -> None

@@ -15,15 +15,17 @@ let medium_config =
 let test_build_structure () =
   let net = Testbed.build small_config Testbed.Mifo_routing in
   (* Rd's FIB toward AS5 must have the iBGP alternative installed *)
-  match Fib.find (Packetsim.fib net.Testbed.sim net.Testbed.rd) (Prefix.of_as 5) with
-  | Some entry -> Alcotest.(check bool) "alt installed" true (Fib.alt_port entry <> None)
-  | None -> Alcotest.fail "Rd has no route to AS5"
+  let fib = Packetsim.fib net.Testbed.sim net.Testbed.rd in
+  match Fib.find fib (Prefix.of_as 5) with
+  | -1 -> Alcotest.fail "Rd has no route to AS5"
+  | entry -> Alcotest.(check bool) "alt installed" true (Fib.alt_at fib entry 0 >= 0)
 
 let test_build_bgp_has_no_alt () =
   let net = Testbed.build small_config Testbed.Bgp_routing in
-  match Fib.find (Packetsim.fib net.Testbed.sim net.Testbed.rd) (Prefix.of_as 5) with
-  | Some entry -> Alcotest.(check bool) "no alt under BGP" true (Fib.alt_port entry = None)
-  | None -> Alcotest.fail "Rd has no route to AS5"
+  let fib = Packetsim.fib net.Testbed.sim net.Testbed.rd in
+  match Fib.find fib (Prefix.of_as 5) with
+  | -1 -> Alcotest.fail "Rd has no route to AS5"
+  | entry -> Alcotest.(check bool) "no alt under BGP" true (Fib.alt_at fib entry 0 < 0)
 
 let test_bgp_run_completes () =
   let r = Testbed.run ~config:small_config Testbed.Bgp_routing in
