@@ -31,10 +31,23 @@ type counterexample = {
 
 type loop_result = { counterexample : counterexample option; states_explored : int }
 
-val find_loop_in : Automaton.t -> loop_result
+val find_loop_in :
+  ?scratch:Automaton.Scratch.t -> ?dp:Automaton.Scratch.t -> Automaton.t -> loop_result
 (** The loop check over an already-built automaton — any overlay, any
     bound.  {!find_loop} below is this over a fresh, healthy automaton;
-    the property suite ({!Props}) runs it under failed-link overlays. *)
+    the property suite ({!Props}) runs it under failed-link overlays.
+    The DFS runs on int frames [(state, position)] in [?scratch]'s stack
+    and colours states in its map (a fresh scratch when omitted); a
+    [move] is built only when a counterexample is extracted.
+
+    [?dp] asks for the delivery/stretch DP on the same pass: each frame
+    folds its successors' values as they finish, so when no cycle is
+    found [dp] holds, per packed state, 0 for unreached, 1 for reached
+    but unable to reach the destination, and [d + 2] for delivering
+    with worst deliverable length [d] (post-order of an acyclic
+    automaton is reverse topological, so each value is final).  Without
+    [?dp] the loop check does no DP work.  Both scratches start a fresh
+    round. *)
 
 val find_loop :
   ?tag_check:bool ->

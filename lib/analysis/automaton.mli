@@ -6,13 +6,13 @@
     checked) or deflect onto another admissible RIB route, gated by the
     exit-point Tag-Check; the tag is rewritten at each entering point
     ({!Mifo_core.Policy}).  This module owns the one transition function
-    ({!iter_succ}, iterated through the packed CSR accessors, so
-    traversals at 44K never leave the arena), the packed state encoding,
-    the overlay hooks the checkers compose (withdrawn deflections,
-    failed links, local repair), epoch-stamped scratch, and the
-    forward/co-reachability traversals the property checkers
-    ({!As_check} loop-freedom, {!Props} delivery / stretch / resilience)
-    share. *)
+    (an int cursor, {!next}/{!target}, read through the packed CSR
+    accessors, so traversals at 44K never leave the arena and box
+    nothing per edge), the packed state encoding, the failure overlay
+    as data (failed link, local repair, withdrawn subtree),
+    epoch-stamped scratch with an int stack, and the co-reachability
+    and region cycle scans the property checkers ({!As_check}
+    loop-freedom, {!Props} delivery / stretch / resilience) share. *)
 
 type move = {
   at : int;  (** the AS making the decision *)
@@ -22,23 +22,20 @@ type move = {
   deflected : bool;  (** [false] = default route, [true] = deflection *)
 }
 
-(** Edge masks composed into the transition relation.
-    [deflection_enabled] gates deflection edges only (withdrawn RIB
-    alternatives, see {!fail_link}; the default route is never masked
-    by it).  [link_enabled] gates {e every} edge over a
-    directed link, default included — a failed physical link.  [repair]
-    is [(node, slot)]: at [node] the default edge is RIB entry [slot]
-    instead of entry 0, taken unconditionally (the locally repaired
-    default after its link died); entry [slot] stops being a
-    deflection. *)
-type overlay = {
-  deflection_enabled : at:int -> via:int -> bool;
-  link_enabled : at:int -> via:int -> bool;
-  repair : (int * int) option;
-}
+(** A single-link failure, as data: the failed link's endpoints
+    ([cut_u], [cut_v]; -1 when healthy) masks {e every} edge over that
+    link in both directions, default included; [cut_u] is also the root
+    of the withdrawn subtree — a deflection whose via sits in [cut_u]'s
+    default subtree (a top-level walk down the default chain) is masked,
+    the default route never is.  [repair_at]'s default edge is RIB entry
+    [repair_slot] instead of entry 0, taken unconditionally (the locally
+    repaired default after its link died); entry [repair_slot] stops
+    being a deflection there.  [repair_at] is -1 when nothing is
+    repaired. *)
+type overlay = { cut_u : int; cut_v : int; repair_at : int; repair_slot : int }
 
 val default_overlay : overlay
-(** Everything enabled, no repair — the healthy data plane. *)
+(** Nothing cut, nothing withdrawn, no repair — the healthy data plane. *)
 
 val fail_link : Mifo_bgp.Routing.t -> u:int -> v:int -> overlay
 (** The single-link-failure model for the failed default-tree link
@@ -82,16 +79,34 @@ val graph : t -> Mifo_topology.As_graph.t
 val enc : t -> int -> bool -> int
 (** [enc t v tag] — packed state index, in \[0, {!n_states}). *)
 
-val iter_succ : t -> int -> bool -> f:(move -> int -> bool -> unit) -> unit
-(** The transition function: calls [f move successor successor_tag] for
-    every outgoing transition of [(v, tag)].  Order is load-bearing and
-    stable: the (possibly repaired) default edge first, then deflections
-    by ascending RIB index — {!As_check.find_loop} counterexamples are
-    bit-identical to the historical checker because this order is.
-    Nothing at the destination and at RIB-less nodes. *)
+val node : int -> int
+(** The AS of a packed state. *)
 
-val edges : t -> int -> bool -> (move * int * bool) list
-(** {!iter_succ}'s transitions collected into a list, in its order. *)
+(** {1 The transition function}
+
+    An int cursor over the outgoing edges of a packed state [s]: a
+    traversal keeps [(s, position)] in int frames and nothing is boxed
+    per edge.  Position 0 is the default edge, which may be the
+    repaired one; a position [i >= 1] is RIB index [i] taken as a
+    deflection.  Order is load-bearing and stable: the default first,
+    then deflections by ascending RIB index — {!As_check.find_loop}
+    counterexamples are bit-identical to the historical checker because
+    this order is.  No edges at the destination and at RIB-less
+    nodes. *)
+
+val next : t -> int -> int -> int
+(** [next t s p] — the first admissible position of [s] at or after
+    [p], or [-1] when none is left.  Start a walk at [next t s 0] and
+    step with [next t s (p + 1)]. *)
+
+val target : t -> int -> int -> int
+(** [target t s p] — the packed successor state along admissible
+    position [p]. *)
+
+val move : t -> int -> int -> move
+(** [move t s p] — the decision along admissible position [p], boxed.
+    Only counterexample extraction calls it: a [move] exists for the
+    hops a violation names, never per edge. *)
 
 val script :
   ?cycle:int ->
@@ -109,45 +124,44 @@ val script :
 
 (** Epoch-stamped per-state scratch: an int map whose clear is O(1)
     (bump the epoch), so per-destination / per-failed-link rounds never
-    memset the state arrays.  Unstamped cells read 0. *)
+    memset the state arrays.  Unstamped cells read 0.  Beside the map, an
+    int stack for DFS frames and work lists; its storage grows on demand
+    and outlives the rounds. *)
 module Scratch : sig
   type t
 
   val create : unit -> t
 
   val round : t -> states:int -> unit
-  (** Start a fresh round over [states] cells: O(1) unless the capacity
-      must grow. *)
+  (** Start a fresh round over [states] cells and empty the stack: O(1)
+      unless the capacity must grow. *)
 
   val get : t -> int -> int
   val set : t -> int -> int -> unit
+
+  val push : t -> int -> unit
+  val pop : t -> int
+  val depth : t -> int
+
+  val peek : t -> int -> int
+  (** [peek t i] — stack cell [i], counted from the bottom. *)
+
+  val poke : t -> int -> int -> unit
 end
 
-val co_reach : t -> scratch:Scratch.t -> int -> bool -> bool
-(** [co_reach t ~scratch v tag] — can state [(v, tag)] reach the
+val co_reach : t -> scratch:Scratch.t -> int -> bool
+(** [co_reach t ~scratch s] — can packed state [s] reach the
     destination?  Memoized in [scratch] (call {!Scratch.round} with
     {!n_states} cells once per automaton, then share the scratch across
-    queries).  Exact only on an acyclic automaton — run the loop check
-    first; on a cyclic one, states on a cycle conservatively read as not
-    delivering. *)
+    queries); works on the scratch's stack.  Exact only on an acyclic
+    automaton — run the loop check first; on a cyclic one, states on a
+    cycle conservatively read as not delivering. *)
 
-val cycle_from : t -> scratch:Scratch.t -> seeds:int list -> bool * int
+val cycle_from : t -> scratch:Scratch.t -> seeds:int list -> bool
 (** [cycle_from t ~scratch ~seeds] — is a cycle reachable from any state
-    [(seed, tag)]?  Returns the verdict and the states explored.
-    Sound as a {e delta} certificate: when the automaton was acyclic
-    before a change and every added edge touches a seed node, a [false]
-    answer proves the whole automaton still acyclic (a new cycle must
-    traverse an added edge).  A [true] answer is only a smell — the
-    cycle may be outside the root-reachable region; escalate to the full
-    check.  Starts its own {!Scratch.round}. *)
-
-val iter_reachable :
-  t -> scratch:Scratch.t -> f:(int -> bool -> move option -> unit) -> unit
-(** Forward reachability from every source root
-    [(v, source_tag)]: calls [f v tag entering_move] once per reachable
-    state in first-visit order.  [entering_move] is [None] at roots,
-    else the move by which the traversal first reached the state — a
-    parent pointer ([(move.at, move.tag)] is the parent state) from
-    which concrete decision scripts are rebuilt.  Uses the same scratch
-    protocol as {!co_reach} (fresh {!Scratch.round} required; cells are
-    left nonzero for every visited state). *)
+    [(seed, tag)]?  Sound as a {e delta} certificate: when the automaton
+    was acyclic before a change and every added edge touches a seed
+    node, a [false] answer proves the whole automaton still acyclic (a
+    new cycle must traverse an added edge).  A [true] answer is only a
+    smell — the cycle may be outside the root-reachable region; escalate
+    to the full check.  Starts its own {!Scratch.round}. *)
