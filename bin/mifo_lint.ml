@@ -16,8 +16,10 @@
 
    - Simulator hot paths: polymorphic comparison ([compare] /
      [Stdlib.compare]) is banned in lib/netsim/, in the topology
-     builders (as_graph.ml, generator.ml), in prefix.ml and in the FIB
-     audit (net_check.ml) — it walks the runtime
+     builders (as_graph.ml, generator.ml), in prefix.ml, in the FIB,
+     the daemon and the FIB audit (fib.ml, daemon.ml, net_check.ml)
+     and in the AS-level property suite (automaton.ml, as_check.ml,
+     props.ml) — it walks the runtime
      representation on every call, which is both slow on the simulators'
      inner loops and fragile (it would traverse whole records if a
      comparator's argument type drifted).  Use the monomorphic
@@ -133,12 +135,24 @@ let uses_polymorphic_compare line =
    named one by one: the topology builders, which sort and compare ids
    as plain ints at 44K scale; [Prefix], whose compare and equal must
    stay monomorphic (a 0-word gate pins them); the FIB and the daemon, which
-   read and rewrite every entry each epoch; and the router-level FIB
-   audit, which visits every installed entry. *)
+   read and rewrite every entry each epoch; the router-level FIB
+   audit, which visits every installed entry; and the AS-level property
+   suite (the automaton's int cursor, the loop DFS and its DP, the
+   property checkers), which walks every (AS, tag) edge at 44K. *)
 let hot_path_dirs = [ "netsim" ]
 
 let hot_path_files =
-  [ "as_graph.ml"; "generator.ml"; "prefix.ml"; "fib.ml"; "daemon.ml"; "net_check.ml" ]
+  [
+    "as_graph.ml";
+    "generator.ml";
+    "prefix.ml";
+    "fib.ml";
+    "daemon.ml";
+    "net_check.ml";
+    "automaton.ml";
+    "as_check.ml";
+    "props.ml";
+  ]
 
 let findings = ref 0
 
