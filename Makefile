@@ -41,7 +41,9 @@ lint:
 
 # Static data-plane verifier gate: the default configuration must verify
 # clean — under the full property suite (loops, delivery, stretch,
-# resilience), both unbounded and with the k=2 bounded automaton — and
+# resilience), both unbounded and with the k=2 bounded automaton, and at
+# the paper's 44,340 ASes, whose packet network has hubs of thousands of
+# ports (about 2 s) — and
 # the Tag-Check ablations must fail WITH a concrete loop counterexample
 # (exit 1 + a forwarding-loop violation in the JSON).  The k2 gadget leg
 # pins the ranked-set semantics: its ablated automaton is loop-free when
@@ -54,6 +56,7 @@ lint:
 static-check:
 	dune exec bin/mifo_sim.exe -- check --ases 150 --seed 42 \
 		--props loops,delivery,stretch,resilience >/dev/null
+	dune exec bin/mifo_sim.exe -- check --ases 44340 --dests 16 --hosts 8 >/dev/null
 	dune exec bin/mifo_sim.exe -- check --ases 150 --seed 42 -k 2 \
 		--props loops,delivery,stretch,resilience >/dev/null
 	dune exec bin/mifo_sim.exe -- check --k2-gadget --no-tag-check -k 1 >/dev/null

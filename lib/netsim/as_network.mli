@@ -69,7 +69,8 @@ val host : t -> int -> int
 (** Host node of an AS.  @raise Invalid_argument naming the AS if it has none. *)
 
 val router : t -> int -> int
-(** Node of an AS's first router, the one its host attaches to. *)
+(** Node of an AS's first router, the one its host attaches to.
+    @raise Invalid_argument naming the AS when it is out of range. *)
 
 val add_transfer : t -> src_as:int -> dst_as:int -> bytes:int -> start:float -> int
 (** A TCP transfer between the hosts of two ASes; returns the flow id.

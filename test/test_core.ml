@@ -270,6 +270,23 @@ let test_fib_size_and_gauge () =
   Alcotest.(check (float 1e-6)) "fib.entries gauge tracks insertions" (base +. 2.)
     (Obs.gauge_value "fib.entries")
 
+(* Adding an entry to a table with room allocates nothing: no [Some]
+   (the alternative is a plain int), no boxed float for the
+   [fib.entries] gauge.  The first insert allocates the 8-entry table. *)
+let test_fib_insert_allocates_nothing () =
+  let fib = Fib.create () in
+  let prefixes = Array.init 8 Prefix.of_as in
+  Fib.insert_alt fib prefixes.(0) ~out_port:0 ~alt:(-1);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 7 do
+    Fib.insert_alt fib prefixes.(i) ~out_port:i ~alt:(if i land 1 = 1 then i + 8 else -1)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 7 new entries" 0. (w1 -. w0);
+  Alcotest.(check int) "8 entries" 8 (Fib.size fib);
+  Alcotest.(check int) "an alternative" 9 (Fib.alt_at fib (Fib.find fib prefixes.(1)) 0);
+  Alcotest.(check int) "no alternative" 0 (Fib.alt_count fib (Fib.find fib prefixes.(2)))
+
 (* The flat open-addressed FIB and the boxed per-length-Hashtbl
    reference model (Mifo_oracle.Boxed_fib) must be observationally
    identical under arbitrary insert / refresh / set-alts / set-deflect
@@ -1204,6 +1221,8 @@ let () =
           Alcotest.test_case "deflects" `Quick test_fib_deflects;
           Alcotest.test_case "O(1) size + fib.entries gauge" `Quick
             test_fib_size_and_gauge;
+          Alcotest.test_case "a new entry in a table with room allocates nothing" `Quick
+            test_fib_insert_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_fib_flat_matches_hashed;
           Alcotest.test_case "refresh without an alternative clears the ramp" `Quick
             test_fib_refresh_without_alt_clears_ramp;
