@@ -24,6 +24,14 @@ val audit_fibs :
     host inside the prefix.  Returns the violations and the number of
     FIB entries checked.
 
+    One reason, "tunnel endpoint is not an iBGP peer", cannot be raised
+    on a network built through {!Mifo_netsim.Packetsim}'s API:
+    [connect] records an iBGP session for every iBGP-kind port of a
+    router, and the check runs only once the port's far end is the
+    [peer_router] it names, so {!Mifo_netsim.Packetsim.ibgp_route}
+    always finds the session.  It stays as a guard for a session API
+    that could withdraw sessions.
+
     Cost: one pass over every router's FIB, O(1) per port checked apart
     from an eBGP port's destination lookup, a scan of [routing]'s
     destinations (as int keys, first match wins) and of one RIB
