@@ -702,12 +702,15 @@ let paths_cmd =
             (Mifo_topology.Relationship.to_string e.rel)
             e.len)
         (Mifo_bgp.Routing.rib rt src);
-      let paths =
-        Mifo_bgp.Path_count.enumerate_mifo_paths g rt ~capable:(fun _ -> true) ~src ~limit
-      in
-      Printf.printf "first %d MIFO forwarding paths (of %.0f):\n" (List.length paths)
-        (Mifo_bgp.Path_count.mifo_counts g rt ~capable:(fun _ -> true)).(src);
-      List.iter (fun p -> Printf.printf "  %s\n" (show p)) paths;
+      let a = Mifo_analysis.Automaton.create g rt in
+      let walks = Mifo_analysis.Automaton.enumerate a ~src ~limit in
+      Printf.printf "first %d MIFO forwarding paths (of %.0f):\n" (List.length walks)
+        (Mifo_analysis.Automaton.path_counts a).(src);
+      List.iter
+        (fun moves ->
+          let vias = Array.to_list (Array.map (fun m -> m.Mifo_analysis.Automaton.via) moves) in
+          Printf.printf "  %s\n" (show (src :: vias)))
+        walks;
       let distinct, probes, early = probe_paths g rt ~src ~k ~max_paths ~early_stop in
       Printf.printf "deflection probe (k=%d): %d distinct paths in %d flow variations%s:\n"
         k (List.length distinct) probes

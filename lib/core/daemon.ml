@@ -20,6 +20,15 @@ let c_ramp_down = Obs.counter "daemon.ramp_down_buckets"
 let h_util_out = Obs.histogram "daemon.port_util.out"
 let h_util_alt = Obs.histogram "daemon.port_util.alt"
 
+(* The least of [least] and the utilizations of [entry]'s slots [i] to
+   [n - 1], as [port_utilization] returned it: a float ref would be
+   boxed afresh for [Obs.observe]. *)
+let rec least_util port_utilization fib entry i n least =
+  if i = n then least
+  else
+    let u = port_utilization (Fib.alt_at fib entry i) in
+    least_util port_utilization fib entry (i + 1) n (if u < least then u else least)
+
 let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts () =
   (* Per-epoch scratch: the previous ranked set and the buffer the
      chooser writes the new one into; outside the closure so the
@@ -73,13 +82,11 @@ let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts 
            ramping shifts whole buckets, and the spread deals each
            bucket to one slot, so there must be at least one slot that
            can absorb more. *)
-        let alt_util = ref (port_utilization (Fib.alt_at fib entry 0)) in
-        for i = 1 to n - 1 do
-          let u = port_utilization (Fib.alt_at fib entry i) in
-          if u < !alt_util then alt_util := u
-        done;
+        let alt_util =
+          least_util port_utilization fib entry 1 n (port_utilization (Fib.alt_at fib entry 0))
+        in
         Obs.observe h_util_out util;
-        Obs.observe h_util_alt !alt_util;
+        Obs.observe h_util_alt alt_util;
         (* Shift more flows onto the alternatives only while the set
            still has headroom; when every egress runs hot the split is
            where we want it (hold), and when the default drains we shift
@@ -87,7 +94,7 @@ let epoch_ranked ?(config = default_config) ~fib ~port_utilization ~choose_alts 
            the buckets actually shifted — an entry already at an edge
            emits no spurious ramp count. *)
         let before = Fib.deflect_buckets fib entry in
-        if util >= config.congest_threshold && !alt_util < config.congest_threshold
+        if util >= config.congest_threshold && alt_util < config.congest_threshold
         then begin
           let target = Stdlib.min Fib.buckets (before + config.ramp_up) in
           if target > before then begin

@@ -2,11 +2,11 @@ module As_graph = Mifo_topology.As_graph
 module Generator = Mifo_topology.Generator
 module Topo_stats = Mifo_topology.Topo_stats
 module Routing_table = Mifo_bgp.Routing_table
-module Path_count = Mifo_bgp.Path_count
 module Deployment = Mifo_core.Deployment
 module Flowsim = Mifo_netsim.Flowsim
 module Traffic = Mifo_traffic.Traffic
 module Miro = Mifo_miro.Miro
+module Automaton = Mifo_analysis.Automaton
 module Testbed = Mifo_testbed.Testbed
 module Table = Mifo_util.Table
 module Dist = Mifo_util.Dist
@@ -65,43 +65,25 @@ module Fig7 = struct
     let dep50 = Context.deployment ctx ~ratio:0.5 in
     let dep100 = Context.deployment ctx ~ratio:1.0 in
     Routing_table.precompute ctx.Context.table dests;
-    (* Both counters fan out one task per destination and then flatten
-       the per-destination slots in destination order, so the sample
-       stream is byte-identical to the old serial loop. *)
+    (* Both counters fan out one task per destination, each returning
+       the counts from every source but the destination, and then
+       flatten the slots in destination order, so the sample stream is
+       byte-identical to a serial loop. *)
+    let pair_counts count_from =
+      Parallel.parallel_map (Parallel.get_default ())
+        (fun d ->
+          let count = count_from (Routing_table.get ctx.Context.table d) in
+          Array.init (n - 1) (fun j -> count (if j < d then j else j + 1)))
+        dests
+      |> Array.to_list |> Array.concat
+    in
     let mifo_counts deployment =
-      let per_dest =
-        Path_count.mifo_counts_many g ctx.Context.table ~dests
-          ~capable:(Deployment.to_fun deployment)
-      in
-      let acc = Mifo_util.Vec.create () in
-      Array.iteri
-        (fun i counts ->
-          let d = dests.(i) in
-          Array.iteri (fun src c -> if src <> d then Mifo_util.Vec.push acc c) counts)
-        per_dest;
-      Mifo_util.Vec.to_array acc
+      pair_counts (fun rt -> Array.get (Automaton.path_counts (Automaton.create ~deployment g rt)))
     in
     let miro_counts deployment =
       let config = { Miro.cap = ctx.Context.scale.miro_cap } in
-      let per_dest =
-        Parallel.parallel_map (Parallel.get_default ())
-          (fun d ->
-            let rt = Routing_table.get ctx.Context.table d in
-            let out = Array.make (n - 1) 0. in
-            let j = ref 0 in
-            for src = 0 to n - 1 do
-              if src <> d then begin
-                out.(!j) <-
-                  float_of_int (Miro.available_path_count ~config rt ~deployment ~src);
-                incr j
-              end
-            done;
-            out)
-          dests
-      in
-      let acc = Mifo_util.Vec.create () in
-      Array.iter (fun counts -> Array.iter (Mifo_util.Vec.push acc) counts) per_dest;
-      Mifo_util.Vec.to_array acc
+      pair_counts (fun rt src ->
+          float_of_int (Miro.available_path_count ~config rt ~deployment ~src))
     in
     let series =
       [

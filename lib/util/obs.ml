@@ -16,7 +16,8 @@ type histogram = {
   h_name : string;
   bounds : float array; (* inclusive upper bounds, strictly increasing *)
   buckets : int Atomic.t array; (* length = Array.length bounds + 1 *)
-  h_sum : float Atomic.t;
+  h_sum : Float.Array.t; (* one cell, written under [h_sum_lock] *)
+  h_sum_lock : int Atomic.t; (* 1 while a domain adds to [h_sum] *)
   h_count : int Atomic.t;
 }
 
@@ -45,10 +46,6 @@ let registry = { counters = []; gauges = []; int_gauges = []; histograms = [] }
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let rec atomic_add_float cell x =
-  let old = Atomic.get cell in
-  if not (Atomic.compare_and_set cell old (old +. x)) then atomic_add_float cell x
 
 (* Counters *)
 
@@ -145,12 +142,33 @@ let histogram ?(bounds = default_bounds) name =
             h_name = name;
             bounds = Array.copy bounds;
             buckets = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-            h_sum = Atomic.make 0.;
+            h_sum = Float.Array.make 1 0.;
+            h_sum_lock = Atomic.make 0;
             h_count = Atomic.make 0;
           }
         in
         registry.histograms <- (name, h) :: registry.histograms;
         h)
+
+(* The sum lives unboxed in a float array cell behind an int spin lock:
+   a CAS on a float atomic would box the new sum on every call.  The
+   additions run in the order the lock is taken, so a serial run adds
+   exactly as a CAS loop did. *)
+let lock_sum h =
+  while not (Atomic.compare_and_set h.h_sum_lock 0 1) do
+    Domain.cpu_relax ()
+  done
+
+let[@inline] add_sum h x =
+  lock_sum h;
+  Float.Array.set h.h_sum 0 (Float.Array.get h.h_sum 0 +. x);
+  Atomic.set h.h_sum_lock 0
+
+let read_sum h =
+  lock_sum h;
+  let x = Float.Array.get h.h_sum 0 in
+  Atomic.set h.h_sum_lock 0;
+  x
 
 let observe h x =
   let n = Array.length h.bounds in
@@ -159,7 +177,7 @@ let observe h x =
     Stdlib.incr i
   done;
   ignore (Atomic.fetch_and_add h.buckets.(!i) 1);
-  atomic_add_float h.h_sum x;
+  add_sum h x;
   ignore (Atomic.fetch_and_add h.h_count 1)
 
 let observe_n h x n =
@@ -170,7 +188,7 @@ let observe_n h x n =
       Stdlib.incr i
     done;
     ignore (Atomic.fetch_and_add h.buckets.(!i) n);
-    atomic_add_float h.h_sum (x *. float_of_int n);
+    add_sum h (x *. float_of_int n);
     ignore (Atomic.fetch_and_add h.h_count n)
   end
 
@@ -478,7 +496,7 @@ let snapshot_json () =
                        Json.Arr
                          (Array.to_list h.buckets
                          |> List.map (fun b -> Json.Num (float_of_int (Atomic.get b)))) );
-                     ("sum", Json.Num (Atomic.get h.h_sum));
+                     ("sum", Json.Num (read_sum h));
                      ("count", Json.Num (float_of_int (Atomic.get h.h_count)));
                    ] ))
       in

@@ -435,6 +435,53 @@ let test_obs_histogram () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* The named histogram's sum, as the snapshot reads it. *)
+let histogram_sum name =
+  match Obs.Json.member "histograms" (Obs.Json.parse (Obs.snapshot_json ())) with
+  | Some (Obs.Json.Obj kvs) -> (
+    match Option.bind (List.assoc_opt name kvs) (Obs.Json.member "sum") with
+    | Some (Obs.Json.Num x) -> x
+    | _ -> Alcotest.failf "no sum for %s" name)
+  | _ -> Alcotest.fail "no histograms object"
+
+(* Hot paths observe without allocating: the sum is added unboxed.  A
+   serial run adds in call order, and racing domains lose no update. *)
+let test_obs_observe_allocates_nothing () =
+  let h = Obs.histogram "test.obs.observe" in
+  Obs.observe h 0.3;
+  Obs.observe_n h 0.7 2;
+  ignore (Gc.minor_words ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Obs.observe h 0.3;
+    Obs.observe_n h 0.7 2
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "1,000 observe + observe_n calls allocate nothing" 0. (w1 -. w0);
+  let expect = ref 0. in
+  for _ = 0 to 1_000 do
+    expect := !expect +. 0.3;
+    expect := !expect +. (0.7 *. 2.)
+  done;
+  Alcotest.(check int64) "serial sum, in call order" (Int64.bits_of_float !expect)
+    (Int64.bits_of_float (histogram_sum "test.obs.observe"));
+  let racing = Obs.histogram "test.obs.observe.racing" in
+  let arrived = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            (* released together, so the adds overlap *)
+            Atomic.incr arrived;
+            while Atomic.get arrived < 4 do
+              Domain.cpu_relax ()
+            done;
+            for _ = 1 to 100_000 do
+              Obs.observe racing 1.
+            done))
+  in
+  List.iter Domain.join domains;
+  check_float "4 racing domains lose no update" 400_000. (histogram_sum "test.obs.observe.racing")
+
 let test_obs_trace_ring () =
   Obs.set_trace_capacity 3;
   Alcotest.(check bool) "enabled" true (Obs.trace_enabled ());
@@ -723,6 +770,8 @@ let () =
           Alcotest.test_case "max gauge high-water mark" `Quick test_obs_max_gauge;
           Alcotest.test_case "int gauge steps allocate nothing" `Quick test_obs_gauge_int_steps;
           Alcotest.test_case "histogram buckets" `Quick test_obs_histogram;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_obs_observe_allocates_nothing;
           Alcotest.test_case "trace ring buffer" `Quick test_obs_trace_ring;
           Alcotest.test_case "snapshot is valid sorted JSON" `Quick test_obs_snapshot_parses;
           Alcotest.test_case "json round trip + rejection" `Quick test_obs_json_roundtrip;
