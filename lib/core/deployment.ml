@@ -36,7 +36,6 @@ let capable t v = Bytes.get t.mask v = '\001'
 let count t = t.cached_count
 let size t = Bytes.length t.mask
 let ratio t = float_of_int t.cached_count /. float_of_int (Stdlib.max 1 (size t))
-let to_fun t = capable t
 
 let members t =
   let acc = ref [] in

@@ -23,6 +23,5 @@ val size : t -> int
 (** Total number of ASes, capable or not. *)
 
 val ratio : t -> float
-val to_fun : t -> int -> bool
 val members : t -> int list
 (** Ascending order. *)

@@ -5,8 +5,8 @@
     before deflecting onto an alternative path: the deflection is allowed
     iff the bit is set or the alternative's next-hop AS is a customer.
     This module is the single source of truth for that rule; the packet
-    engine, the flow-level simulator and the path-counting DP all call
-    it. *)
+    engine, the flow-level simulator and the deflection automaton
+    (loop-freedom check and Fig. 7's path count) all call it. *)
 
 val tag_of_upstream : Mifo_topology.Relationship.t -> bool
 (** The bit written at the entering point: [true] iff the upstream
