@@ -9,8 +9,6 @@ let g_peak_words = Obs.gauge "routing.peak_words"
 
 type route_class = Customer_route | Peer_route | Provider_route
 
-let class_rank = function Customer_route -> 0 | Peer_route -> 1 | Provider_route -> 2
-
 type rib_entry = { via : int; rel : Relationship.t; len : int }
 
 type t = {
@@ -326,22 +324,3 @@ let rib_array t v = Array.init (rib_size t v) (rib_entry_at t v)
 let rib t v =
   let rec build i acc = if i < 0 then acc else build (i - 1) (rib_entry_at t v i :: acc) in
   build (rib_size t v - 1) []
-
-(* The concrete AS path behind a RIB entry.  A neighbor advertises, to a
-   provider or peer, its best customer route; to a customer, its selected
-   best route.  Gao-Rexford selection prefers customer routes, so
-   whenever a customer route exists it IS the selected route — in every
-   export case the advertised path is the neighbor's selected default
-   path, and the entry's path is us prepended to it. *)
-let rib_path t v (e : rib_entry) =
-  (match e.rel with
-   | Relationship.Customer | Relationship.Peer ->
-     (* exported-to-us customer route: exists iff the neighbor has one *)
-     if customer_route_len t e.via = None then
-       invalid_arg "Routing.rib_path: neighbor exported no customer route"
-   | Relationship.Provider ->
-     if export_len t e.via = None then invalid_arg "Routing.rib_path: neighbor exported no route");
-  v :: default_path t e.via
-
-let rib_paths t v =
-  List.map (fun e -> (e, rib_path t v e)) (rib t v)

@@ -44,8 +44,6 @@
 
 type route_class = Customer_route | Peer_route | Provider_route
 
-val class_rank : route_class -> int
-
 type t
 (** Routing state toward one destination. *)
 
@@ -121,21 +119,6 @@ val rib_rel_at : t -> int -> int -> Mifo_topology.Relationship.t
 val rib_entry_at : t -> int -> int -> rib_entry
 (** [rib_entry_at t v i] builds [(rib_array t v).(i)] alone: one small
     record, for a scan that keeps only a few of the entries it reads. *)
-
-val rib_path : t -> int -> rib_entry -> int list
-(** [rib_path t v e] is the concrete AS path [v; e.via; ...; dest t]
-    advertised by the RIB entry [e] at [v].  Because Gao–Rexford
-    selection prefers customer routes, the advertised route coincides
-    with the neighbor's selected default path in every export case, so
-    the result is [v :: default_path t e.via].  Its hop count equals
-    [e.len]; the static verifier ({!Mifo_analysis}) checks both that and
-    its valley-freeness for every entry of every RIB.
-    @raise Invalid_argument if [e] is not a live export (never for
-    entries returned by {!rib}). *)
-
-val rib_paths : t -> int -> (rib_entry * int list) list
-(** Every RIB entry at an AS paired with its {!rib_path} — the full set
-    of paths MIFO forwarding can put a packet on from that AS. *)
 
 val on_selected_path : t -> node:int -> int -> bool
 (** [on_selected_path t ~node x] — does [x] lie on [node]'s selected

@@ -14,7 +14,7 @@ type t = {
   dest : int;
   dist_cust : int array;  (* best customer-route length; -1 = none *)
   export_len : int array;  (* best route length (selected); -1 = unreachable *)
-  best_class : int array;  (* 0/1/2 per class_rank; -1 at dest or unreachable *)
+  best_class : int array;  (* 0/1/2 = customer/peer/provider; -1 at dest or unreachable *)
   next : int array;  (* default next hop; -1 at dest or unreachable *)
   tin : int array;  (* DFS entry/exit times of the selected-route tree *)
   tout : int array;
