@@ -44,9 +44,9 @@ type event =
   | Arrive of { node : node_id; port : int; pkt : int }
       (* a packet taken from a shard-pair mailbox at a window barrier;
          same-shard departures ride their link's train *)
-  | Train of { node : node_id; port : int }
-      (* the pending departures of [port] on [node]; keyed in the queue
-         by the head element's (time, seq) *)
+  | Train of int
+      (* the pending departures of a port slot; keyed in the queue by
+         the head element's (time, seq) *)
   | Start_flow of int
   | Timeout of { host : node_id; flow : int; gen : int }
   | Emit of { flow : int }  (* next burst of an open-loop UDP source *)
@@ -270,36 +270,26 @@ let[@inline] link_of s = (s lsr 1) * lf_stride
 
 type ports = {
   mutable n : int;  (* slots in use *)
-  map : int array Atomic.t;
+  mutable map : int array;
       (* every node's local port -> slot map in one array:
          [m.(m.(id) + p)] is node [id]'s port [p], where the first
          [node count + 1] cells are offsets.  A slot's own node and
          local index are its twin's far end, so the map is rebuilt from
          the arena alone: [connect] leaves it empty and the first lookup
          after builds it, one array for the whole network instead of one
-         per node.  Atomic, so a reader on another domain never sees a
-         half-built map. *)
+         per node.  The first [run] builds it before any event loop
+         starts, and the wiring is frozen from then on. *)
   mutable pi : int array;
   mutable pf : float array;
   mutable lf : float array;
   mutable kinds : Engine.port_kind array;
   mutable train_ev : event array;
-      (* each slot's [Train] event, made on its first transmit;
-         [Daemon_tick] until then.  Allocated by the first [run], so
-         a network that is only built allocates no train state. *)
+      (* slot [s]'s [Train s] event, made once by the first [run], so a
+         network that is only built allocates no train state *)
 }
 
 let ports_create () =
-  { n = 0; map = Atomic.make [||]; pi = [||]; pf = [||]; lf = [||]; kinds = [||]; train_ev = [||] }
-
-(* A [Train] event cell for every slot the arena has room for. *)
-let size_train_ev ps =
-  let cap = Array.length ps.kinds in
-  if Array.length ps.train_ev < cap then begin
-    let ev = Array.make cap Daemon_tick in
-    Array.blit ps.train_ev 0 ev 0 (Array.length ps.train_ev);
-    ps.train_ev <- ev
-  end
+  { n = 0; map = [||]; pi = [||]; pf = [||]; lf = [||]; kinds = [||]; train_ev = [||] }
 
 (* Room for [cap] slots (an even number: whole links). *)
 let ports_grow ps cap =
@@ -315,9 +305,7 @@ let ports_grow ps cap =
     ps.kinds <- grow ps.kinds 1 Engine.Local;
     let lf = Array.make (cap / 2 * lf_stride) 0. in
     Array.blit ps.lf 0 lf 0 (ps.n / 2 * lf_stride);
-    ps.lf <- lf;
-    (* a link added after a run needs its train cells at once *)
-    if Array.length ps.train_ev > 0 then size_train_ev ps
+    ps.lf <- lf
   end
 
 (* One event-loop execution context.  The serial engine is the
@@ -396,6 +384,7 @@ type t = {
   mutable sh_ticks : int;  (* barrier daemon ticks (count as 1 event each) *)
   mutable sh_next_tick : float;  (* infinity = no tick pending *)
   mutable daemon_scheduled : bool;
+      (* set by the first [run]: from then on the set-up is frozen *)
   mutable last_epoch_time : float;
   mutable on_complete : (int -> unit) option;
   mutable tracer : (float -> int -> Packet.t -> Engine.action -> unit) option;
@@ -508,7 +497,14 @@ let g_shard_domains = Obs.gauge "packetsim.shard.domains"
 let g_shard_cut = Obs.gauge "packetsim.shard.cut_links"
 let g_shard_lookahead = Obs.gauge "packetsim.shard.lookahead"
 
+(* The set-up calls raise once the first [run] has begun: a run reads
+   the wiring, the port map and the train table without re-checking. *)
+let check_not_frozen t fn =
+  if t.daemon_scheduled then
+    invalid_arg ("Packetsim." ^ fn ^ ": the network is frozen once run has started")
+
 let add_router t ~as_id =
+  check_not_frozen t "add_router";
   let r =
     {
       as_id;
@@ -525,6 +521,7 @@ let add_router t ~as_id =
   Vec.length t.nodes - 1
 
 let add_host t ~addr =
+  check_not_frozen t "add_host";
   let h =
     {
       addr;
@@ -561,12 +558,12 @@ let build_map t =
     let twin = (s lxor 1) * pi_stride in
     m.(m.(ps.pi.(twin + pi_peer)) + ps.pi.(twin + pi_peer_port)) <- s
   done;
-  Atomic.set ps.map m;
+  ps.map <- m;
   m
 
 (* The port map, built if a [connect] emptied it. *)
 let port_map t =
-  let m = Atomic.get t.ports.map in
+  let m = t.ports.map in
   if Array.length m = 0 then build_map t else m
 
 (* The arena slot of node [id]'s port [p]. *)
@@ -615,7 +612,9 @@ let set_ibgp_port r peer p =
   end;
   r.ibgp.((2 * i) + 1) <- p
 
-let reserve_ports t n = ports_grow t.ports n
+let reserve_ports t n =
+  check_not_frozen t "reserve_ports";
+  ports_grow t.ports n
 
 (* A fresh slot for node [nd]'s next port: far end [peer]'s port
    [peer_port], seen as [kind]. *)
@@ -633,9 +632,10 @@ let add_port t nd ~peer ~peer_port kind =
   nd.nports <- nd.nports + 1
 
 let connect t ~a ~b ~kind_ab ~kind_ba ~rate ?(delay = 50e-6) ?queue_bits () =
+  check_not_frozen t "connect";
   if rate <= 0. then invalid_arg "Packetsim.connect: rate must be positive";
   if a = b then invalid_arg "Packetsim.connect: a link needs two distinct nodes";
-  Atomic.set t.ports.map [||];
+  t.ports.map <- [||];
   let qbits = match queue_bits with Some q -> q | None -> t.cfg.queue_bits in
   let na = node t a and nb = node t b in
   let pa = na.nports and pb = nb.nports in
@@ -711,15 +711,6 @@ let sample_queue_health t =
   in
   Obs.set_gauge g_peak_len (float_of_int peak)
 
-(* Slot [s]'s cached [Train] event; [s] is node [id]'s port [p]. *)
-let train_event t s id p =
-  match t.ports.train_ev.(s) with
-  | Train _ as ev -> ev
-  | _ ->
-    let ev = Train { node = id; port = p } in
-    t.ports.train_ev.(s) <- ev;
-    ev
-
 (* Transmit packet [h] out of a node's port: tail-drop FIFO queue, then
    store-and-forward serialization and propagation.  The arrival time
    goes into the slot's [time] cell, from where the event queue reads
@@ -789,7 +780,7 @@ let transmit t (ex : exec) src_node p h =
         set a tail f_next h
       else begin
         pi.(i + pi_head) <- h;
-        Eventq.schedule_at ex.xq a.time h ~seq (train_event t s src_node p)
+        Eventq.schedule_at ex.xq a.time h ~seq ps.train_ev.(s)
       end
     end
   end
@@ -1164,17 +1155,13 @@ let deliver t (ex : exec) id p h =
    the dominant back-to-back case.  The moment something else (an event
    another handler scheduled, or [until]) preempts, the train goes back
    into the queue keyed by its new head. *)
-let train_drain t (ex : exec) id p ~until =
-  let s = port_slot t id p in
-  let i = s * pi_stride in
-  let peer = t.ports.pi.(i + pi_peer) and peer_port = t.ports.pi.(i + pi_peer_port) in
+let train_drain t (ex : exec) s ~until =
+  let pi = t.ports.pi and i = s * pi_stride in
+  let peer = pi.(i + pi_peer) and peer_port = pi.(i + pi_peer_port) in
   let a = ex.arena in
   let batch = ref 0 in
   let continue = ref true in
   while !continue do
-    (* [t.ports.pi] afresh on every element: a completion hook that
-       [deliver] runs may [connect], moving the arena to larger arrays *)
-    let pi = t.ports.pi in
     let h = pi.(i + pi_head) in
     (* unlink before delivering: the host side may free [h] and reuse
        it for its reply *)
@@ -1192,7 +1179,7 @@ let train_drain t (ex : exec) id p ~until =
         ex.x_events <- ex.x_events + 1
       end
       else begin
-        Eventq.schedule_at ex.xq a.time next ~seq:ns (train_event t s id p);
+        Eventq.schedule_at ex.xq a.time next ~seq:ns t.ports.train_ev.(s);
         continue := false
       end
     end
@@ -1252,18 +1239,14 @@ let handle t (ex : exec) = function
       Eventq.schedule ex.xq ~time:(ex.xclk.(0) +. t.cfg.daemon_period) Daemon_tick
     end
 
-let run_serial ?(until = infinity) t =
+let run_serial ~until t =
   let ex = t.execs.(0) in
-  if not t.daemon_scheduled then begin
-    t.daemon_scheduled <- true;
-    Eventq.schedule ex.xq ~time:t.cfg.daemon_period Daemon_tick
-  end;
   while Eventq.due ex.xq ~until do
     (* the take advances [ex.xclk.(0)] — it is the queue's time cell *)
     let ev = Eventq.take ex.xq in
     ex.x_events <- ex.x_events + 1;
     match ev with
-    | Train { node; port } -> train_drain t ex node port ~until
+    | Train s -> train_drain t ex s ~until
     | ev -> handle t ex ev
   done;
   sample_queue_health t
@@ -1277,7 +1260,7 @@ let run_serial ?(until = infinity) t =
    the serial engine's. *)
 
 let set_shards t assign =
-  if t.daemon_scheduled || t.sharded then
+  if t.daemon_scheduled then
     invalid_arg "Packetsim.set_shards: must be called before the first run";
   let n = Vec.length t.nodes in
   if Array.length assign <> n then
@@ -1413,7 +1396,6 @@ let activate_shards t =
     t.execs <- execs;
     t.sharded <- true;
     t.mboxes <- Array.init (ns * ns) (fun _ -> make_mailbox ());
-    t.daemon_scheduled <- true;
     t.sh_next_tick <- t.cfg.daemon_period;
     Array.iter (fun ex -> Eventq.schedule ex.xq ~time:t.sh_next_tick Daemon_tick) execs
   end
@@ -1520,9 +1502,9 @@ let shard_window t (ex : exec) ~until =
   let continue = ref true in
   while !continue && Eventq.due ex.xq ~until do
     match Eventq.take ex.xq with
-    | Train { node; port } ->
+    | Train s ->
       ex.x_events <- ex.x_events + 1;
-      train_drain t ex node port ~until
+      train_drain t ex s ~until
     | Daemon_tick ->
       ex.x_hit_tick <- true;
       continue := false
@@ -1563,17 +1545,20 @@ let run_sharded t ~until =
   Array.iter (fun ex -> ex.xclk.(0) <- tmax) execs;
   sample_queue_health t
 
-let run ?(until = infinity) t =
-  (* map the ports and size the train events here, before any shard's
-     event loop reads them *)
+(* The first [run] freezes the set-up: it maps the ports and makes
+   every slot's [Train] event before any event loop reads them, picks
+   the serial or the sharded loop, and schedules the first daemon tick.
+   Nothing rewrites the wiring after this. *)
+let start t =
   ignore (port_map t);
-  size_train_ev t.ports;
-  if
-    (not t.sharded)
-    && (not t.daemon_scheduled)
-    && Option.is_none t.tracer
-    && (Array.length t.shard_of > 0 || t.cfg.domains > 1)
-  then activate_shards t;
+  t.ports.train_ev <- Array.init t.ports.n (fun s -> Train s);
+  if Option.is_none t.tracer && (Array.length t.shard_of > 0 || t.cfg.domains > 1) then
+    activate_shards t;
+  t.daemon_scheduled <- true;
+  if not t.sharded then Eventq.schedule t.execs.(0).xq ~time:t.cfg.daemon_period Daemon_tick
+
+let run ?(until = infinity) t =
+  if not t.daemon_scheduled then start t;
   if t.sharded then run_sharded t ~until else run_serial ~until t
 
 type shard_stats = {
@@ -1705,4 +1690,6 @@ let port_queue_bits t id p = int_of_float t.ports.lf.(link_of (port_slot t id p)
 let ibgp_route t id peer = ibgp_port (router_exn t id) peer
 
 let set_completion_hook t f = t.on_complete <- Some f
-let set_tracer t f = t.tracer <- Some f
+let set_tracer t f =
+  check_not_frozen t "set_tracer";
+  t.tracer <- Some f

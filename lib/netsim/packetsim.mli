@@ -11,6 +11,16 @@
     FIBs, optionally install an alternative-path chooser per router
     (otherwise alt ports stay as configured), add flows, then [run].
 
+    {b Two phases.}  Until the first {!run} begins the network is being
+    built.  From then on its set-up is frozen, as the testbed's wiring
+    is: {!add_router}, {!add_host}, {!connect}, {!reserve_ports} and
+    {!set_tracer} raise [Invalid_argument "Packetsim.<fn>: the network
+    is frozen once run has started"], also from inside a completion
+    hook.  What changes at run time is what changes in the prototype:
+    FIB contents and alternatives (the daemon, a chooser) and flows
+    ({!add_flow}, {!add_udp_flow}).  Further {!run} calls, e.g. stepped
+    with [~until], continue the same run.
+
     Everything is deterministic; there is no randomness anywhere in the
     simulator.
 
@@ -55,7 +65,10 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 
 val add_router : t -> as_id:int -> node_id
+(** @raise Invalid_argument once the first {!run} has begun. *)
+
 val add_host : t -> addr:Mifo_bgp.Prefix.addr -> node_id
+(** @raise Invalid_argument once the first {!run} has begun. *)
 
 val connect :
   t ->
@@ -70,7 +83,8 @@ val connect :
   int * int
 (** Full-duplex link; returns (port on [a], port on [b]).  [kind_ab] is
     how [a] sees the port toward [b].  Default delay 50 µs.
-    @raise Invalid_argument on a non-positive rate or when [a = b].
+    @raise Invalid_argument on a non-positive rate, when [a = b], or
+    once the first {!run} has begun.
 
     A port is a node-local index, [0 .. port_count - 1] in [connect]
     order.  Behind it the simulator keeps a {e port slot}: an int,
@@ -87,7 +101,8 @@ val connect :
 val reserve_ports : t -> int -> unit
 (** [reserve_ports t n] makes room for [n] port slots (two per
     {!connect}) in one step — a capacity hint for builders that know
-    their link count; without it the arrays grow by doubling. *)
+    their link count; without it the arrays grow by doubling.
+    @raise Invalid_argument once the first {!run} has begun. *)
 
 val fib : t -> node_id -> Mifo_core.Fib.t
 (** The router's FIB, to be populated by the caller.
@@ -139,8 +154,13 @@ val run : ?until:float -> t -> unit
     engine: same {!counters}, {!flow_results}, {!throughput_series} and
     {!events_processed}.  Two sharded-mode caveats: completion hooks
     fire at window barriers (in (finish time, flow id) order) rather
-    than mid-window, and an installed tracer forces the serial path —
-    per-hop callbacks into user code cannot run concurrently. *)
+    than mid-window, and a tracer, which can only be installed before
+    the first [run], keeps the whole run on the serial path — per-hop
+    callbacks into user code cannot run concurrently.
+
+    The first [run] freezes the set-up (see the two phases above): it
+    builds the port map and every port's train event once, and nothing
+    rewrites them afterwards. *)
 
 (** {1 Sharding} *)
 
@@ -295,8 +315,8 @@ val port_queue_bits : t -> node_id -> int -> int
 
 val set_completion_hook : t -> (int -> unit) -> unit
 (** Called (with the flow id) the moment a sender sees its last byte
-    acknowledged; may add new flows — how the testbed chains its
-    back-to-back transfers. *)
+    acknowledged; may add flows, not links (the set-up calls raise
+    inside it) — how the testbed chains its back-to-back transfers. *)
 
 val set_tracer :
   t -> (float -> int -> Mifo_core.Packet.t -> Mifo_core.Engine.action -> unit) -> unit
@@ -304,4 +324,6 @@ val set_tracer :
     as received, engine action) for every packet a router processes.
     Used by tests and debugging tools to reconstruct packet paths.  The
     [Packet.t] and the {!Mifo_core.Engine.action} are built from the
-    arena slot only while a tracer is installed. *)
+    arena slot only while a tracer is installed.  A network with a
+    tracer runs on one event loop whatever [config.domains] says.
+    @raise Invalid_argument once the first {!run} has begun. *)

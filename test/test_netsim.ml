@@ -1051,44 +1051,43 @@ let test_packetsim_connect_validation () =
   Alcotest.(check int) "first link unchanged" 1_000_000 (Packetsim.port_queue_bits sim r2 0);
   Alcotest.(check int) "iBGP session" 1 (Packetsim.ibgp_route sim r2 r1)
 
-(* Links added mid-run, by a completion hook, carry traffic at once:
-   the port map and the train cells grow past the arena's first
-   capacity (64 slots). *)
-let test_packetsim_connect_mid_run () =
-  let sim = Packetsim.create () in
-  let r1 = Packetsim.add_router sim ~as_id:1 in
+(* The five set-up calls, each tried once: the message each raises, or
+   a note that it did not. *)
+let frozen_set_up sim =
   let local = Engine.Local in
-  let attach v =
-    let h = Packetsim.add_host sim ~addr:(Prefix.host_of_as v 1) in
-    let _, port = Packetsim.connect sim ~a:h ~b:r1 ~kind_ab:local ~kind_ba:local ~rate:1e9 () in
-    Fib.insert (Packetsim.fib sim r1) (Prefix.of_as v) ~out_port:port ();
-    h
+  let raised fn f =
+    match f () with exception Invalid_argument m -> m | () -> fn ^ " did not raise"
   in
-  let h1 = attach 1 and h2 = attach 2 in
-  ignore (Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:80_000 ~start:0.);
-  Packetsim.set_completion_hook sim (fun flow ->
-      if flow = 0 then begin
-        let hs = List.init 40 (fun i -> attach (3 + i)) in
-        ignore
-          (Packetsim.add_flow sim ~src:(List.nth hs 39) ~dst:h1 ~bytes:80_000
-             ~start:(Packetsim.now sim))
-      end);
-  Packetsim.run sim;
-  Alcotest.(check int) "r1's ports" 42 (Packetsim.port_count sim r1);
-  Alcotest.(check (list bool)) "both flows finish" [ true; true ]
-    (Array.to_list
-       (Array.map (fun (r : Packetsim.flow_result) -> r.finish <> None) (Packetsim.flow_results sim)))
+  [
+    raised "add_router" (fun () -> ignore (Packetsim.add_router sim ~as_id:9));
+    raised "add_host" (fun () -> ignore (Packetsim.add_host sim ~addr:(Prefix.host_of_as 9 1)));
+    raised "connect" (fun () ->
+        ignore (Packetsim.connect sim ~a:0 ~b:1 ~kind_ab:local ~kind_ba:local ~rate:1e9 ()));
+    raised "reserve_ports" (fun () -> Packetsim.reserve_ports sim 64);
+    raised "set_tracer" (fun () -> Packetsim.set_tracer sim (fun _ _ _ _ -> ()));
+  ]
 
-(* A completion hook that grows the port arena while a train is being
-   drained.  Two open-loop flows from [h1] into [h2] share r1's port
-   toward [h2]; [h1]'s link is 100 times faster, so both flows' segments
-   queue on that port and reach [h2] back to back, one drain.  The hook
-   of the short flow fires on its last segment, mid-drain, with the long
-   flow's segments behind it on that port, and adds enough links to move
-   the arena to larger arrays.  The drain must keep writing the live
-   arrays: every packet is accounted for, and a flow sent over that
-   port after the drain finishes. *)
-let test_packetsim_connect_mid_drain () =
+let frozen_messages =
+  List.map
+    (fun fn -> "Packetsim." ^ fn ^ ": the network is frozen once run has started")
+    [ "add_router"; "add_host"; "connect"; "reserve_ports"; "set_tracer" ]
+
+(* Once [run] has started, the wiring is frozen: every set-up call
+   raises and changes nothing, and the run goes on to deliver every
+   flow.  Three settings:
+   - a completion hook that fires mid-drain.  Two open-loop flows from
+     [h1] into [h2] share r1's port toward [h2]; [h1]'s link is 100
+     times faster, so both flows' segments queue on that port and reach
+     [h2] back to back, one drain.  The short flow's hook fires on its
+     last segment with the long flow's segments behind it, and a flow
+     sent over that port after the drain still finishes;
+   - [run ~until] stepping on the serial line network: each call
+     raises between two runs;
+   - the same stepping on a two-shard line ([set_shards]), where a
+     tracer installed between runs once ran on a worker domain and a
+     host and link added between runs made the next run index past the
+     shard map. *)
+let test_packetsim_frozen_once_run_starts () =
   let sim = Packetsim.create () in
   let r1 = Packetsim.add_router sim ~as_id:1 in
   let local = Engine.Local in
@@ -1103,21 +1102,69 @@ let test_packetsim_connect_mid_drain () =
   let long = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:80_000 ~start:0. () in
   (* sent once that drain is over, onto the port it left behind *)
   let late = Packetsim.add_udp_flow sim ~src:h1 ~dst:h2 ~bytes:8_000 ~start:0.002 () in
-  let queued_behind = ref (-1) in
+  let queued_behind = ref (-1) and in_hook = ref [] in
   Packetsim.set_completion_hook sim (fun flow ->
       if flow = short then begin
         queued_behind := Packetsim.in_flight sim;
-        ignore (List.init 100 (fun i -> attach (3 + i)))
+        in_hook := frozen_set_up sim
       end);
   Packetsim.run sim;
   Alcotest.(check bool) "packets queued behind the hook's segment" true (!queued_behind > 0);
-  Alcotest.(check int) "r1's ports" 102 (Packetsim.port_count sim r1);
+  Alcotest.(check (list string)) "each call raises in the hook" frozen_messages !in_hook;
+  Alcotest.(check (pair int int)) "nodes and r1's ports unchanged" (3, 2)
+    (Packetsim.node_count sim, Packetsim.port_count sim r1);
   Alcotest.(check bool) "conservation" true (conserved sim);
   Alcotest.(check int) "nothing left in flight" 0 (Packetsim.in_flight sim);
   Alcotest.(check (list bool)) "every flow finishes" [ true; true; true ]
     (List.map
        (fun f -> (Packetsim.flow_results sim).(f).Packetsim.finish <> None)
-       [ short; long; late ])
+       [ short; long; late ]);
+  Mifo_util.Parallel.set_default_jobs 2;
+  let stepped shards =
+    let sim, h1, h2 = line_network ~rate:1e8 () in
+    (* node order in line_network: h1 h2 r1 r2 *)
+    if shards then Packetsim.set_shards sim [| 0; 1; 0; 1 |];
+    let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:500_000 ~start:0. in
+    Alcotest.(check (list string)) "each call raises between runs" frozen_messages
+      (Packetsim.run ~until:0.002 sim;
+       frozen_set_up sim);
+    Alcotest.(check int) "nodes unchanged" 4 (Packetsim.node_count sim);
+    Alcotest.(check int) "periods violating conservation" 0 (step_conserved sim ~until:1.);
+    Packetsim.run sim;
+    Alcotest.(check int) "nothing left in flight" 0 (Packetsim.in_flight sim);
+    Alcotest.(check bool) "the flow finishes" true
+      ((Packetsim.flow_results sim).(0).Packetsim.finish <> None);
+    Alcotest.(check int) "event loops" (if shards then 2 else 1)
+      (Packetsim.shard_stats sim).Packetsim.shards;
+    pkt_fingerprint sim
+  in
+  let serial = stepped false in
+  Alcotest.(check bool) "stepped sharded run bit-identical to serial" true
+    (stepped true = serial)
+
+(* A tracer installed before the first run keeps a [domains = 2]
+   network on one event loop, so every tracer call runs on the domain
+   that called [run]; without the tracer the same network shards. *)
+let test_packetsim_tracer_keeps_serial () =
+  Mifo_util.Parallel.set_default_jobs 2;
+  let config = { Packetsim.default_config with Packetsim.domains = 2 } in
+  let shards ~traced =
+    let sim, h1, h2 = line_network ~config ~rate:1e8 () in
+    let calls = ref 0 and elsewhere = ref 0 in
+    let self = Domain.self () in
+    if traced then
+      Packetsim.set_tracer sim (fun _ _ _ _ ->
+          incr calls;
+          if Domain.self () <> self then incr elsewhere);
+    let _ = Packetsim.add_flow sim ~src:h1 ~dst:h2 ~bytes:200_000 ~start:0. in
+    Packetsim.run sim;
+    ((Packetsim.shard_stats sim).Packetsim.shards, !calls > 0, !elsewhere)
+  in
+  Alcotest.(check (triple int bool int)) "traced: one loop, every call here" (1, true, 0)
+    (shards ~traced:true);
+  Alcotest.(check int) "untraced: the config shards" 2
+    (let n, _, _ = shards ~traced:false in
+     n)
 
 let test_packetsim_ttl_on_routing_loop () =
   (* misconfigured FIBs that point at each other: packets must die by TTL,
@@ -1606,10 +1653,10 @@ let () =
             test_packetsim_strays_counted;
           Alcotest.test_case "connect validation and the port views" `Quick
             test_packetsim_connect_validation;
-          Alcotest.test_case "links added mid-run carry traffic" `Quick
-            test_packetsim_connect_mid_run;
-          Alcotest.test_case "a hook that grows the port arena mid-drain" `Quick
-            test_packetsim_connect_mid_drain;
+          Alcotest.test_case "the wiring is frozen once run starts" `Quick
+            test_packetsim_frozen_once_run_starts;
+          Alcotest.test_case "a tracer keeps a sharded config serial" `Quick
+            test_packetsim_tracer_keeps_serial;
         ] );
       ( "packetsim_sharded",
         [
