@@ -1074,20 +1074,14 @@ let frozen_messages =
 
 (* Once [run] has started, the wiring is frozen: every set-up call
    raises and changes nothing, and the run goes on to deliver every
-   flow.  Three settings:
-   - a completion hook that fires mid-drain.  Two open-loop flows from
-     [h1] into [h2] share r1's port toward [h2]; [h1]'s link is 100
-     times faster, so both flows' segments queue on that port and reach
-     [h2] back to back, one drain.  The short flow's hook fires on its
-     last segment with the long flow's segments behind it, and a flow
-     sent over that port after the drain still finishes;
-   - [run ~until] stepping on the serial line network: each call
-     raises between two runs;
-   - the same stepping on a two-shard line ([set_shards]), where a
-     tracer installed between runs once ran on a worker domain and a
-     host and link added between runs made the next run index past the
-     shard map. *)
-let test_packetsim_frozen_once_run_starts () =
+   flow.  Here the calls come from a completion hook that fires
+   mid-drain.  Two open-loop flows from [h1] into [h2] share r1's port
+   toward [h2]; [h1]'s link is 100 times faster, so both flows'
+   segments queue on that port and reach [h2] back to back, one drain.
+   The short flow's hook fires on its last segment with the long
+   flow's segments behind it, and a flow sent over that port after the
+   drain still finishes. *)
+let test_packetsim_hook_cannot_wire () =
   let sim = Packetsim.create () in
   let r1 = Packetsim.add_router sim ~as_id:1 in
   let local = Engine.Local in
@@ -1118,7 +1112,15 @@ let test_packetsim_frozen_once_run_starts () =
   Alcotest.(check (list bool)) "every flow finishes" [ true; true; true ]
     (List.map
        (fun f -> (Packetsim.flow_results sim).(f).Packetsim.finish <> None)
-       [ short; long; late ]);
+       [ short; long; late ])
+
+(* The same freeze between [run ~until] steps: on the serial line
+   network, and on the same line split into two shards
+   ([set_shards]), where a tracer installed between runs once ran on a
+   worker domain and a host and link added between runs made the next
+   run index past the shard map.  Each call raises between two runs,
+   and the stepped sharded run is bit-identical to the serial one. *)
+let test_packetsim_stepped_runs_refuse_wiring () =
   Mifo_util.Parallel.set_default_jobs 2;
   let stepped shards =
     let sim, h1, h2 = line_network ~rate:1e8 () in
@@ -1653,8 +1655,9 @@ let () =
             test_packetsim_strays_counted;
           Alcotest.test_case "connect validation and the port views" `Quick
             test_packetsim_connect_validation;
-          Alcotest.test_case "the wiring is frozen once run starts" `Quick
-            test_packetsim_frozen_once_run_starts;
+          Alcotest.test_case "a hook cannot wire mid-drain" `Quick test_packetsim_hook_cannot_wire;
+          Alcotest.test_case "stepped runs refuse wiring" `Quick
+            test_packetsim_stepped_runs_refuse_wiring;
           Alcotest.test_case "a tracer keeps a sharded config serial" `Quick
             test_packetsim_tracer_keeps_serial;
         ] );
