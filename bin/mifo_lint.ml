@@ -70,8 +70,12 @@ let no_hashtbl_exempt = [ "bgp_proto.ml" ]
    there is a regression of the 44K build.  The same holds for the
    topology builders, which dedupe links with the flat [Pair_set], and
    for the router-level expansion, whose link owners sit in int arrays
-   parallel to the adjacency; as_rel_io.ml stays exempt as a parser. *)
-let no_hashtbl_files = [ "as_network.ml"; "as_graph.ml"; "generator.ml"; "router_level.ml" ]
+   parallel to the adjacency; as_rel_io.ml stays exempt as a parser.
+   The flow simulator numbers its links by adjacency position and marks
+   visited ASes in an epoch-stamped int array, so a [Hashtbl] in
+   flowsim.ml is a regression of its epoch loop. *)
+let no_hashtbl_files =
+  [ "as_network.ml"; "as_graph.ml"; "generator.ml"; "router_level.ml"; "flowsim.ml" ]
 
 (* Library code reports through {!Report} / {!Obs.Json}; writing to
    stdout from lib/ bypasses the JSON contract and interleaves with the

@@ -15,23 +15,31 @@ let allowed rt v ~upstream i =
 let permitted rt ~src_as ~upstream =
   collect rt src_as ~last:(Routing.rib_size rt src_as - 1) (allowed rt src_as ~upstream)
 
-let best_by rt ~src_as ~upstream ~score =
-  let candidates = permitted rt ~src_as ~upstream in
-  let better (e : Routing.rib_entry) best =
-    let s = score e in
-    if s <= 0. then best
-    else
-      match best with
-      | None -> Some (e, s)
-      | Some (b, bs) ->
-        if s > bs || (s = bs && e.via < b.via) then Some (e, s) else best
-  in
-  match List.fold_right better candidates None with
-  | Some (e, _) -> Some e
-  | None -> None
+(* The permitted RIB index [i] at [src_as] with the highest positive
+   [score (if of_via then via else i)], ties to the lower neighbour id;
+   [-1] when there is none.  (score desc, via asc) is a total order on
+   a RIB's entries (one per neighbour), so the scan order does not
+   matter.  A plain index loop: no list, no record, no closure. *)
+let argmax rt ~src_as ~upstream ~of_via score =
+  let best = ref (-1) and best_score = ref 0. and best_via = ref 0 in
+  for i = 1 to Routing.rib_size rt src_as - 1 do
+    if allowed rt src_as ~upstream i then begin
+      let via = Routing.rib_via rt src_as i in
+      let s = score (if of_via then via else i) in
+      if s > 0. && (!best < 0 || s > !best_score || (s = !best_score && via < !best_via))
+      then begin
+        best := i;
+        best_score := s;
+        best_via := via
+      end
+    end
+  done;
+  !best
+
+let best_by rt ~src_as ~upstream ~score = argmax rt ~src_as ~upstream ~of_via:false score
 
 let best_alternative rt ~src_as ~upstream ~spare =
-  best_by rt ~src_as ~upstream ~score:(fun e -> spare e.via)
+  argmax rt ~src_as ~upstream ~of_via:true spare
 
 let ranked_alternatives rt ~src_as ~upstream ~spare ~k =
   (* Pool-cap FIRST, in RIB preference order: the k-limited static

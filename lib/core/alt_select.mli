@@ -25,20 +25,25 @@ val best_alternative :
   src_as:int ->
   upstream:Mifo_topology.Relationship.t option ->
   spare:(int -> float) ->
-  Mifo_bgp.Routing.rib_entry option
-(** The permitted alternative whose first-hop link has the most spare
-    capacity ([spare nb] = spare capacity toward neighbor [nb]); ties go
-    to the lower neighbor id; [None] when nothing is permitted or every
-    permitted link has nonpositive spare. *)
+  int
+(** The RIB index (at least [1]) of the permitted alternative whose
+    first-hop link has the most spare capacity ([spare nb] = spare
+    capacity toward neighbor [nb]); ties go to the lower neighbor id;
+    [-1] when nothing is permitted or every permitted link has
+    nonpositive spare.  Read the entry with {!Mifo_bgp.Routing.rib_via}
+    and friends.  The scan builds no list and no record: beyond what
+    [spare] allocates, a call allocates nothing. *)
 
 val best_by :
   Mifo_bgp.Routing.t ->
   src_as:int ->
   upstream:Mifo_topology.Relationship.t option ->
-  score:(Mifo_bgp.Routing.rib_entry -> float) ->
-  Mifo_bgp.Routing.rib_entry option
-(** Generalized form: maximizes an arbitrary score over the permitted
-    alternatives ([None] when none, or all scores nonpositive). *)
+  score:(int -> float) ->
+  int
+(** Generalized form: maximizes an arbitrary [score i] over the
+    permitted alternatives' RIB indices [i] (ties to the lower neighbor
+    id), returning the winning index, or [-1] when none is permitted or
+    all scores are nonpositive. *)
 
 val ranked_alternatives :
   Mifo_bgp.Routing.t ->

@@ -89,5 +89,8 @@ val congestion_strategy :
   decision
 (** The MIFO strategy: deflect whenever the default egress link is
     congested ([congested u v] on directed link [u -> v]), onto the
-    permitted alternative with the most spare capacity.  Matches
-    {!Alt_select.best_alternative}. *)
+    permitted alternative with the most spare capacity, ties to the
+    lower neighbor id: the argmax {!Alt_select.best_alternative} takes
+    (which returns that alternative's RIB index, [-1] for none, and
+    also applies the valley-free filter; here the engine's Tag-Check
+    does). *)

@@ -100,7 +100,9 @@ val run :
     while MIFO-capable ASes route around the failure at the data plane,
     exactly as they route around congestion.
 
-    @raise Invalid_argument on a bad flow spec or failure spec. *)
+    @raise Invalid_argument on a bad flow spec or failure spec, among
+    them a non-finite [size_bits], [start] or failure time (the message
+    names the field). *)
 
 val throughputs : result -> float array
 (** Per-flow average throughput, the series the paper's CDFs are drawn

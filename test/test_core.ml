@@ -1074,17 +1074,40 @@ let test_alt_select_permitted () =
 
 let test_alt_select_best () =
   let _, rt = Lazy.force gadget_rt in
+  let via i = Routing.rib_via rt 1 i in
   let spare nb = if nb = 3 then 100. else 10. in
-  (match Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare with
-   | Some e -> Alcotest.(check int) "largest spare wins" 3 e.Routing.via
-   | None -> Alcotest.fail "no alternative");
+  let i = Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare in
+  Alcotest.(check bool) "an alternative's RIB index" true (i >= 1);
+  Alcotest.(check int) "largest spare wins" 3 (via i);
   (* ties break to the lower AS id *)
-  (match Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 5.) with
-   | Some e -> Alcotest.(check int) "tie to lower id" 2 e.Routing.via
-   | None -> Alcotest.fail "no alternative");
+  Alcotest.(check int) "tie to lower id" 2
+    (via (Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 5.)));
   (* no positive spare -> nothing *)
-  Alcotest.(check bool) "all full -> none" true
-    (Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 0.) = None)
+  Alcotest.(check int) "all full -> none" (-1)
+    (Alt_select.best_alternative rt ~src_as:1 ~upstream:None ~spare:(fun _ -> 0.));
+  (* best_by scores RIB indices *)
+  Alcotest.(check int) "best_by: highest score" 3
+    (via
+       (Alt_select.best_by rt ~src_as:1 ~upstream:None ~score:(fun j ->
+            if via j = 3 then 2. else 1.)));
+  Alcotest.(check int) "best_by: peer upstream may not deflect to peers" (-1)
+    (Alt_select.best_by rt ~src_as:1 ~upstream:(Some Relationship.Peer) ~score:(fun _ -> 1.))
+
+(* On a warmed table, a choice allocates nothing beyond its [spare]
+   callback (here one that returns constants). *)
+let test_alt_select_best_allocates_nothing () =
+  let _, rt = Lazy.force gadget_rt in
+  let spare nb = if nb = 3 then 100. else 10. in
+  let upstream = None in
+  ignore (Alt_select.best_alternative rt ~src_as:1 ~upstream ~spare);
+  let w0 = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to 1_000 do
+    acc := !acc + Alt_select.best_alternative rt ~src_as:1 ~upstream ~spare
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 1,000 choices" 0. (w1 -. w0);
+  Alcotest.(check int) "the same choice every time" (1_000 * Alt_select.best_alternative rt ~src_as:1 ~upstream ~spare) !acc
 
 let test_alt_select_ranked () =
   let _, rt = Lazy.force gadget_rt in
@@ -1284,6 +1307,8 @@ let () =
         [
           Alcotest.test_case "valley filter" `Quick test_alt_select_permitted;
           Alcotest.test_case "greedy best + tie-break" `Quick test_alt_select_best;
+          Alcotest.test_case "allocation gate: best_alternative allocates nothing" `Quick
+            test_alt_select_best_allocates_nothing;
           Alcotest.test_case "ranked candidate list" `Quick test_alt_select_ranked;
         ] );
       ( "loop_walk",
