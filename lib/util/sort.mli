@@ -1,14 +1,4 @@
-(** Allocation-free in-place sorting of an array prefix. *)
-
-val sort_prefix : cmp:('a -> 'a -> int) -> 'a array -> int -> unit
-(** [sort_prefix ~cmp a len] sorts [a.(0) .. a.(len - 1)] in place
-    (heapsort: O(len log len), zero allocation); elements at and beyond
-    [len] are untouched.  [cmp] must be a {e total} order — no two
-    elements of the prefix comparing equal — so the result is the unique
-    sorted sequence and deterministically identical to [Array.sort].
-
-    @raise Invalid_argument if [len] is negative or exceeds the array
-    length. *)
+(** Allocation-free in-place sorting of an int range. *)
 
 val sort_ints : int array -> int -> int -> unit
 (** [sort_ints a base len] sorts [a.(base) .. a.(base + len - 1)] in

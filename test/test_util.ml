@@ -297,7 +297,7 @@ let test_vec_ensure () =
 
 (* ---------- Sort ---------- *)
 
-let test_sort_prefix_matches_array_sort () =
+let test_sort_ints_matches_array_sort () =
   (* deterministic LCG so the test needs no seed plumbing *)
   let state = ref 12345 in
   let next () =
@@ -305,27 +305,20 @@ let test_sort_prefix_matches_array_sort () =
     !state mod 1000
   in
   for len = 0 to 40 do
-    let n = len + 8 in
+    let base = len mod 5 in
+    let n = base + len + 8 in
     let a = Array.init n (fun _ -> next ()) in
     let b = Array.copy a in
-    (* a total order: value, then original index via physical position is
-       not available — use plain Int.compare; duplicates are fine for
-       comparing against Array.sort since int sorting is value-unique *)
-    Mifo_util.Sort.sort_prefix ~cmp:Int.compare a len;
-    let expect = Array.sub b 0 len in
+    Mifo_util.Sort.sort_ints a base len;
+    let expect = Array.sub b base len in
     Array.sort Int.compare expect;
-    Alcotest.(check (array int)) "sorted prefix" expect (Array.sub a 0 len);
+    Alcotest.(check (array int)) "sorted range" expect (Array.sub a base len);
+    Alcotest.(check (array int)) "prefix untouched" (Array.sub b 0 base) (Array.sub a 0 base);
     Alcotest.(check (array int))
       "suffix untouched"
-      (Array.sub b len (n - len))
-      (Array.sub a len (n - len))
+      (Array.sub b (base + len) (n - base - len))
+      (Array.sub a (base + len) (n - base - len))
   done
-
-let test_sort_prefix_validation () =
-  Alcotest.check_raises "negative len" (Invalid_argument "Sort.sort_prefix")
-    (fun () -> Mifo_util.Sort.sort_prefix ~cmp:Int.compare [| 1 |] (-1));
-  Alcotest.check_raises "len too large" (Invalid_argument "Sort.sort_prefix")
-    (fun () -> Mifo_util.Sort.sort_prefix ~cmp:Int.compare [| 1 |] 2)
 
 (* ---------- Table ---------- *)
 
@@ -753,9 +746,7 @@ let () =
         ] );
       ( "sort",
         [
-          Alcotest.test_case "prefix matches Array.sort" `Quick
-            test_sort_prefix_matches_array_sort;
-          Alcotest.test_case "validation" `Quick test_sort_prefix_validation;
+          Alcotest.test_case "ints match Array.sort" `Quick test_sort_ints_matches_array_sort;
         ] );
       ( "table",
         [
